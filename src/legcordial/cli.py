@@ -43,6 +43,7 @@ from .labeling import (
 from .numtheory import LegendreContext, legendre_symbol
 from .products import cartesian, corona, join, lexicographic, strong, tensor
 from .search import (
+    DEFAULT_NODE_BUDGET,
     Budget,
     DiffWindow,
     SearchSpec,
@@ -174,7 +175,7 @@ def _emit_graph(g: Graph, args, extra: dict | None = None, labeling: Labeling | 
 def _budget_from_args(args) -> Budget:
     nodes = args.budget_nodes
     if nodes is None:
-        nodes = int(os.environ.get(ENV_BUDGET_NODES, 2_000_000))
+        nodes = int(os.environ.get(ENV_BUDGET_NODES, DEFAULT_NODE_BUDGET))
     seconds = args.budget_seconds
     if seconds is None:
         env = os.environ.get(ENV_BUDGET_SECONDS)

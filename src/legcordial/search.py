@@ -9,16 +9,29 @@ exactly when even labeling every undecided edge uniformly 0 or uniformly 1
 cannot bring d into the window, which keeps pruning sound for counting and
 non-existence proofs, not just satisfiability.
 
-Budgets count assignment-tree nodes (each candidate label tried at a vertex)
-so runs are reproducible; an optional wall-clock limit is a secondary kill
-switch. A budget-exhausted run is a distinct outcome, never conflated with a
-completed proof of non-existence.
+An edge's induced label depends only on (f(u) + f(v)) mod p, so when p < n
+two unused labels of one residue class mod p lead to isomorphic subtrees.
+Each node therefore expands only the smallest unused label of each class,
+and in count-all a subtree counts once per unused label of the chosen
+label's class. Outcomes, counts and first witnesses are those of the full
+search, because the first witness in search order always uses the smallest
+unused label of its class. When p >= n every class holds one label and this
+is the plain search.
 
-With jobs > 1 the choices of the first vertex's label are partitioned across
-worker processes, each owning a disjoint subspace with an equal share of the
-node budget; verdicts are combined in first-label order, which preserves the
-sequential engine's determinism (a witness found under a smaller first label
-always wins).
+Budgets count assignment-tree nodes (each candidate label tried at a vertex,
+and with p < n only class representatives are tried) so runs are
+reproducible; the reported node count never exceeds the node budget. An
+optional wall-clock limit is a secondary kill switch. A budget-exhausted run
+is a distinct outcome, never conflated with a completed proof of
+non-existence.
+
+With jobs > 1 the first vertex's label choices, one per residue class, are
+partitioned across worker processes, each owning a disjoint subspace with an
+equal share of the node budget; all workers stop at one shared deadline.
+Counts are weighted by class size and verdicts are combined in first-label
+order, which preserves the sequential engine's determinism (a witness found
+under a smaller first label always wins). Under a node budget too tight for
+some subspace a parallel run can exhaust where a sequential one completes.
 """
 
 from __future__ import annotations
@@ -122,6 +135,15 @@ class _FoundFirst(Exception):
     pass
 
 
+def _class_tail(lab: int, n: int, p: int) -> int:
+    """Labels in 1..n congruent to lab mod p that are >= lab.
+
+    When lab is the smallest unused label of its class, these are exactly the
+    unused labels of the class, each of which gives an isomorphic subtree.
+    """
+    return (n - lab) // p + 1
+
+
 class _Engine:
     """Shared backtracking core; one instance per (graph, prime)."""
 
@@ -147,6 +169,7 @@ class _Engine:
             self.remaining_after[k + 1] = total - determined
         # induced label for every possible endpoint sum 0..2n
         self.sum_label = [edge_label(s, ctx) for s in range(2 * n + 1)]
+        self.p = ctx.p
 
     def run(
         self,
@@ -158,67 +181,78 @@ class _Engine:
         first_label: int | None = None,
         on_complete=None,
     ) -> dict:
-        """Explore the subspace; returns nodes used, count, witness, completeness."""
+        """Explore the subspace; returns nodes used, count, witness, completeness.
+
+        With ``first_label`` the first vertex is pinned to that label, which
+        must be the smallest label of its residue class, and the count is
+        that of the pinned subspace alone (not weighted by the class size).
+        """
         n = self.graph.order
+        p = self.p
         labels = [0] * n
-        used = [False] * (n + 1)
-        state = {"nodes": 0, "count": 0, "witness": None}
+        # free[lab]: lab is the smallest unused label of its residue class, so
+        # it may be tried now; indices past n pad the class successors of the
+        # largest labels. When p >= n every class holds one label.
+        free = [0 < lab <= p for lab in range(n + p + 1)]
+        # mult[lab]: unused labels of lab's class, whose subtrees are isomorphic
+        mult = [_class_tail(lab, n, p) for lab in range(n + 1)]
+        if first_label is not None:
+            mult[first_label] = 1  # read only at depth 0: the label stays in use
+        nodes = count = 0
+        witness = None
         prev = self.prev
         sum_label = self.sum_label
         remaining_after = self.remaining_after
+        all_labels = range(1, n + 1)
+        root = all_labels if first_label is None else (first_label,)
 
-        def place(k: int, diff: int) -> None:
+        def place(k: int, diff: int, weight: int) -> None:
+            nonlocal nodes, count, witness
             if k == n:
                 if lo <= diff <= hi:
-                    state["count"] += 1
-                    if state["witness"] is None:
-                        state["witness"] = self._assign_by_vertex(labels)
+                    count += weight
+                    if witness is None:
+                        witness = self._assign_by_vertex(labels)
                     if stop_at_first:
                         raise _FoundFirst
                 if on_complete is not None:
                     on_complete(diff, self._assign_by_vertex(labels))
                 return
             rem = remaining_after[k + 1]
-            candidates = (first_label,) if k == 0 and first_label else range(1, n + 1)
-            for lab in candidates:
-                if used[lab]:
+            for lab in root if k == 0 else all_labels:
+                if not free[lab]:
                     continue
-                state["nodes"] += 1
-                if state["nodes"] > max_nodes:
+                if nodes >= max_nodes:
                     raise _OutOfBudget
-                if deadline is not None and state["nodes"] % 4096 == 0:
-                    if time.monotonic() > deadline:
-                        raise _OutOfBudget
+                if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
+                    raise _OutOfBudget
+                nodes += 1
                 d = diff
                 for j in prev[k]:
                     d += 1 if sum_label[lab + labels[j]] else -1
                 if d - rem > hi or d + rem < lo:
                     continue
-                used[lab] = True
+                free[lab] = False
+                free[lab + p] = True
                 labels[k] = lab
-                place(k + 1, d)
-                used[lab] = False
-            return
+                place(k + 1, d, weight * mult[lab])
+                free[lab + p] = False
+                free[lab] = True
 
-        complete = True
+        complete = exhausted = False
         try:
-            place(0, 0)
+            place(0, 0, 1)
+            complete = True
         except _FoundFirst:
-            complete = False
+            pass
         except _OutOfBudget:
-            return {
-                "nodes": state["nodes"],
-                "count": state["count"],
-                "witness": state["witness"],
-                "complete": False,
-                "exhausted_budget": True,
-            }
+            exhausted = True
         return {
-            "nodes": state["nodes"],
-            "count": state["count"],
-            "witness": state["witness"],
+            "nodes": nodes,
+            "count": count,
+            "witness": witness,
             "complete": complete,
-            "exhausted_budget": False,
+            "exhausted_budget": exhausted,
         }
 
     def _assign_by_vertex(self, labels_by_pos: list[int]) -> tuple[int, ...]:
@@ -233,16 +267,15 @@ def _deadline(budget: Budget) -> float | None:
 
 
 def _subspace_task(args) -> tuple[int, dict]:
-    graph, p, lo, hi, stop_at_first, first_label, max_nodes, max_seconds = args
+    graph, p, lo, hi, stop_at_first, first_label, max_nodes, deadline = args
     engine = _Engine(graph, LegendreContext(p))
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
     out = engine.run(lo, hi, stop_at_first, max_nodes, deadline, first_label=first_label)
     return first_label, out
 
 
-def _combine_subspaces(results: list[tuple[int, dict]], mode: str, nodes: int) -> SearchResult:
+def _combine_subspaces(results: list[tuple[int, dict]], mode: str, n: int, p: int) -> SearchResult:
     results.sort(key=lambda pair: pair[0])
-    nodes += sum(out["nodes"] for _, out in results)
+    nodes = sum(out["nodes"] for _, out in results)
     witness = None
     for _, out in results:
         if out["witness"] is not None:
@@ -252,7 +285,7 @@ def _combine_subspaces(results: list[tuple[int, dict]], mode: str, nodes: int) -
     if mode == "count-all":
         if not all_complete:
             return SearchResult("exhausted", nodes)
-        total = sum(out["count"] for _, out in results)
+        total = sum(_class_tail(lab, n, p) * out["count"] for lab, out in results)
         outcome = "found" if total > 0 else "none"
         return SearchResult(outcome, nodes, labeling=witness, count=total, complete=True)
     if witness is not None:
@@ -275,21 +308,24 @@ def search_labeling(spec: SearchSpec) -> SearchResult:
     lo, hi = spec.objective.lo, spec.objective.hi
     stop_at_first = spec.mode in ("find-first", "prove-none")
     n = spec.graph.order
+    deadline = _deadline(spec.budget)
 
     if spec.jobs > 1 and n > 1:
         import multiprocessing
 
-        per_task = max(spec.budget.max_nodes // n, 1)
+        # one task per residue class: its smallest label stands for the class
+        first_labels = range(1, min(spec.p, n) + 1)
+        share, extra = divmod(spec.budget.max_nodes, len(first_labels))
         tasks = [
-            (spec.graph, spec.p, lo, hi, stop_at_first, lab, per_task, spec.budget.max_seconds)
-            for lab in range(1, n + 1)
+            (spec.graph, spec.p, lo, hi, stop_at_first, lab, share + (i < extra), deadline)
+            for i, lab in enumerate(first_labels)
         ]
-        with multiprocessing.get_context("fork").Pool(min(spec.jobs, n)) as pool:
+        with multiprocessing.get_context("fork").Pool(min(spec.jobs, len(tasks))) as pool:
             results = pool.map(_subspace_task, tasks)
-        return _combine_subspaces(list(results), spec.mode, nodes=0)
+        return _combine_subspaces(list(results), spec.mode, n, spec.p)
 
     engine = _Engine(spec.graph, ctx)
-    out = engine.run(lo, hi, stop_at_first, spec.budget.max_nodes, _deadline(spec.budget))
+    out = engine.run(lo, hi, stop_at_first, spec.budget.max_nodes, deadline)
     if out["exhausted_budget"]:
         return SearchResult("exhausted", out["nodes"])
     if spec.mode == "count-all":

@@ -1,4 +1,5 @@
-from itertools import combinations
+import time
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,12 @@ def test_found_labeling_satisfies_objective():
         (make_complete(4), 3),
         (make_cycle(6), 3),
         (make_path(7), 5),
+        # orders 6-7 with p < n, where residue classes hold two or more labels
+        (make_cycle(6), 5),
+        (make_path(7), 3),
+        (make_star(7), 5),
+        (Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]), 3),
+        (Graph(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (6, 1)]), 5),
     ],
 )
 def test_count_all_matches_naive_enumeration(g, p):
@@ -99,7 +106,7 @@ def test_budget_exhaustion_is_distinct():
     )
     assert res.outcome == "exhausted"
     assert not res.complete
-    assert res.nodes <= 6
+    assert res.nodes == 5
 
 
 def test_order_ceiling():
@@ -109,21 +116,110 @@ def test_order_ceiling():
 
 
 def test_parallel_matches_sequential():
-    for mode in ("find-first", "count-all", "prove-none"):
-        seq = search_labeling(SearchSpec(make_cycle(6), 3, mode=mode))
-        par = search_labeling(SearchSpec(make_cycle(6), 3, mode=mode, jobs=3))
+    for (g, p, jobs), mode in product(
+        [(make_cycle(6), 3, 3), (make_cycle(7), 3, 2)], ("find-first", "count-all", "prove-none")
+    ):
+        seq = search_labeling(SearchSpec(g, p, mode=mode))
+        par = search_labeling(SearchSpec(g, p, mode=mode, jobs=jobs))
         assert seq.outcome == par.outcome
         assert seq.labeling == par.labeling
         assert seq.count == par.count
+        assert seq.complete == par.complete
+
+
+def test_parallel_workers_share_one_deadline(monkeypatch):
+    # Run the subspace tasks one after another in this process: once the
+    # first task has used up the shared deadline, every later task must stop
+    # before its first node instead of starting a fresh time budget.
+    import multiprocessing
+
+    outs = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            results = [fn(task) for task in tasks]
+            outs.extend(results)
+            return results
+
+    class InlineContext:
+        Pool = InlinePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: InlineContext)
+    budget = Budget(max_seconds=0.1)
+    res = search_labeling(
+        SearchSpec(make_complete(12), 13, mode="prove-none", budget=budget, jobs=2)
+    )
+    assert res.outcome == "exhausted"
+    assert len(outs) == 12
+    assert outs[0][1]["exhausted_budget"] and outs[0][1]["nodes"] > 0
+    assert all(out["exhausted_budget"] and out["nodes"] == 0 for _, out in outs[1:])
+
+
+def test_parallel_budget_bounds():
+    budget = Budget(max_seconds=0.3)
+    start = time.monotonic()
+    res = search_labeling(
+        SearchSpec(make_complete(12), 13, mode="prove-none", budget=budget, jobs=2)
+    )
+    assert res.outcome == "exhausted"
+    # Expected about 0.3 s: the deadline is polled every 4096 nodes (a few ms)
+    # and forking two workers takes tens of ms. A budget restarted per task
+    # would take 12 tasks / 2 workers * 0.3 s = 1.8 s, so 1 s separates the
+    # two with room for a machine several times slower than usual.
+    assert time.monotonic() - start < 1.0
+    res = search_labeling(
+        SearchSpec(make_complete(12), 13, mode="prove-none", budget=Budget(max_nodes=7), jobs=2)
+    )
+    assert res.outcome == "exhausted"
+    assert res.nodes <= 7
+
+
+# Outcomes, counts and first witnesses recorded before the engine exploited
+# residue classes, with the node counts it needed then.
+SYMMETRIC_INSTANCES = [
+    (make_cycle(7), 5, "count-all", DiffWindow.cordial(),
+     "found", 2408, (1, 2, 3, 4, 7, 6, 5), 13283),
+    (make_path(7), 3, "count-all", DiffWindow.cordial(),
+     "found", 1056, (5, 1, 2, 3, 4, 6, 7), 10387),
+    (make_complete(7), 5, "prove-none", DiffWindow.cordial(),
+     "none", None, None, 13699),
+    (make_star(8), 3, "count-all", DiffWindow.cordial(),
+     "found", 10080, (3, 1, 2, 4, 5, 6, 7, 8), 99520),
+    (make_cycle(8), 3, "count-all", DiffWindow.around(2),
+     "found", 2304, (1, 2, 5, 8, 3, 4, 6, 7), 57868),
+]
+
+
+@pytest.mark.parametrize(
+    "g,p,mode,window,outcome,count,witness,nodes_without_symmetry", SYMMETRIC_INSTANCES
+)
+def test_residue_symmetry_keeps_results(
+    g, p, mode, window, outcome, count, witness, nodes_without_symmetry
+):
+    res = search_labeling(SearchSpec(g, p, objective=window, mode=mode))
+    assert (res.outcome, res.count, res.labeling) == (outcome, count, witness)
+    assert res.complete
+    assert res.nodes < nodes_without_symmetry
 
 
 def test_achievable_differences_matches_oracle():
-    for g, p in [(make_path(4), 3), (make_cycle(5), 5)]:
+    order6 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+    for g, p in [(make_path(4), 3), (make_cycle(5), 5), (order6, 3)]:
         got, complete, _ = achievable_differences(g, p)
         assert complete
         want = brute_diff_witnesses(g.edges, g.order, p)
         assert set(got) == set(want)
         for d, assign in got.items():
+            assert assign in want[d]
             e0, e1 = brute_tally(g.edges, assign, p)
             assert e1 - e0 == d
 
