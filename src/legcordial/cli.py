@@ -15,6 +15,8 @@ import os
 import sys
 
 from .constructors import (
+    BALANCE_THEOREMS,
+    BASE_LABELINGS,
     ConstructionRecipe,
     HypothesisViolation,
     normalize_theorem,
@@ -318,13 +320,12 @@ def _cmd_construct(args) -> int:
             raise _CliFailure(EXIT_IO, "io-error", f"bad recipe JSON: {exc}")
     else:
         theorem = normalize_theorem(args.theorem)
-        if theorem in ("corona-path", "kp-tensor"):
+        if theorem not in BALANCE_THEOREMS:
             spec = args.g or args.g1 or args.g2
             if spec is None:
                 raise ValueError(f"construction {theorem} needs --g")
             g = load_graph_arg(spec)
-            g1, g2 = (g, None) if theorem == "corona-path" else (None, g)
-            recipe = ConstructionRecipe(theorem, args.p, g1, g2)
+            recipe = ConstructionRecipe(theorem, args.p, g, g)  # run_recipe picks its slot
         else:
             if args.g1 is None or args.g2 is None:
                 raise ValueError(f"construction {theorem} needs --g1 and --g2")
@@ -332,10 +333,9 @@ def _cmd_construct(args) -> int:
             g2 = load_graph_arg(args.g2)
             lab1 = _parse_inline_labels(args.lab_g1) if args.lab_g1 else None
             lab2 = _parse_inline_labels(args.lab_g2) if args.lab_g2 else None
-            needs_search = (
-                (theorem in ("join", "corona") and (lab1 is None or lab2 is None))
-                or (theorem == "lexicographic" and lab2 is None)
-                or (theorem in ("cartesian", "tensor", "strong") and lab1 is None)
+            needs_search = any(
+                labeled and lab is None
+                for labeled, lab in zip(BASE_LABELINGS[theorem], (lab1, lab2))
             )
             if needs_search:
                 if not args.auto:
@@ -359,26 +359,25 @@ def _cmd_construct(args) -> int:
             else:
                 recipe = ConstructionRecipe(theorem, args.p, g1, g2, lab1, lab2)
 
+    # run_recipe raised unless the verifier's tally equals the prediction
     graph, lab, predicted = run_recipe(recipe)
-    ctx = LegendreContext(recipe.p)
-    verified = induced_tally(lab, ctx)
     bundle = {
         "theorem": recipe.theorem,
         "p": recipe.p,
         "graph": graph_to_json(graph),
         "labeling": labeling_to_json(lab, recipe.p),
         "predicted": {"e0": predicted.e0, "e1": predicted.e1},
-        "verified": tally_report(verified),
+        "verified": tally_report(predicted),
     }
     if args.format == "json":
         _emit(json.dumps(bundle, indent=2), args.out)
     elif args.format == "dot":
-        _emit_graph(graph, args, labeling=lab, ctx=ctx)
+        _emit_graph(graph, args, labeling=lab, ctx=LegendreContext(recipe.p))
     else:
         _emit(
             f"theorem: {recipe.theorem}\np: {recipe.p}\norder: {graph.order}\n"
             f"size: {graph.size}\npredicted: ({predicted.e0}, {predicted.e1})\n"
-            f"verified: ({verified.e0}, {verified.e1})\ncordial: {verified.is_cordial}\n",
+            f"verified: ({predicted.e0}, {predicted.e1})\ncordial: {predicted.is_cordial}\n",
             args.out,
         )
     return EXIT_OK

@@ -23,6 +23,11 @@ The eight constructions and their hypotheses:
                  |V(g1)| = n*p; d1 = 0 exactly.
   strong         both connected, |V(g1)| = 3*p, g2 a tree; d1 = 1 exactly.
 
+BASE_LABELINGS is the one place a theorem is registered: it says which
+factors carry a base labeling, and recipe dispatch, the CLI's --auto trigger
+and find_base_labelings read it. A new theorem is one entry there plus a
+construct_<name> function (- written as _) and, if labeled, a balance_form case.
+
 For the strong construction the tree requirement is read off the second
 factor (its size must be its order minus one); the first factor's size is
 unconstrained. The tensor and lexicographic block offsets are the full
@@ -33,7 +38,7 @@ preserved while the assignment stays bijective for all factor orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import (
     Graph,
@@ -45,9 +50,9 @@ from .graph import (
 )
 from .labeling import (
     AdmissionError,
+    EdgeTally,
     Labeling,
     induced_tally,
-    rho_eta,
 )
 from .numtheory import LegendreContext
 from .products import (
@@ -62,16 +67,19 @@ from .products import (
     tensor as tensor_product,
 )
 
-THEOREMS = (
-    "corona-path",
-    "kp-tensor",
-    "join",
-    "corona",
-    "lexicographic",
-    "cartesian",
-    "tensor",
-    "strong",
-)
+# (g1 carries a base labeling, g2 carries a base labeling) for each theorem.
+BASE_LABELINGS = {
+    "corona-path": (False, False),
+    "kp-tensor": (False, False),
+    "join": (True, True),
+    "corona": (True, True),
+    "lexicographic": (False, True),
+    "cartesian": (True, False),
+    "tensor": (True, False),
+    "strong": (True, False),
+}
+
+THEOREMS = tuple(BASE_LABELINGS)
 
 _ALIASES = {
     "lex": "lexicographic",
@@ -84,7 +92,7 @@ _ALIASES = {
 }
 
 # Theorems whose hypotheses constrain base-labeling statistics (rho/eta).
-BALANCE_THEOREMS = ("join", "corona", "lexicographic", "cartesian", "tensor", "strong")
+BALANCE_THEOREMS = tuple(t for t, slots in BASE_LABELINGS.items() if any(slots))
 
 
 def normalize_theorem(name: str) -> str:
@@ -116,17 +124,8 @@ class ConstructionError(RuntimeError):
     """The verifier disagreed with the closed-form prediction."""
 
 
-@dataclass(frozen=True)
-class PredictedTally:
-    e0: int
-    e1: int
-
-
-@dataclass(frozen=True)
-class HypothesisCheck:
-    name: str
-    satisfied: bool
-    detail: str = ""
+class PredictedTally(EdgeTally):
+    """Closed-form (e0, e1); a constructor returns it only once the verifier agrees."""
 
 
 @dataclass(frozen=True)
@@ -139,14 +138,13 @@ class ConstructionRecipe:
     g2: Graph | None
     lab_g1: tuple[int, ...] | None = None
     lab_g2: tuple[int, ...] | None = None
-    checks: tuple[HypothesisCheck, ...] = field(default_factory=tuple)
 
 
 @dataclass(frozen=True)
 class BalanceForm:
     """Hypothesis equation coef1*d1 + coef2*d2 in [lo, hi] on rho-minus-eta values.
 
-    coef_i = 0 means factor i carries no base labeling in that construction.
+    coef_i is 0 exactly when BASE_LABELINGS gives factor i no base labeling.
     params holds the derived hypothesis constants (n, m, k) for reporting.
     """
 
@@ -155,10 +153,6 @@ class BalanceForm:
     lo: int
     hi: int
     params: dict
-
-
-def _require_odd_prime(p: int) -> LegendreContext:
-    return LegendreContext(p)  # validates primality, oddness and the size cap
 
 
 def _require_multiple(order: int, p: int, what: str) -> int:
@@ -176,7 +170,7 @@ def balance_form(theorem: str, g1: Graph, g2: Graph, p: int) -> BalanceForm:
     precondition fails, before any labeling statistics are consulted.
     """
     theorem = normalize_theorem(theorem)
-    _require_odd_prime(p)
+    LegendreContext(p)  # validates primality, oddness and the size cap
     if theorem == "join":
         n = _require_multiple(g1.order, p, "order of g1")
         m = g2.order
@@ -239,20 +233,39 @@ def balance_form(theorem: str, g1: Graph, g2: Graph, p: int) -> BalanceForm:
     raise ValueError(f"{theorem} carries no balance hypothesis")
 
 
-def _check_base_labeling(lab: Labeling, g: Graph, which: str) -> None:
-    if lab.graph != g:
-        raise ValueError(f"base labeling {which} does not belong to its factor graph")
+def _base_tallies(
+    theorem: str,
+    g1: Graph,
+    lab_g1: Labeling | None,
+    g2: Graph,
+    lab_g2: Labeling | None,
+    p: int,
+) -> tuple[LegendreContext, dict, EdgeTally | None, EdgeTally | None]:
+    """Shared preamble of the balance constructions.
 
-
-def _check_balance(form: BalanceForm, d1: int | None, d2: int | None) -> int:
-    lhs = (form.coef1 * (d1 or 0)) + (form.coef2 * (d2 or 0))
+    Checks the structural gates, that each base labeling BASE_LABELINGS asks
+    for belongs to its factor, and the balance hypothesis; returns the
+    context, the form's params and each labeled factor's tally (e1 = |rho|,
+    e0 = |eta|), None for a factor without a base labeling.
+    """
+    form = balance_form(theorem, g1, g2, p)
+    ctx = LegendreContext(p)
+    labeled1, labeled2 = BASE_LABELINGS[theorem]
+    for lab, g, which, labeled in ((lab_g1, g1, "g1", labeled1), (lab_g2, g2, "g2", labeled2)):
+        if labeled and lab.graph != g:
+            raise ValueError(f"base labeling {which} does not belong to its factor graph")
+    t1 = induced_tally(lab_g1, ctx) if labeled1 else None
+    t2 = induced_tally(lab_g2, ctx) if labeled2 else None
+    d1 = t1.e1 - t1.e0 if labeled1 else 0
+    d2 = t2.e1 - t2.e0 if labeled2 else 0
+    lhs = form.coef1 * d1 + form.coef2 * d2
     if not form.lo <= lhs <= form.hi:
         raise HypothesisViolation(
             "balance hypothesis on rho-minus-eta statistics",
             lhs=lhs,
             rhs=(form.lo, form.hi),
         )
-    return lhs
+    return ctx, form.params, t1, t2
 
 
 def _finalize(
@@ -282,7 +295,7 @@ def construct_corona_path(g: Graph, p: int) -> tuple[Graph, Labeling, PredictedT
     and 0, and p = +-3 (mod 8) makes 2 a nonresidue. Predicted counts:
     e0 = n(p-3)/2 + n(p-1)/2 + n and e1 = n(p-1)/2 + n(p-3)/2 + q.
     """
-    ctx = _require_odd_prime(p)
+    ctx = LegendreContext(p)
     if p % 8 not in (3, 5):
         raise HypothesisViolation(
             "requires (2/p) = -1, i.e. p = +-3 (mod 8)", lhs=p % 8, rhs="3 or 5"
@@ -322,7 +335,7 @@ def construct_kp_tensor(g: Graph, p: int) -> tuple[Graph, Labeling, PredictedTal
     then meets each nonzero residue equally often, giving
     e0 = e1 = m*p*(p-1)/2 where m is the size of g.
     """
-    ctx = _require_odd_prime(p)
+    ctx = LegendreContext(p)
     if not is_connected(g):
         raise AdmissionError("factor graph must be connected")
     if g.order < 2:
@@ -363,19 +376,13 @@ def construct_join(
     sweeps a complete residue system. Predicted counts:
     e0 = |eta1| + |eta2| + nm(p-1)/2 + nm,  e1 = |rho1| + |rho2| + nm(p-1)/2.
     """
-    ctx = _require_odd_prime(p)
-    form = balance_form("join", g1, g2, p)
-    _check_base_labeling(lab_g1, g1, "g1")
-    _check_base_labeling(lab_g2, g2, "g2")
-    re1 = rho_eta(lab_g1, ctx)
-    re2 = rho_eta(lab_g2, ctx)
-    _check_balance(form, re1.rho_minus_eta, re2.rho_minus_eta)
-    n, m = form.params["n"], form.params["m"]
+    ctx, params, t1, t2 = _base_tallies("join", g1, lab_g1, g2, lab_g2, p)
+    n, m = params["n"], params["m"]
     composite = join_product(g1, g2)
     assign = list(lab_g1.assign) + [x + g1.order for x in lab_g2.assign]
     base = n * m * (p - 1) // 2
-    e0 = len(re1.eta) + len(re2.eta) + base + n * m
-    e1 = len(re1.rho) + len(re2.rho) + base
+    e0 = t1.e0 + t2.e0 + base + n * m
+    e1 = t1.e1 + t2.e1 + base
     return _finalize(composite, assign, ctx, e0, e1)
 
 
@@ -388,14 +395,8 @@ def construct_corona(
     shifted past every copy. Predicted counts:
     e0 = |eta1| + n|eta2| + nm(p-1)/2 + nm,  e1 = |rho1| + n|rho2| + nm(p-1)/2.
     """
-    ctx = _require_odd_prime(p)
-    form = balance_form("corona", g1, g2, p)
-    _check_base_labeling(lab_g1, g1, "g1")
-    _check_base_labeling(lab_g2, g2, "g2")
-    re1 = rho_eta(lab_g1, ctx)
-    re2 = rho_eta(lab_g2, ctx)
-    _check_balance(form, re1.rho_minus_eta, re2.rho_minus_eta)
-    n, m = form.params["n"], form.params["m"]
+    ctx, params, t1, t2 = _base_tallies("corona", g1, lab_g1, g2, lab_g2, p)
+    n, m = params["n"], params["m"]
     s = g2.order
     composite = corona_product(g1, g2)
     assign = [0] * composite.order
@@ -404,8 +405,8 @@ def construct_corona(
             assign[corona_copy_index(i, j, s)] = lab_g2.assign[j] + s * i
         assign[corona_host_index(i, n, s)] = lab_g1.assign[i] + n * s
     base = n * m * (p - 1) // 2
-    e0 = len(re1.eta) + n * len(re2.eta) + base + n * m
-    e1 = len(re1.rho) + n * len(re2.rho) + base
+    e0 = t1.e0 + n * t2.e0 + base + n * m
+    e1 = t1.e1 + n * t2.e1 + base
     return _finalize(composite, assign, ctx, e0, e1)
 
 
@@ -418,12 +419,8 @@ def construct_lexicographic(
     e0 = n|eta2| + n m^2 p (p-1)/2 + n m^2 p,  e1 = n|rho2| + n m^2 p (p-1)/2;
     the hypothesis d2 = m^2 p makes the difference exactly 0.
     """
-    ctx = _require_odd_prime(p)
-    form = balance_form("lexicographic", g1, g2, p)
-    _check_base_labeling(lab_g2, g2, "g2")
-    re2 = rho_eta(lab_g2, ctx)
-    _check_balance(form, None, re2.rho_minus_eta)
-    n, m = form.params["n"], form.params["m"]
+    ctx, params, _, t2 = _base_tallies("lexicographic", g1, None, g2, lab_g2, p)
+    n, m = params["n"], params["m"]
     s = g2.order
     composite = lexicographic_product(g1, g2)
     assign = [0] * composite.order
@@ -431,8 +428,8 @@ def construct_lexicographic(
         for j in range(s):
             assign[pair_index(i, j, s)] = lab_g2.assign[j] + s * i
     base = n * m * m * p * (p - 1) // 2
-    e0 = n * len(re2.eta) + base + n * m * m * p
-    e1 = n * len(re2.rho) + base
+    e0 = n * t2.e0 + base + n * m * m * p
+    e1 = n * t2.e1 + base
     return _finalize(composite, assign, ctx, e0, e1)
 
 
@@ -446,20 +443,16 @@ def construct_cartesian(
     complete residue system per block. Predicted counts:
     e0 = n|eta1| + nmk(p-1)/2 + nmk,  e1 = n|rho1| + nmk(p-1)/2.
     """
-    ctx = _require_odd_prime(p)
-    form = balance_form("cartesian", g1, g2, p)
-    _check_base_labeling(lab_g1, g1, "g1")
-    re1 = rho_eta(lab_g1, ctx)
-    _check_balance(form, re1.rho_minus_eta, None)
-    n, m, k = form.params["n"], form.params["m"], form.params["k"]
+    ctx, params, t1, _ = _base_tallies("cartesian", g1, lab_g1, g2, None, p)
+    n, m, k = params["n"], params["m"], params["k"]
     composite = cartesian_product(g1, g2)
     assign = [0] * composite.order
     for a in range(g1.order):
         for j in range(n):
             assign[pair_index(a, j, n)] = lab_g1.assign[a] + g1.order * j
     base = n * m * k * (p - 1) // 2
-    e0 = n * len(re1.eta) + base + n * m * k
-    e1 = n * len(re1.rho) + base
+    e0 = n * t1.e0 + base + n * m * k
+    e1 = n * t1.e1 + base
     return _finalize(composite, assign, ctx, e0, e1)
 
 
@@ -472,19 +465,15 @@ def construct_tensor(
     spawned by a factor-edge pair inherit g1's induced label. Predicted
     counts: e0 = 2|eta1|q and e1 = 2|rho1|q with q the size of g2.
     """
-    ctx = _require_odd_prime(p)
-    form = balance_form("tensor", g1, g2, p)
-    _check_base_labeling(lab_g1, g1, "g1")
-    re1 = rho_eta(lab_g1, ctx)
-    _check_balance(form, re1.rho_minus_eta, None)
+    ctx, _, t1, _ = _base_tallies("tensor", g1, lab_g1, g2, None, p)
     composite = tensor_product(g1, g2)
     assign = [0] * composite.order
     for a in range(g1.order):
         for j in range(g2.order):
             assign[pair_index(a, j, g2.order)] = lab_g1.assign[a] + g1.order * j
     q = g2.size
-    e0 = 2 * len(re1.eta) * q
-    e1 = 2 * len(re1.rho) * q
+    e0 = 2 * t1.e0 * q
+    e1 = 2 * t1.e1 * q
     return _finalize(composite, assign, ctx, e0, e1)
 
 
@@ -498,18 +487,14 @@ def construct_strong(
     e1 = n|rho1| + 3(p-1)/2 (n-1) + 2|rho1|(n-1);
     with d1 = 1 the difference is exactly 1 for every tree order n.
     """
-    ctx = _require_odd_prime(p)
-    form = balance_form("strong", g1, g2, p)
-    _check_base_labeling(lab_g1, g1, "g1")
-    re1 = rho_eta(lab_g1, ctx)
-    _check_balance(form, re1.rho_minus_eta, None)
-    n = form.params["n"]
+    ctx, params, t1, _ = _base_tallies("strong", g1, lab_g1, g2, None, p)
+    n = params["n"]
     composite = strong_product(g1, g2)
     assign = [0] * composite.order
     for a in range(g1.order):
         for j in range(n):
             assign[pair_index(a, j, n)] = lab_g1.assign[a] + 3 * p * j
-    rho1, eta1 = len(re1.rho), len(re1.eta)
+    rho1, eta1 = t1.e1, t1.e0
     cart_base = 3 * (p - 1) // 2 * (n - 1)
     e0 = n * eta1 + cart_base + 3 * (n - 1) + 2 * eta1 * (n - 1)
     e1 = n * rho1 + cart_base + 2 * rho1 * (n - 1)
@@ -524,12 +509,6 @@ def run_recipe(recipe: ConstructionRecipe) -> tuple[Graph, Labeling, PredictedTa
     """Execute a recipe through the matching constructor."""
     theorem = normalize_theorem(recipe.theorem)
     p = recipe.p
-
-    def lab(g: Graph | None, assign: tuple[int, ...] | None, which: str) -> Labeling:
-        if g is None or assign is None:
-            raise ValueError(f"recipe for {theorem} needs {which}")
-        return Labeling(g, tuple(assign))
-
     if theorem == "corona-path":
         if recipe.g1 is None:
             raise ValueError("corona-path recipe needs g1")
@@ -541,36 +520,14 @@ def run_recipe(recipe: ConstructionRecipe) -> tuple[Graph, Labeling, PredictedTa
         return construct_kp_tensor(g, p)
     if recipe.g1 is None or recipe.g2 is None:
         raise ValueError(f"recipe for {theorem} needs both factor graphs")
-    if theorem == "join":
-        return construct_join(
-            recipe.g1,
-            lab(recipe.g1, recipe.lab_g1, "lab_g1"),
-            recipe.g2,
-            lab(recipe.g2, recipe.lab_g2, "lab_g2"),
-            p,
-        )
-    if theorem == "corona":
-        return construct_corona(
-            recipe.g1,
-            lab(recipe.g1, recipe.lab_g1, "lab_g1"),
-            recipe.g2,
-            lab(recipe.g2, recipe.lab_g2, "lab_g2"),
-            p,
-        )
-    if theorem == "lexicographic":
-        return construct_lexicographic(
-            recipe.g1, recipe.g2, lab(recipe.g2, recipe.lab_g2, "lab_g2"), p
-        )
-    if theorem == "cartesian":
-        return construct_cartesian(
-            recipe.g1, lab(recipe.g1, recipe.lab_g1, "lab_g1"), recipe.g2, p
-        )
-    if theorem == "tensor":
-        return construct_tensor(
-            recipe.g1, lab(recipe.g1, recipe.lab_g1, "lab_g1"), recipe.g2, p
-        )
-    if theorem == "strong":
-        return construct_strong(
-            recipe.g1, lab(recipe.g1, recipe.lab_g1, "lab_g1"), recipe.g2, p
-        )
-    raise ValueError(f"unhandled construction {theorem}")
+    # constructor arguments: g1, [lab_g1], g2, [lab_g2], p
+    args = []
+    slots = ((recipe.g1, recipe.lab_g1, "lab_g1"), (recipe.g2, recipe.lab_g2, "lab_g2"))
+    for (g, assign, which), labeled in zip(slots, BASE_LABELINGS[theorem]):
+        args.append(g)
+        if labeled:
+            if assign is None:
+                raise ValueError(f"recipe for {theorem} needs {which}")
+            args.append(Labeling(g, tuple(assign)))
+    # looked up by name at call time, so a module-level wrapper sees the call
+    return globals()["construct_" + theorem.replace("-", "_")](*args, p)

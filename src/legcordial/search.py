@@ -30,8 +30,10 @@ partitioned across worker processes, each owning a disjoint subspace with an
 equal share of the node budget; all workers stop at one shared deadline.
 Counts are weighted by class size and verdicts are combined in first-label
 order, which preserves the sequential engine's determinism (a witness found
-under a smaller first label always wins). Under a node budget too tight for
-some subspace a parallel run can exhaust where a sequential one completes.
+under a smaller first label always wins); find-first and prove-none stop at
+the first subspace in that order that holds a witness, and report the nodes
+of the subspaces up to it. Under a node budget too tight for some subspace a
+parallel run can exhaust where a sequential one completes.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ from dataclasses import dataclass, field
 
 from .constructors import (
     BALANCE_THEOREMS,
-    BalanceForm,
+    BASE_LABELINGS,
     ConstructionRecipe,
-    HypothesisCheck,
     balance_form,
     normalize_theorem,
 )
@@ -186,6 +187,8 @@ class _Engine:
         With ``first_label`` the first vertex is pinned to that label, which
         must be the smallest label of its residue class, and the count is
         that of the pinned subspace alone (not weighted by the class size).
+        ``on_complete(diff, labels)`` sees every leaf; ``labels`` is indexed
+        by search position and changes afterwards (see ``_assign_by_vertex``).
         """
         n = self.graph.order
         p = self.p
@@ -216,7 +219,7 @@ class _Engine:
                     if stop_at_first:
                         raise _FoundFirst
                 if on_complete is not None:
-                    on_complete(diff, self._assign_by_vertex(labels))
+                    on_complete(diff, labels)
                 return
             rem = remaining_after[k + 1]
             for lab in root if k == 0 else all_labels:
@@ -274,7 +277,7 @@ def _subspace_task(args) -> tuple[int, dict]:
 
 
 def _combine_subspaces(results: list[tuple[int, dict]], mode: str, n: int, p: int) -> SearchResult:
-    results.sort(key=lambda pair: pair[0])
+    """Combine subspace results given in first-label order."""
     nodes = sum(out["nodes"] for _, out in results)
     witness = None
     for _, out in results:
@@ -320,9 +323,14 @@ def search_labeling(spec: SearchSpec) -> SearchResult:
             (spec.graph, spec.p, lo, hi, stop_at_first, lab, share + (i < extra), deadline)
             for i, lab in enumerate(first_labels)
         ]
+        results = []
         with multiprocessing.get_context("fork").Pool(min(spec.jobs, len(tasks))) as pool:
-            results = pool.map(_subspace_task, tasks)
-        return _combine_subspaces(list(results), spec.mode, n, spec.p)
+            for first_label, out in pool.imap(_subspace_task, tasks):
+                results.append((first_label, out))
+                # later subspaces cannot win; leaving the block terminates them
+                if stop_at_first and out["witness"] is not None:
+                    break
+        return _combine_subspaces(results, spec.mode, n, spec.p)
 
     engine = _Engine(spec.graph, ctx)
     out = engine.run(lo, hi, stop_at_first, spec.budget.max_nodes, deadline)
@@ -354,9 +362,9 @@ def achievable_differences(
     engine = _Engine(graph, LegendreContext(p))
     witnesses: dict[int, tuple[int, ...]] = {}
 
-    def collect(diff: int, assign: tuple[int, ...]) -> None:
+    def collect(diff: int, labels_by_pos: list[int]) -> None:
         if diff not in witnesses:
-            witnesses[diff] = assign
+            witnesses[diff] = engine._assign_by_vertex(labels_by_pos)
 
     q = graph.size
     out = engine.run(
@@ -375,10 +383,6 @@ class RecipeSearchResult:
     outcome: str  # "found" | "none" | "exhausted"
     recipe: ConstructionRecipe | None
     nodes: int
-
-
-def _structural_checks(form: BalanceForm) -> list[HypothesisCheck]:
-    return [HypothesisCheck("structural preconditions", True, f"params={form.params}")]
 
 
 def find_base_labelings(
@@ -406,8 +410,6 @@ def find_base_labelings(
     budget = budget or Budget()
     nodes_left = budget.max_nodes
     deadline = _deadline(budget)
-    total_nodes = 0
-    checks = _structural_checks(form)
 
     def remaining_budget() -> Budget:
         secs = None
@@ -426,31 +428,13 @@ def find_base_labelings(
         )
         return search_labeling(spec)
 
-    if form.coef2 == 0:  # hypothesis constrains g1 only
-        res = windowed(g1, form.lo, form.hi)
-        total_nodes += res.nodes
-        if res.outcome == "found":
-            checks.append(
-                HypothesisCheck("balance hypothesis", True, f"d1 in [{form.lo},{form.hi}]")
-            )
-            recipe = ConstructionRecipe(
-                theorem, p, g1, g2, lab_g1=res.labeling, checks=tuple(checks)
-            )
-            return RecipeSearchResult("found", recipe, total_nodes)
-        return RecipeSearchResult(res.outcome, None, total_nodes)
-
-    if form.coef1 == 0:  # hypothesis constrains g2 only
-        res = windowed(g2, form.lo, form.hi)
-        total_nodes += res.nodes
-        if res.outcome == "found":
-            checks.append(
-                HypothesisCheck("balance hypothesis", True, f"d2 in [{form.lo},{form.hi}]")
-            )
-            recipe = ConstructionRecipe(
-                theorem, p, g1, g2, lab_g2=res.labeling, checks=tuple(checks)
-            )
-            return RecipeSearchResult("found", recipe, total_nodes)
-        return RecipeSearchResult(res.outcome, None, total_nodes)
+    labeled1, labeled2 = BASE_LABELINGS[theorem]
+    if not (labeled1 and labeled2):  # the hypothesis constrains one factor
+        res = windowed(g1 if labeled1 else g2, form.lo, form.hi)
+        if res.outcome != "found":
+            return RecipeSearchResult(res.outcome, None, res.nodes)
+        labs = (res.labeling, None) if labeled1 else (None, res.labeling)
+        return RecipeSearchResult("found", ConstructionRecipe(theorem, p, g1, g2, *labs), res.nodes)
 
     # Two labeled factors: enumerate the smaller one completely.
     scan_is_g1 = g1.order <= g2.order
@@ -461,7 +445,7 @@ def find_base_labelings(
     witnesses, scan_complete, nodes = achievable_differences(
         scan_graph, p, remaining_budget(), ceiling
     )
-    total_nodes += nodes
+    total_nodes = nodes
     nodes_left -= nodes
     all_complete = scan_complete
     for d_scan in sorted(witnesses):
@@ -484,16 +468,7 @@ def find_base_labelings(
                 if scan_is_g1
                 else (res.labeling, witnesses[d_scan])
             )
-            checks.append(
-                HypothesisCheck(
-                    "balance hypothesis",
-                    True,
-                    f"{form.coef1}*d1 + {form.coef2}*d2 in [{form.lo},{form.hi}]",
-                )
-            )
-            recipe = ConstructionRecipe(
-                theorem, p, g1, g2, lab_g1=lab1, lab_g2=lab2, checks=tuple(checks)
-            )
+            recipe = ConstructionRecipe(theorem, p, g1, g2, lab_g1=lab1, lab_g2=lab2)
             return RecipeSearchResult("found", recipe, total_nodes)
         if res.outcome == "exhausted":
             all_complete = False

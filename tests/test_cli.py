@@ -248,3 +248,44 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["symbol"] == 1
+
+
+H7_SPEC = "edges:7:0-6,1-5,2-4,1-6,2-5,3-6,4-5"
+
+
+@pytest.mark.parametrize(
+    "theorem,g1,g2,p",
+    [
+        ("join", "path:3", "complete:1", "3"),
+        ("corona", "path:2", "edges:3:0-1", "3"),
+        ("lex", "cycle:3", H7_SPEC, "7"),
+        ("cart", "cycle:5", "cycle:4", "5"),
+        ("tensor", "path:3", "cycle:3", "3"),
+        ("strong", "cycle:9", "path:4", "3"),
+    ],
+)
+def test_construct_without_labels_needs_auto(capsys, theorem, g1, g2, p):
+    code, out, err = run(capsys, "construct", theorem, "--g1", g1, "--g2", g2, "--p", p)
+    assert code == 2 and out == ""
+    assert "pass them or use --auto" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv,tally",
+    [
+        (("lex", "--g1", "cycle:3", "--g2", H7_SPEC, "--lab-g2", "1,2,3,4,5,6,7", "--p", "7"),
+         {"e0": 84, "e1": 84, "cordial": True}),
+        (("cart", "--g1", "cycle:5", "--g2", "cycle:4", "--lab-g1", "2,1,3,5,4", "--p", "5"),
+         {"e0": 20, "e1": 20, "cordial": True}),
+    ],
+)
+def test_construct_with_only_the_needed_labels_skips_search(capsys, monkeypatch, argv, tally):
+    from legcordial import cli
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("base-labeling search must not run")
+
+    monkeypatch.setattr(cli, "find_base_labelings", no_search)
+    code, out, _ = run(capsys, "construct", *argv)
+    assert code == 0
+    assert json.loads(out)["verified"] == tally

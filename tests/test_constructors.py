@@ -1,6 +1,7 @@
 import pytest
 
 from legcordial.constructors import (
+    THEOREMS,
     ConnectivityViolation,
     ConstructionRecipe,
     HypothesisViolation,
@@ -347,5 +348,35 @@ def test_run_recipe_round_trips():
     )
     g, lab, pred = run_recipe(recipe)
     assert (pred.e0, pred.e1) == (3, 2)
-    with pytest.raises(ValueError):
-        run_recipe(ConstructionRecipe("join", 3, make_path(3), make_complete(1)))
+
+
+@pytest.mark.parametrize(
+    "theorem,lab_g1,missing",
+    [
+        ("join", None, "lab_g1"),
+        ("join", (1, 2, 3), "lab_g2"),
+        ("corona", None, "lab_g1"),
+        ("corona", (1, 2, 3), "lab_g2"),
+        ("lexicographic", (1, 2, 3), "lab_g2"),
+        ("cartesian", None, "lab_g1"),
+        ("tensor", None, "lab_g1"),
+        ("strong", None, "lab_g1"),
+    ],
+)
+def test_run_recipe_names_the_missing_labeling(theorem, lab_g1, missing):
+    recipe = ConstructionRecipe(theorem, 3, make_path(3), make_complete(1), lab_g1=lab_g1)
+    with pytest.raises(ValueError, match=f"^recipe for {theorem} needs {missing}$"):
+        run_recipe(recipe)
+
+
+def test_every_theorem_has_a_public_constructor():
+    # recipe dispatch and the benchmark's tracer look constructors up by name
+    import legcordial
+    from legcordial import constructors
+
+    for theorem in THEOREMS:
+        name = "construct_" + theorem.replace("-", "_")
+        assert callable(getattr(constructors, name)), name
+        assert getattr(legcordial, name) is getattr(constructors, name)
+    for name in ("run_recipe", "balance_form"):
+        assert getattr(legcordial, name) is getattr(constructors, name)

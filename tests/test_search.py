@@ -125,6 +125,10 @@ def test_parallel_matches_sequential():
         assert seq.labeling == par.labeling
         assert seq.count == par.count
         assert seq.complete == par.complete
+    # the witness lies under the first label, so no later subspace is waited for
+    seq = search_labeling(SearchSpec(make_cycle(7), 3))
+    par = search_labeling(SearchSpec(make_cycle(7), 3, jobs=2))
+    assert par.labeling == seq.labeling and par.nodes == seq.nodes == 9
 
 
 def test_parallel_workers_share_one_deadline(monkeypatch):
@@ -145,10 +149,10 @@ def test_parallel_workers_share_one_deadline(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            results = [fn(task) for task in tasks]
-            outs.extend(results)
-            return results
+        def imap(self, fn, tasks):
+            for task in tasks:
+                outs.append(fn(task))
+                yield outs[-1]
 
     class InlineContext:
         Pool = InlinePool
@@ -286,6 +290,32 @@ def test_fbl_structural_precondition_fails_before_search():
         find_base_labelings("tensor", make_path(4), make_cycle(4), 3)
     with pytest.raises(ValueError):
         find_base_labelings("corona-path", make_path(4), make_complete(1), 3)
+
+
+H7 = Graph(7, [(0, 6), (1, 5), (2, 4), (1, 6), (2, 5), (3, 6), (4, 5)])
+
+
+# One found case per balance theorem: outcome, nodes and witnesses recorded
+# before the theorem table replaced the per-theorem branches. The join case
+# enumerates g2 and the second corona case g1 (the smaller factor).
+@pytest.mark.parametrize(
+    "theorem,g1,g2,p,nodes,lab_g1,lab_g2",
+    [
+        ("join", make_cycle(6), make_complete(1), 3, 19, (1, 2, 5, 3, 4, 6), (1,)),
+        ("corona", make_path(2), Graph(3, [(0, 1)]), 3, 8, (1, 2), (1, 3, 2)),
+        ("corona", make_path(3), make_path(6), 3, 35, (1, 2, 3), (6, 1, 3, 4, 2, 5)),
+        ("lexicographic", make_cycle(3), H7, 7, 205, None, (2, 1, 5, 4, 6, 3, 7)),
+        ("cartesian", make_cycle(5), make_cycle(4), 5, 10, (1, 2, 4, 5, 3), None),
+        ("tensor", make_path(5), make_cycle(3), 5, 11, (5, 1, 2, 4, 3), None),
+        ("strong", make_cycle(9), make_path(4), 3, 21, (1, 2, 3, 4, 5, 8, 6, 7, 9), None),
+    ],
+)
+def test_fbl_found_is_pinned(theorem, g1, g2, p, nodes, lab_g1, lab_g2):
+    out = find_base_labelings(theorem, g1, g2, p)
+    assert (out.outcome, out.nodes) == ("found", nodes)
+    assert (out.recipe.lab_g1, out.recipe.lab_g2) == (lab_g1, lab_g2)
+    graph, lab, pred = run_recipe(out.recipe)
+    assert brute_tally(graph.edges, lab.assign, p) == (pred.e0, pred.e1)
 
 
 def test_fbl_budget_exhaustion():
