@@ -270,7 +270,6 @@ def _cmd_search(args) -> int:
         objective=objective,
         budget=_budget_from_args(args),
         mode=args.mode,
-        jobs=args.jobs,
     )
     result = search_labeling(spec)
     payload = result.to_json()
@@ -299,14 +298,17 @@ def _recipe_from_json(obj: dict) -> ConstructionRecipe:
         val = obj.get(key)
         return tuple(int(x) for x in val) if val is not None else None
 
-    return ConstructionRecipe(
-        theorem=normalize_theorem(obj["theorem"]),
-        p=int(obj["p"]),
-        g1=graph_of("g1"),
-        g2=graph_of("g2"),
-        lab_g1=labels_of("lab_g1"),
-        lab_g2=labels_of("lab_g2"),
-    )
+    try:
+        return ConstructionRecipe(
+            theorem=normalize_theorem(obj["theorem"]),
+            p=int(obj["p"]),
+            g1=graph_of("g1"),
+            g2=graph_of("g2"),
+            lab_g1=labels_of("lab_g1"),
+            lab_g2=labels_of("lab_g2"),
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"recipe JSON needs 'theorem' and 'p': {exc}") from exc
 
 
 def _cmd_construct(args) -> int:
@@ -387,8 +389,15 @@ def _cmd_construct(args) -> int:
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors (unknown flags, bad values) as one JSON error object."""
+
+    def error(self, message: str):
+        self.exit(_fail(EXIT_USAGE, "usage-error", f"{self.prog}: {message}"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="legcordial",
         description="Legendre cordial labelings: generate, operate, construct, verify, search.",
     )
@@ -403,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_budget(sp):
         sp.add_argument("--budget-nodes", type=int, default=None)
         sp.add_argument("--budget-seconds", type=float, default=None)
-        sp.add_argument("--jobs", type=int, default=1)
 
     sp = sub.add_parser("gen", help="generate a family graph (path:N cycle:N complete:N star:N edges:...)")
     sp.add_argument("family")

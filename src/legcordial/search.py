@@ -24,16 +24,6 @@ reproducible; the reported node count never exceeds the node budget. An
 optional wall-clock limit is a secondary kill switch. A budget-exhausted run
 is a distinct outcome, never conflated with a completed proof of
 non-existence.
-
-With jobs > 1 the first vertex's label choices, one per residue class, are
-partitioned across worker processes, each owning a disjoint subspace with an
-equal share of the node budget; all workers stop at one shared deadline.
-Counts are weighted by class size and verdicts are combined in first-label
-order, which preserves the sequential engine's determinism (a witness found
-under a smaller first label always wins); find-first and prove-none stop at
-the first subspace in that order that holds a witness, and report the nodes
-of the subspaces up to it. Under a node budget too tight for some subspace a
-parallel run can exhaust where a sequential one completes.
 """
 
 from __future__ import annotations
@@ -98,7 +88,6 @@ class SearchSpec:
     budget: Budget = field(default_factory=Budget)
     mode: str = "find-first"
     ceiling: int = DEFAULT_ORDER_CEILING
-    jobs: int = 1
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -107,8 +96,6 @@ class SearchSpec:
             raise ValueError(
                 f"graph order {self.graph.order} exceeds the search ceiling {self.ceiling}"
             )
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -179,14 +166,10 @@ class _Engine:
         stop_at_first: bool,
         max_nodes: int,
         deadline: float | None,
-        first_label: int | None = None,
         on_complete=None,
     ) -> dict:
-        """Explore the subspace; returns nodes used, count, witness, completeness.
+        """Explore the assignment tree; returns nodes used, count, witness, completeness.
 
-        With ``first_label`` the first vertex is pinned to that label, which
-        must be the smallest label of its residue class, and the count is
-        that of the pinned subspace alone (not weighted by the class size).
         ``on_complete(diff, labels)`` sees every leaf; ``labels`` is indexed
         by search position and changes afterwards (see ``_assign_by_vertex``).
         """
@@ -199,15 +182,12 @@ class _Engine:
         free = [0 < lab <= p for lab in range(n + p + 1)]
         # mult[lab]: unused labels of lab's class, whose subtrees are isomorphic
         mult = [_class_tail(lab, n, p) for lab in range(n + 1)]
-        if first_label is not None:
-            mult[first_label] = 1  # read only at depth 0: the label stays in use
         nodes = count = 0
         witness = None
         prev = self.prev
         sum_label = self.sum_label
         remaining_after = self.remaining_after
         all_labels = range(1, n + 1)
-        root = all_labels if first_label is None else (first_label,)
 
         def place(k: int, diff: int, weight: int) -> None:
             nonlocal nodes, count, witness
@@ -222,7 +202,7 @@ class _Engine:
                     on_complete(diff, labels)
                 return
             rem = remaining_after[k + 1]
-            for lab in root if k == 0 else all_labels:
+            for lab in all_labels:
                 if not free[lab]:
                     continue
                 if nodes >= max_nodes:
@@ -269,35 +249,6 @@ def _deadline(budget: Budget) -> float | None:
     return None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
 
 
-def _subspace_task(args) -> tuple[int, dict]:
-    graph, p, lo, hi, stop_at_first, first_label, max_nodes, deadline = args
-    engine = _Engine(graph, LegendreContext(p))
-    out = engine.run(lo, hi, stop_at_first, max_nodes, deadline, first_label=first_label)
-    return first_label, out
-
-
-def _combine_subspaces(results: list[tuple[int, dict]], mode: str, n: int, p: int) -> SearchResult:
-    """Combine subspace results given in first-label order."""
-    nodes = sum(out["nodes"] for _, out in results)
-    witness = None
-    for _, out in results:
-        if out["witness"] is not None:
-            witness = out["witness"]
-            break
-    all_complete = all(out["complete"] for _, out in results)
-    if mode == "count-all":
-        if not all_complete:
-            return SearchResult("exhausted", nodes)
-        total = sum(_class_tail(lab, n, p) * out["count"] for lab, out in results)
-        outcome = "found" if total > 0 else "none"
-        return SearchResult(outcome, nodes, labeling=witness, count=total, complete=True)
-    if witness is not None:
-        return SearchResult("found", nodes, labeling=witness)
-    if all_complete:
-        return SearchResult("none", nodes, complete=True)
-    return SearchResult("exhausted", nodes)
-
-
 def search_labeling(spec: SearchSpec) -> SearchResult:
     """Run the oracle described by ``spec``; see the module docstring for semantics.
 
@@ -307,33 +258,14 @@ def search_labeling(spec: SearchSpec) -> SearchResult:
     find-first semantics where a completed "none" is the certificate; a
     witness, if one exists, is reported as "found".
     """
-    ctx = LegendreContext(spec.p)
+    return _run_search(_Engine(spec.graph, LegendreContext(spec.p)), spec)
+
+
+def _run_search(engine: _Engine, spec: SearchSpec) -> SearchResult:
+    """Run ``spec`` on ``engine``, which must have been built for its graph and prime."""
     lo, hi = spec.objective.lo, spec.objective.hi
     stop_at_first = spec.mode in ("find-first", "prove-none")
-    n = spec.graph.order
-    deadline = _deadline(spec.budget)
-
-    if spec.jobs > 1 and n > 1:
-        import multiprocessing
-
-        # one task per residue class: its smallest label stands for the class
-        first_labels = range(1, min(spec.p, n) + 1)
-        share, extra = divmod(spec.budget.max_nodes, len(first_labels))
-        tasks = [
-            (spec.graph, spec.p, lo, hi, stop_at_first, lab, share + (i < extra), deadline)
-            for i, lab in enumerate(first_labels)
-        ]
-        results = []
-        with multiprocessing.get_context("fork").Pool(min(spec.jobs, len(tasks))) as pool:
-            for first_label, out in pool.imap(_subspace_task, tasks):
-                results.append((first_label, out))
-                # later subspaces cannot win; leaving the block terminates them
-                if stop_at_first and out["witness"] is not None:
-                    break
-        return _combine_subspaces(results, spec.mode, n, spec.p)
-
-    engine = _Engine(spec.graph, ctx)
-    out = engine.run(lo, hi, stop_at_first, spec.budget.max_nodes, deadline)
+    out = engine.run(lo, hi, stop_at_first, spec.budget.max_nodes, _deadline(spec.budget))
     if out["exhausted_budget"]:
         return SearchResult("exhausted", out["nodes"])
     if spec.mode == "count-all":
@@ -417,7 +349,10 @@ def find_base_labelings(
             secs = max(deadline - time.monotonic(), 0.001)
         return Budget(max_nodes=max(nodes_left, 1), max_seconds=secs)
 
+    engine = None  # every window search of one call is on the same graph
+
     def windowed(graph: Graph, lo: int, hi: int) -> SearchResult:
+        nonlocal engine
         spec = SearchSpec(
             graph,
             p,
@@ -426,7 +361,8 @@ def find_base_labelings(
             mode="find-first",
             ceiling=ceiling,
         )
-        return search_labeling(spec)
+        engine = engine or _Engine(graph, LegendreContext(p))
+        return _run_search(engine, spec)
 
     labeled1, labeled2 = BASE_LABELINGS[theorem]
     if not (labeled1 and labeled2):  # the hypothesis constrains one factor

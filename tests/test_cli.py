@@ -180,6 +180,17 @@ def test_construct_recipe_file(tmp_path, capsys):
     assert json.loads(out)["verified"]["cordial"] is True
 
 
+@pytest.mark.parametrize("obj", [{"p": 3}, [1, 2], {"theorem": 3, "p": 3}])
+def test_construct_malformed_recipe_is_usage_error(tmp_path, capsys, obj):
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "construct", "--recipe", str(recipe))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage-error"
+    assert error["message"].startswith("recipe JSON needs 'theorem' and 'p': ")
+
+
 def test_search_found(capsys):
     code, out, _ = run(capsys, "search", "--g", "cycle:3", "--p", "3")
     assert code == 0
@@ -209,11 +220,30 @@ def test_search_budget_exhausted_exit_5(capsys):
     assert json.loads(out)["outcome"] == "exhausted"
 
 
-def test_search_parallel_jobs(capsys):
-    code, out, _ = run(
-        capsys, "search", "--g", "complete:4", "--p", "3", "--mode", "prove-none", "--jobs", "2"
-    )
-    assert code == 4
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--g", "complete:4", "--p", "3", "--mode", "prove-none", "--jobs", "2"),
+        ("construct", "corona-path", "--g", "cycle:3", "--p", "3", "--jobs", "2"),
+        ("search", "--g", "cycle:5", "--p", "x"),
+    ],
+)
+def test_usage_errors_are_one_json_object(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["code"], error["type"]) == (2, "usage-error")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "-h"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    assert "--budget-nodes" in captured.out
 
 
 def test_search_diff_objective(capsys):

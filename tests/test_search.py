@@ -1,5 +1,5 @@
 import time
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -115,76 +115,21 @@ def test_order_ceiling():
     SearchSpec(make_path(13), 3, ceiling=13)
 
 
-def test_parallel_matches_sequential():
-    for (g, p, jobs), mode in product(
-        [(make_cycle(6), 3, 3), (make_cycle(7), 3, 2)], ("find-first", "count-all", "prove-none")
-    ):
-        seq = search_labeling(SearchSpec(g, p, mode=mode))
-        par = search_labeling(SearchSpec(g, p, mode=mode, jobs=jobs))
-        assert seq.outcome == par.outcome
-        assert seq.labeling == par.labeling
-        assert seq.count == par.count
-        assert seq.complete == par.complete
-    # the witness lies under the first label, so no later subspace is waited for
-    seq = search_labeling(SearchSpec(make_cycle(7), 3))
-    par = search_labeling(SearchSpec(make_cycle(7), 3, jobs=2))
-    assert par.labeling == seq.labeling and par.nodes == seq.nodes == 9
+def test_search_spec_has_no_jobs():
+    # one sequential engine: no verdict can depend on a worker count
+    with pytest.raises(TypeError):
+        SearchSpec(make_cycle(5), 5, jobs=2)
 
 
-def test_parallel_workers_share_one_deadline(monkeypatch):
-    # Run the subspace tasks one after another in this process: once the
-    # first task has used up the shared deadline, every later task must stop
-    # before its first node instead of starting a fresh time budget.
-    import multiprocessing
-
-    outs = []
-
-    class InlinePool:
-        def __init__(self, processes):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, tasks):
-            for task in tasks:
-                outs.append(fn(task))
-                yield outs[-1]
-
-    class InlineContext:
-        Pool = InlinePool
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: InlineContext)
-    budget = Budget(max_seconds=0.1)
-    res = search_labeling(
-        SearchSpec(make_complete(12), 13, mode="prove-none", budget=budget, jobs=2)
-    )
-    assert res.outcome == "exhausted"
-    assert len(outs) == 12
-    assert outs[0][1]["exhausted_budget"] and outs[0][1]["nodes"] > 0
-    assert all(out["exhausted_budget"] and out["nodes"] == 0 for _, out in outs[1:])
-
-
-def test_parallel_budget_bounds():
+def test_time_budget_bounds():
     budget = Budget(max_seconds=0.3)
     start = time.monotonic()
-    res = search_labeling(
-        SearchSpec(make_complete(12), 13, mode="prove-none", budget=budget, jobs=2)
-    )
+    res = search_labeling(SearchSpec(make_complete(12), 13, mode="prove-none", budget=budget))
     assert res.outcome == "exhausted"
-    # Expected about 0.3 s: the deadline is polled every 4096 nodes (a few ms)
-    # and forking two workers takes tens of ms. A budget restarted per task
-    # would take 12 tasks / 2 workers * 0.3 s = 1.8 s, so 1 s separates the
-    # two with room for a machine several times slower than usual.
+    # Expected about 0.3 s: the deadline is polled every 4096 nodes (a few
+    # ms). Without it the default node budget runs for about 2 s, so 1 s
+    # separates the two with room for a machine several times slower.
     assert time.monotonic() - start < 1.0
-    res = search_labeling(
-        SearchSpec(make_complete(12), 13, mode="prove-none", budget=Budget(max_nodes=7), jobs=2)
-    )
-    assert res.outcome == "exhausted"
-    assert res.nodes <= 7
 
 
 # Outcomes, counts and first witnesses recorded before the engine exploited
