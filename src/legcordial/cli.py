@@ -160,7 +160,7 @@ def _emit_graph(g: Graph, args, extra: dict | None = None, labeling: Labeling | 
     if args.format == "json":
         payload = graph_to_json(g)
         payload.update(extra or {})
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(json.dumps(payload), args.out)
     elif args.format == "dot":
         vlabels = list(labeling.assign) if labeling else None
         elabels = None
@@ -233,7 +233,7 @@ def _cmd_verify(args) -> int:
     tally = induced_tally(lab, ctx)
     report = tally_report(tally)
     if args.format == "json":
-        _emit(json.dumps(report, indent=2), args.out)
+        _emit(json.dumps(report), args.out)
     elif args.format == "dot":
         _emit_graph(g, args, labeling=lab, ctx=ctx)
     else:
@@ -274,7 +274,7 @@ def _cmd_search(args) -> int:
     result = search_labeling(spec)
     payload = result.to_json()
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(json.dumps(payload), args.out)
     else:
         lines = [f"{key}: {payload[key]}" for key in sorted(payload)]
         _emit("\n".join(lines) + "\n", args.out)
@@ -372,7 +372,7 @@ def _cmd_construct(args) -> int:
         "verified": tally_report(predicted),
     }
     if args.format == "json":
-        _emit(json.dumps(bundle, indent=2), args.out)
+        _emit(json.dumps(bundle), args.out)
     elif args.format == "dot":
         _emit_graph(graph, args, labeling=lab, ctx=LegendreContext(recipe.p))
     else:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 MAX_ORDER = 1_000_000  # total-vertex cap shared by every graph builder
+MAX_SIZE = 2_000_000  # total-edge cap: about 256 MB at ~128 B per stored edge
 
 Edge = tuple[int, int]
 
@@ -68,6 +69,30 @@ class Graph:
         return f"Graph(order={self.order}, size={self.size})"
 
 
+def _trusted_graph(order: int, edges: list[Edge]) -> Graph:
+    """Graph from unique (u, v) pairs with 0 <= u < v < order, sorted in place.
+
+    Skips the per-edge checks of Graph.__init__, which stays the path for
+    edges from outside (JSON, CLI specs, user code). The products use it:
+    they emit unique canonical edges by construction, and
+    tests/test_products.py checks each against Graph.__init__.
+    """
+    edges.sort()
+    g = Graph.__new__(Graph)
+    g.order = order
+    g.edges = tuple(edges)
+    g.names = None
+    return g
+
+
+def check_shape(order: int, size: int, what: str = "graph") -> None:
+    """Refuse a graph over MAX_ORDER or MAX_SIZE before any edge is built."""
+    if order > MAX_ORDER:
+        raise ValueError(f"{what} order {order} exceeds the supported bound {MAX_ORDER}")
+    if size > MAX_SIZE:
+        raise ValueError(f"{what} size {size} exceeds the supported bound {MAX_SIZE}")
+
+
 def adjacency(g: Graph) -> list[list[int]]:
     """Neighbor lists indexed by vertex, each sorted ascending."""
     adj: list[list[int]] = [[] for _ in range(g.order)]
@@ -87,6 +112,7 @@ def make_path(n: int) -> Graph:
     """Path on n vertices: edges v1v2, v2v3, ..."""
     if n < 1:
         raise ValueError(f"path order must be >= 1, got {n}")
+    check_shape(n, n - 1)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -94,6 +120,7 @@ def make_cycle(n: int) -> Graph:
     """Cycle on n vertices; requires n >= 3."""
     if n < 3:
         raise ValueError(f"cycle order must be >= 3, got {n}")
+    check_shape(n, n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -101,6 +128,7 @@ def make_complete(n: int) -> Graph:
     """Complete graph on n vertices."""
     if n < 1:
         raise ValueError(f"complete-graph order must be >= 1, got {n}")
+    check_shape(n, n * (n - 1) // 2)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -108,6 +136,7 @@ def make_star(n: int) -> Graph:
     """Star of order n: center v1 (index 0) joined to the n-1 leaves."""
     if n < 1:
         raise ValueError(f"star order must be >= 1, got {n}")
+    check_shape(n, n - 1)
     return Graph(n, [(0, i) for i in range(1, n)])
 
 
@@ -204,7 +233,7 @@ def graph_from_json(obj: dict) -> Graph:
 
 
 def graph_dumps(g: Graph) -> str:
-    return json.dumps(graph_to_json(g), indent=2)
+    return json.dumps(graph_to_json(g))
 
 
 def graph_loads(text: str) -> Graph:

@@ -78,8 +78,9 @@ def edge_label(total: int, ctx: LegendreContext) -> int:
 
 def induced_tally(lab: Labeling, ctx: LegendreContext) -> EdgeTally:
     """Tally edge_label(f(u) + f(v)) over every edge of the labeled graph."""
-    assign = lab.assign
-    e1 = sum(edge_label(assign[u] + assign[v], ctx) for u, v in lab.graph.edges)
+    # edge_label inlined: symbols[0] == 0, so a sum divisible by p counts as 0
+    assign, sym, p = lab.assign, ctx.symbols, ctx.p
+    e1 = sum(1 for u, v in lab.graph.edges if sym[(assign[u] + assign[v]) % p] == 1)
     return EdgeTally(e0=lab.graph.size - e1, e1=e1)
 
 

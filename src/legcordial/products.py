@@ -15,7 +15,7 @@ All six operations are pure functions over immutable inputs.
 
 from __future__ import annotations
 
-from .graph import MAX_ORDER, Graph, Edge, has_odd_cycle, is_connected
+from .graph import Edge, Graph, _trusted_graph, check_shape
 
 
 def pair_index(i: int, j: int, order2: int) -> int:
@@ -38,99 +38,100 @@ def corona_host_index(host: int, n_hosts: int, copy_order: int) -> int:
     return n_hosts * copy_order + host
 
 
-def _check_order(n: int) -> int:
-    if n > MAX_ORDER:
-        raise ValueError(f"composite order {n} exceeds the supported bound {MAX_ORDER}")
-    return n
-
-
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union of g1 and g2 plus every cross edge."""
     n1, n2 = g1.order, g2.order
-    order = _check_order(n1 + n2)
+    check_shape(n1 + n2, g1.size + g2.size + n1 * n2, "composite")
     edges: list[Edge] = list(g1.edges)
     edges.extend((u + n1, v + n1) for u, v in g2.edges)
     edges.extend((u, v + n1) for u in range(n1) for v in range(n2))
-    return Graph(order, edges)
+    return _trusted_graph(n1 + n2, edges)
 
 
 def corona(g1: Graph, g2: Graph) -> Graph:
     """One copy of g1 and g1.order copies of g2; host i adjacent to all of copy i."""
     n, s = g1.order, g2.order
-    order = _check_order(n * s + n)
+    check_shape(n * s + n, g1.size + n * g2.size + n * s, "composite")
     edges: list[Edge] = []
     for i in range(n):
         base = i * s
         edges.extend((base + u, base + v) for u, v in g2.edges)
         host = corona_host_index(i, n, s)
-        edges.extend((host, base + j) for j in range(s))
+        edges.extend((base + j, host) for j in range(s))  # hosts come last, so host > base + j
     edges.extend(
         (corona_host_index(u, n, s), corona_host_index(v, n, s)) for u, v in g1.edges
     )
-    return Graph(order, edges)
+    return _trusted_graph(n * s + n, edges)
+
+
+# The edge builders below inline pair_index(i, j, n2) = i * n2 + j per row.
+
+def _copy_edges(n1: int, g2: Graph) -> list[Edge]:
+    """g2's edges inside each of the n1 rows (i, *)."""
+    n2 = g2.order
+    return [(i * n2 + u, i * n2 + v) for i in range(n1) for u, v in g2.edges]
+
+
+def _cartesian_edges(g1: Graph, g2: Graph) -> list[Edge]:
+    n2 = g2.order
+    edges = _copy_edges(g1.order, g2)
+    for a, b in g1.edges:
+        ra, rb = a * n2, b * n2
+        edges.extend((ra + j, rb + j) for j in range(n2))
+    return edges
+
+
+def _tensor_edges(g1: Graph, g2: Graph) -> list[Edge]:
+    n2 = g2.order
+    edges: list[Edge] = []
+    for a, b in g1.edges:
+        ra, rb = a * n2, b * n2
+        for x, y in g2.edges:
+            edges.append((ra + x, rb + y))
+            edges.append((ra + y, rb + x))
+    return edges
 
 
 def lexicographic(g1: Graph, g2: Graph) -> Graph:
     """(v1,u1)(v2,u2) is an edge iff v1v2 in E(g1), or v1 = v2 and u1u2 in E(g2)."""
     n1, n2 = g1.order, g2.order
-    order = _check_order(n1 * n2)
-    edges: list[Edge] = []
-    for i in range(n1):
-        edges.extend(
-            (pair_index(i, u, n2), pair_index(i, v, n2)) for u, v in g2.edges
-        )
+    check_shape(n1 * n2, g1.size * n2 * n2 + n1 * g2.size, "composite")
+    edges = _copy_edges(n1, g2)
     for a, b in g1.edges:
-        edges.extend(
-            (pair_index(a, u, n2), pair_index(b, v, n2))
-            for u in range(n2)
-            for v in range(n2)
-        )
-    return Graph(order, edges)
+        ra, rb = a * n2, b * n2
+        edges.extend((ra + u, rb + v) for u in range(n2) for v in range(n2))
+    return _trusted_graph(n1 * n2, edges)
 
 
 def cartesian(g1: Graph, g2: Graph) -> Graph:
     """(v1,u1)(v2,u2) is an edge iff one coordinate is fixed and the other moves along a factor edge."""
     n1, n2 = g1.order, g2.order
-    order = _check_order(n1 * n2)
-    edges: list[Edge] = []
-    for i in range(n1):
-        edges.extend(
-            (pair_index(i, u, n2), pair_index(i, v, n2)) for u, v in g2.edges
-        )
-    for a, b in g1.edges:
-        edges.extend((pair_index(a, j, n2), pair_index(b, j, n2)) for j in range(n2))
-    return Graph(order, edges)
+    check_shape(n1 * n2, n1 * g2.size + n2 * g1.size, "composite")
+    return _trusted_graph(n1 * n2, _cartesian_edges(g1, g2))
 
 
 def tensor(g1: Graph, g2: Graph) -> Graph:
     """(v1,u1)(v2,u2) is an edge iff both coordinates move along factor edges.
 
     When both factors are connected with at least one edge each and one of
-    them contains an odd cycle, the product is connected; that sufficient
-    condition is asserted here as a runtime sanity check. (A one-vertex
-    factor yields an edgeless, disconnected product, so it is excluded.)
+    them contains an odd cycle, the product is connected (a one-vertex
+    factor yields an edgeless, disconnected product);
+    tests/test_products.py checks that condition.
     """
     n1, n2 = g1.order, g2.order
-    order = _check_order(n1 * n2)
-    edges: list[Edge] = []
-    for a, b in g1.edges:
-        for x, y in g2.edges:
-            edges.append((pair_index(a, x, n2), pair_index(b, y, n2)))
-            edges.append((pair_index(a, y, n2), pair_index(b, x, n2)))
-    result = Graph(order, edges)
-    if (
-        n1 > 1
-        and n2 > 1
-        and is_connected(g1)
-        and is_connected(g2)
-        and (has_odd_cycle(g1) or has_odd_cycle(g2))
-    ):
-        assert is_connected(result), "odd-cycle condition must force a connected tensor product"
-    return result
+    check_shape(n1 * n2, 2 * g1.size * g2.size, "composite")
+    return _trusted_graph(n1 * n2, _tensor_edges(g1, g2))
 
 
 def strong(g1: Graph, g2: Graph) -> Graph:
-    """Union of the cartesian and tensor edge sets on the same vertex indexing."""
-    cart = cartesian(g1, g2)
-    tens = tensor(g1, g2)
-    return Graph(cart.order, cart.edges + tens.edges)
+    """Union of the cartesian and tensor edge sets on the same vertex indexing.
+
+    The two sets are disjoint: a cartesian edge keeps one coordinate fixed,
+    a tensor edge moves both.
+    """
+    n1, n2 = g1.order, g2.order
+    e1, e2 = g1.size, g2.size
+    check_shape(n1 * n2, n1 * e2 + n2 * e1 + 2 * e1 * e2, "composite")
+    edges = _cartesian_edges(g1, g2)
+    edges.extend(_tensor_edges(g1, g2))
+    return _trusted_graph(n1 * n2, edges)

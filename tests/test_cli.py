@@ -319,3 +319,65 @@ def test_construct_with_only_the_needed_labels_skips_search(capsys, monkeypatch,
     code, out, _ = run(capsys, "construct", *argv)
     assert code == 0
     assert json.loads(out)["verified"] == tally
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("gen", "path:4"), {"order": 4, "edges": [[0, 1], [1, 2], [2, 3]]}),
+        (("op", "tensor", "path:2", "path:2"),
+         {"order": 4, "edges": [[0, 3], [1, 2]], "convention": "(i, j) -> i*|V(g2)| + j",
+          "connected": False, "warnings": ["result is disconnected"]}),
+        (("verify", "--g", "cycle:3", "--labeling", "1,2,3", "--p", "3"),
+         {"e0": 2, "e1": 1, "cordial": True}),
+        (("search", "--g", "cycle:3", "--p", "3", "--mode", "count-all"),
+         {"outcome": "found", "nodes": 15, "labeling": [1, 2, 3], "count": 6}),
+        (("construct", "corona-path", "--g", "path:2", "--p", "3"),
+         {"theorem": "corona-path", "p": 3,
+          "graph": {"order": 6, "edges": [[0, 1], [0, 4], [1, 4], [2, 3], [2, 5], [3, 5], [4, 5]]},
+          "labeling": {"p": 3, "assign": [3, 1, 6, 4, 2, 5]},
+          "predicted": {"e0": 4, "e1": 3}, "verified": {"e0": 4, "e1": 3, "cordial": True}}),
+    ],
+    ids=["gen", "op", "verify", "search", "construct"],
+)
+def test_json_output_is_one_line(capsys, argv, expected):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    (line,) = out.splitlines()
+    assert json.loads(line) == expected
+
+
+def test_verify_output_bytes(capsys):
+    _, out, _ = run(capsys, "verify", "--g", "cycle:3", "--labeling", "1,2,3", "--p", "3")
+    assert out == '{"e0": 2, "e1": 1, "cordial": true}\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "complete:30000"),  # 449985000 edges
+        ("op", "lex", "complete:300", "complete:300"),  # 4049955000 edges
+    ],
+)
+def test_oversized_graphs_are_refused_before_allocation(argv):
+    # Under a 600 MB address-space limit, building either graph would end in
+    # a MemoryError traceback; the closed-form size is refused first.
+    import resource
+    import subprocess
+    import sys
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "legcordial", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["code"], error["type"]) == (2, "usage-error")
+    assert "exceeds the supported bound 2000000" in error["message"]

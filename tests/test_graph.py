@@ -1,9 +1,12 @@
 import pytest
 
 from legcordial.graph import (
+    MAX_ORDER,
+    MAX_SIZE,
     Graph,
     adjacency,
     bipartition,
+    check_shape,
     graph_dumps,
     graph_from_json,
     graph_loads,
@@ -35,6 +38,20 @@ def test_family_validation():
         make_cycle(2)
     with pytest.raises(ValueError):
         make_path(0)
+
+
+def test_size_caps():
+    check_shape(MAX_ORDER, MAX_SIZE)  # both bounds are inclusive
+    with pytest.raises(ValueError, match="size"):
+        check_shape(10, MAX_SIZE + 1)
+    with pytest.raises(ValueError, match="order"):
+        check_shape(MAX_ORDER + 1, 0)
+    # refused from the closed-form size, before any edge list exists
+    with pytest.raises(ValueError, match=f"graph size 449985000 exceeds the supported bound {MAX_SIZE}"):
+        make_complete(30_000)
+    for family in (make_path, make_cycle, make_star):
+        with pytest.raises(ValueError, match="graph order"):
+            family(10**9)
 
 
 def test_graph_validation():
@@ -89,6 +106,7 @@ def test_json_round_trip():
     g = Graph(4, [(0, 1), (1, 2), (0, 3)], names=["a", "b", "c", "d"])
     assert graph_from_json(graph_to_json(g)) == g
     assert graph_loads(graph_dumps(g)) == g
+    assert "\n" not in graph_dumps(g)
     # extra keys are tolerated
     obj = graph_to_json(g)
     obj["convention"] = "whatever"

@@ -1,10 +1,11 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from legcordial.graph import (
+    MAX_SIZE,
     Graph,
     has_odd_cycle,
     is_connected,
@@ -32,6 +33,16 @@ def graphs(draw, max_order=6):
     n = draw(st.integers(min_value=1, max_value=max_order))
     pool = list(combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool))) if pool else []
+    return Graph(n, edges)
+
+
+@st.composite
+def connected_graphs(draw, min_order=2, max_order=6):
+    """A random spanning tree (each vertex hangs off an earlier one) plus extra edges."""
+    n = draw(st.integers(min_value=min_order, max_value=max_order))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pool = list(combinations(range(n), 2))
+    edges += draw(st.lists(st.sampled_from(pool), max_size=len(pool)))
     return Graph(n, edges)
 
 
@@ -134,6 +145,28 @@ def test_tensor_connectivity_condition():
                 assert is_connected(tensor(g1, g2)), (g1, g2)
 
 
+@given(connected_graphs(), connected_graphs())
+@settings(max_examples=80, deadline=None)
+def test_tensor_connectivity_condition_random(g1, g2):
+    assume(has_odd_cycle(g1) or has_odd_cycle(g2))
+    assert is_connected(tensor(g1, g2))
+
+
+@pytest.mark.parametrize(
+    "op", (join, corona, lexicographic, cartesian, tensor, strong), ids=lambda f: f.__name__
+)
+@given(graphs(), graphs())
+@settings(max_examples=60, deadline=None)
+def test_products_match_the_checked_constructor(op, g1, g2):
+    # products skip Graph.__init__'s canonicalization; rebuilding through it
+    # must change nothing
+    r = op(g1, g2)
+    assert Graph(r.order, r.edges) == r
+    assert all(u < v for u, v in r.edges)
+    assert all(e < f for e, f in zip(r.edges, r.edges[1:]))
+    assert r.names is None
+
+
 def test_tensor_bipartite_factors_disconnect():
     assert not is_connected(tensor(make_path(3), make_cycle(4)))
 
@@ -158,3 +191,20 @@ def test_order_cap():
     big = make_path(2000)
     with pytest.raises(ValueError):
         lexicographic(big, big)
+
+
+@pytest.mark.parametrize(
+    "op,g1,g2",
+    [
+        (join, make_star(1500), make_star(1500)),  # 1500 * 1500 cross edges
+        (corona, make_path(1000), make_complete(100)),  # 1000 copies of 4950 edges
+        (lexicographic, make_path(1000), make_path(100)),  # 999 * 100 * 100 edges
+        (cartesian, make_complete(200), make_complete(200)),  # 2 * 200 * 19900 edges
+        (tensor, make_complete(100), make_complete(100)),  # 2 * 4950 * 4950 edges
+        (strong, make_complete(100), make_complete(100)),
+    ],
+    ids=lambda x: getattr(x, "__name__", ""),
+)
+def test_size_cap_refuses_before_building(op, g1, g2):
+    with pytest.raises(ValueError, match=f"composite size .* exceeds the supported bound {MAX_SIZE}"):
+        op(g1, g2)
