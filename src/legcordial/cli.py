@@ -10,6 +10,7 @@ never interleaves with the human-readable table format.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -469,9 +470,14 @@ def _fail(code: int, kind: str, message: str) -> int:
     return code
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` reuses: building it costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "construct" and not args.recipe:
         if args.theorem is None:
             return _fail(EXIT_USAGE, "usage-error", "construct needs a theorem name or --recipe")

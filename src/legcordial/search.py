@@ -18,17 +18,28 @@ search, because the first witness in search order always uses the smallest
 unused label of its class. When p >= n every class holds one label and this
 is the plain search.
 
-Budgets count assignment-tree nodes (each candidate label tried at a vertex,
-and with p < n only class representatives are tried) so runs are
-reproducible; the reported node count never exceeds the node budget. An
-optional wall-clock limit is a secondary kill switch. A budget-exhausted run
-is a distinct outcome, never conflated with a completed proof of
-non-existence.
+Two more rules are exact in the same sense. Vertices u and v are twins when
+N(u) - {v} = N(v) - {u}; swapping them is an automorphism. Consecutive
+positions of the search order that are twins form a run, and labels must
+increase along it. In count-all the leaf then stands for every order of the
+run's residue classes, k! / prod(m_r!) for a run of length k holding m_r
+labels of class r. The first witness in search order already increases
+along every run, since swapping twins keeps d. And d always has the parity
+of the graph's size, so the window is narrowed to that parity before the
+engine is built; an empty window is a certified "none" after 0 nodes.
+
+Budgets count assignment-tree nodes (each candidate label tried at a vertex:
+only class representatives, and inside a twin run only labels above the
+previous one) so runs are reproducible; the reported node count never
+exceeds the node budget. An optional wall-clock limit is a secondary kill
+switch. A budget-exhausted run is a distinct outcome, never conflated with a
+completed proof of non-existence.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .constructors import (
@@ -138,23 +149,31 @@ class _Engine:
     def __init__(self, graph: Graph, ctx: LegendreContext):
         n = graph.order
         deg = [0] * n
+        nbrs = [0] * n  # neighbourhood bitmasks
         for u, v in graph.edges:
             deg[u] += 1
             deg[v] += 1
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
         self.graph = graph
         self.order = sorted(range(n), key=lambda v: (-deg[v], v))
         pos = {v: k for k, v in enumerate(self.order)}
-        self.prev: list[list[int]] = [[] for _ in range(n)]
+        prev: list[list[int]] = [[] for _ in range(n)]
         for u, v in graph.edges:
             ku, kv = pos[u], pos[v]
-            self.prev[max(ku, kv)].append(min(ku, kv))
-        total = graph.size
-        determined = 0
-        self.remaining_after = [0] * (n + 1)
-        self.remaining_after[0] = total
-        for k in range(n):
-            determined += len(self.prev[k])
-            self.remaining_after[k + 1] = total - determined
+            prev[max(ku, kv)].append(min(ku, kv))
+        # steps[k] = (earlier neighbours of position k, edges still undecided
+        # once k is labeled, k's offset in its run of consecutive twins: 1 when
+        # k is not a twin of k - 1). Twins u, v have N(u) - {v} = N(v) - {u}.
+        self.steps: list[tuple[list[int], int, int]] = []
+        remaining = graph.size
+        t = 0
+        for k, v in enumerate(self.order):
+            remaining -= len(prev[k])
+            u = self.order[k - 1]
+            twin = k > 0 and deg[u] == deg[v] and nbrs[u] & ~(1 << v) == nbrs[v] & ~(1 << u)
+            t = t + 1 if twin else 1
+            self.steps.append((prev[k], remaining, t))
         # induced label for every possible endpoint sum 0..2n
         self.sum_label = [edge_label(s, ctx) for s in range(2 * n + 1)]
         self.p = ctx.p
@@ -184,10 +203,8 @@ class _Engine:
         mult = [_class_tail(lab, n, p) for lab in range(n + 1)]
         nodes = count = 0
         witness = None
-        prev = self.prev
+        steps = self.steps
         sum_label = self.sum_label
-        remaining_after = self.remaining_after
-        all_labels = range(1, n + 1)
 
         def place(k: int, diff: int, weight: int) -> None:
             nonlocal nodes, count, witness
@@ -201,8 +218,9 @@ class _Engine:
                 if on_complete is not None:
                     on_complete(diff, labels)
                 return
-            rem = remaining_after[k + 1]
-            for lab in all_labels:
+            prev_k, rem, t = steps[k]
+            # labels increase along a run of twins
+            for lab in range(labels[k - 1] + 1 if t > 1 else 1, n + 1):
                 if not free[lab]:
                     continue
                 if nodes >= max_nodes:
@@ -211,14 +229,21 @@ class _Engine:
                     raise _OutOfBudget
                 nodes += 1
                 d = diff
-                for j in prev[k]:
+                for j in prev_k:
                     d += 1 if sum_label[lab + labels[j]] else -1
                 if d - rem > hi or d + rem < lo:
                     continue
+                w = weight * mult[lab]
+                if t > 1:
+                    # The subtree stands for every order of the run's classes:
+                    # t / m per step, with m the run's labels so far in lab's
+                    # class, multiplies out to t! / prod(m_r!).
+                    r = lab % p
+                    w = w * t // (1 + sum(1 for x in labels[k - t + 1:k] if x % p == r))
                 free[lab] = False
                 free[lab + p] = True
                 labels[k] = lab
-                place(k + 1, d, weight * mult[lab])
+                place(k + 1, d, w)
                 free[lab + p] = False
                 free[lab] = True
 
@@ -258,17 +283,26 @@ def search_labeling(spec: SearchSpec) -> SearchResult:
     find-first semantics where a completed "none" is the certificate; a
     witness, if one exists, is reported as "found".
     """
-    return _run_search(_Engine(spec.graph, LegendreContext(spec.p)), spec)
+    return _run_search(spec, lambda: _Engine(spec.graph, LegendreContext(spec.p)))
 
 
-def _run_search(engine: _Engine, spec: SearchSpec) -> SearchResult:
-    """Run ``spec`` on ``engine``, which must have been built for its graph and prime."""
-    lo, hi = spec.objective.lo, spec.objective.hi
-    stop_at_first = spec.mode in ("find-first", "prove-none")
-    out = engine.run(lo, hi, stop_at_first, spec.budget.max_nodes, _deadline(spec.budget))
+def _run_search(spec: SearchSpec, engine_for: Callable[[], _Engine]) -> SearchResult:
+    """Run ``spec`` on ``engine_for()``, an engine for its graph and prime.
+
+    d = e1 - e0 has the parity of the graph's size, so the window shrinks to
+    that parity first; an empty window is a certified "none" at 0 nodes,
+    reached without building the engine.
+    """
+    parity = spec.graph.size % 2
+    lo = spec.objective.lo + (spec.objective.lo - parity) % 2
+    hi = spec.objective.hi - (spec.objective.hi - parity) % 2
+    count_all = spec.mode == "count-all"
+    if lo > hi:
+        return SearchResult("none", 0, count=0 if count_all else None, complete=True)
+    out = engine_for().run(lo, hi, not count_all, spec.budget.max_nodes, _deadline(spec.budget))
     if out["exhausted_budget"]:
         return SearchResult("exhausted", out["nodes"])
-    if spec.mode == "count-all":
+    if count_all:
         outcome = "found" if out["count"] > 0 else "none"
         return SearchResult(
             outcome, out["nodes"], labeling=out["witness"], count=out["count"], complete=True
@@ -352,7 +386,11 @@ def find_base_labelings(
     engine = None  # every window search of one call is on the same graph
 
     def windowed(graph: Graph, lo: int, hi: int) -> SearchResult:
-        nonlocal engine
+        def engine_for() -> _Engine:
+            nonlocal engine
+            engine = engine or _Engine(graph, LegendreContext(p))
+            return engine
+
         spec = SearchSpec(
             graph,
             p,
@@ -361,8 +399,7 @@ def find_base_labelings(
             mode="find-first",
             ceiling=ceiling,
         )
-        engine = engine or _Engine(graph, LegendreContext(p))
-        return _run_search(engine, spec)
+        return _run_search(spec, engine_for)
 
     labeled1, labeled2 = BASE_LABELINGS[theorem]
     if not (labeled1 and labeled2):  # the hypothesis constrains one factor

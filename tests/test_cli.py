@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +250,53 @@ def test_help_still_exits_0(capsys):
     assert "--budget-nodes" in captured.out
 
 
+def test_search_complete12_prove_none_exit_4(capsys):
+    # the twins of K12 leave 4095 nodes of what was a 2 M node budget overrun
+    code, out, _ = run(
+        capsys, "search", "--g", "complete:12", "--p", "13", "--mode", "prove-none"
+    )
+    assert code == 4
+    assert json.loads(out) == {"outcome": "none", "nodes": 4095}
+
+
+def test_construct_auto_parity_none_exit_4(capsys):
+    # the tensor window has the wrong parity for C11, so no search runs
+    code, out, err = run(
+        capsys, "construct", "tensor", "--g1", "cycle:11", "--g2", "cycle:3", "--p", "11", "--auto"
+    )
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"]["type"] == "search-none"
+
+
+# Each call sets flags the one before it did not, so a parser that kept state
+# between calls would show up as a difference from separate processes.
+SEQUENCE = [
+    ("search", "--g", "complete:4", "--p", "3", "--mode", "prove-none", "--budget-nodes", "5"),
+    ("search", "--g", "cycle:5", "--p", "5", "--format", "table"),
+    ("gen", "path:4", "--format", "table"),
+    ("construct", "corona-path", "--g", "path:2", "--p", "3"),
+    ("verify", "--g", "cycle:3", "--labeling", "1,2,3", "--p", "3"),
+    ("legendre", "2", "7"),
+]
+
+
+def test_main_reuses_one_parser(capsys):
+    in_process = [run(capsys, *argv) for argv in SEQUENCE]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    separate = []
+    for argv in SEQUENCE:
+        proc = subprocess.run(
+            [sys.executable, "-m", "legcordial", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == separate
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "-h"])
+    assert exc.value.code == 0
+    assert "--auto" in capsys.readouterr().out
+
+
 def test_search_diff_objective(capsys):
     code, out, _ = run(
         capsys, "search", "--g", "cycle:5", "--p", "5", "--objective", "diff:1"
@@ -331,7 +382,7 @@ def test_construct_with_only_the_needed_labels_skips_search(capsys, monkeypatch,
         (("verify", "--g", "cycle:3", "--labeling", "1,2,3", "--p", "3"),
          {"e0": 2, "e1": 1, "cordial": True}),
         (("search", "--g", "cycle:3", "--p", "3", "--mode", "count-all"),
-         {"outcome": "found", "nodes": 15, "labeling": [1, 2, 3], "count": 6}),
+         {"outcome": "found", "nodes": 7, "labeling": [1, 2, 3], "count": 6}),
         (("construct", "corona-path", "--g", "path:2", "--p", "3"),
          {"theorem": "corona-path", "p": 3,
           "graph": {"order": 6, "edges": [[0, 1], [0, 4], [1, 4], [2, 3], [2, 5], [3, 5], [4, 5]]},

@@ -1,3 +1,4 @@
+import math
 import time
 from itertools import combinations
 
@@ -9,7 +10,10 @@ from legcordial.constructors import ConnectivityViolation, HypothesisViolation, 
 from legcordial.graph import Graph, make_complete, make_cycle, make_path, make_star
 from legcordial.labeling import Labeling, rho_eta
 from legcordial.numtheory import LegendreContext
+from legcordial.products import join
+from legcordial import search
 from legcordial.search import (
+    MODES,
     Budget,
     DiffWindow,
     SearchSpec,
@@ -122,12 +126,13 @@ def test_search_spec_has_no_jobs():
 
 
 def test_time_budget_bounds():
+    # C12 has no twins, so count-all at p=13 walks the full 12! tree
     budget = Budget(max_seconds=0.3)
     start = time.monotonic()
-    res = search_labeling(SearchSpec(make_complete(12), 13, mode="prove-none", budget=budget))
+    res = search_labeling(SearchSpec(make_cycle(12), 13, mode="count-all", budget=budget))
     assert res.outcome == "exhausted"
     # Expected about 0.3 s: the deadline is polled every 4096 nodes (a few
-    # ms). Without it the default node budget runs for about 2 s, so 1 s
+    # ms). Without it the default node budget runs for about 1.6 s, so 1 s
     # separates the two with room for a machine several times slower.
     assert time.monotonic() - start < 1.0
 
@@ -158,6 +163,98 @@ def test_residue_symmetry_keeps_results(
     assert (res.outcome, res.count, res.labeling) == (outcome, count, witness)
     assert res.complete
     assert res.nodes < nodes_without_symmetry
+
+
+def _bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+
+
+K222 = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if u // 2 != v // 2])
+# search order 4 | 2 3 | 0 1 | 5 6: three runs of two twins each
+THREE_RUNS = Graph(7, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6)])
+
+
+# Outcomes, counts and first witnesses of the engine before twin runs, with
+# the nodes the twin runs need. Before, complete:12 p=13 and p=5 and star:12
+# ended exhausted at 2 M nodes, so their verdicts are checked here instead:
+# every labeling of K_n has the same tally, and every labeling of K_{1,11}
+# at p=13 is cordial.
+TWIN_INSTANCES = [
+    (make_complete(12), 13, "prove-none", "none", None, None, 4095),
+    (make_complete(12), 5, "prove-none", "none", None, None, 431),
+    (make_complete(9), 7, "prove-none", "none", None, None, 287),
+    (make_star(12), 13, "count-all", "found", math.factorial(12), tuple(range(1, 13)), 24576),
+    (join(make_complete(2), make_cycle(5)), 7, "count-all",
+     "found", 960, (1, 2, 3, 5, 4, 7, 6), 6793),
+    (make_complete(7), 5, "prove-none", "none", None, None, 71),
+    (make_complete(7), 11, "prove-none", "none", None, None, 127),
+]
+
+
+@pytest.mark.parametrize("g,p,mode,outcome,count,witness,nodes", TWIN_INSTANCES)
+def test_twin_runs_keep_results(g, p, mode, outcome, count, witness, nodes):
+    res = search_labeling(SearchSpec(g, p, mode=mode))
+    assert (res.outcome, res.count, res.labeling, res.nodes) == (outcome, count, witness, nodes)
+    assert res.complete
+    if g.size == g.order * (g.order - 1) // 2:
+        e0, e1 = brute_tally(g.edges, range(1, g.order + 1), p)
+        assert abs(e0 - e1) > 1
+
+
+def test_star12_p13_is_cordial_for_every_labeling():
+    # a star's tally depends only on the centre's label
+    g = make_star(12)
+    for centre in range(1, 13):
+        assign = [centre] + [lab for lab in range(1, 13) if lab != centre]
+        e0, e1 = brute_tally(g.edges, assign, 13)
+        assert abs(e0 - e1) <= 1
+
+
+def test_twin_runs_are_found():
+    engine = search._Engine(THREE_RUNS, LegendreContext(3))
+    assert engine.order == [4, 2, 3, 0, 1, 5, 6]
+    assert [t for _, _, t in engine.steps] == [1, 1, 2, 1, 2, 1, 2]
+    engine = search._Engine(make_complete(5), LegendreContext(3))
+    assert [t for _, _, t in engine.steps] == [1, 2, 3, 4, 5]
+    engine = search._Engine(make_cycle(5), LegendreContext(3))
+    assert [t for _, _, t in engine.steps] == [1] * 5
+
+
+TWIN_RICH = [_bipartite(3, 3), K222, make_star(7), make_complete(6), THREE_RUNS]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("g", TWIN_RICH, ids=["K33", "K222", "star7", "K6", "three_runs"])
+def test_twin_runs_match_oracles(g, p):
+    res = search_labeling(SearchSpec(g, p, mode="count-all"))
+    assert res.complete
+    assert res.count == brute_cordial_count(g.edges, g.order, p)
+    got, complete, _ = achievable_differences(g, p)
+    assert complete
+    want = brute_diff_witnesses(g.edges, g.order, p)
+    assert set(got) == set(want)
+    for d, assign in got.items():
+        assert assign in want[d]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "g,window",
+    [
+        (make_cycle(6), DiffWindow.exact(1)),  # size 6: d is even
+        (make_cycle(5), DiffWindow.exact(0)),  # size 5: d is odd
+        (make_path(5), DiffWindow(1, 0)),  # inverted
+        (make_complete(12), DiffWindow(2, -2)),  # inverted
+    ],
+)
+def test_parity_empty_window_is_none_at_0_nodes(monkeypatch, g, window, mode):
+    def no_engine(*args):
+        raise AssertionError("an empty window needs no engine")
+
+    monkeypatch.setattr(search, "_Engine", no_engine)
+    res = search_labeling(SearchSpec(g, 5, objective=window, mode=mode, budget=Budget(1)))
+    assert (res.outcome, res.nodes, res.labeling, res.complete) == ("none", 0, None, True)
+    assert res.count == (0 if mode == "count-all" else None)
 
 
 def test_achievable_differences_matches_oracle():
@@ -240,16 +337,17 @@ def test_fbl_structural_precondition_fails_before_search():
 H7 = Graph(7, [(0, 6), (1, 5), (2, 4), (1, 6), (2, 5), (3, 6), (4, 5)])
 
 
-# One found case per balance theorem: outcome, nodes and witnesses recorded
-# before the theorem table replaced the per-theorem branches. The join case
-# enumerates g2 and the second corona case g1 (the smaller factor).
+# One found case per balance theorem: outcome and witnesses recorded before
+# the theorem table replaced the per-theorem branches, nodes since twin runs
+# (the corona and lexicographic cases needed 8, 35 and 205 before). The join
+# case enumerates g2 and the second corona case g1 (the smaller factor).
 @pytest.mark.parametrize(
     "theorem,g1,g2,p,nodes,lab_g1,lab_g2",
     [
         ("join", make_cycle(6), make_complete(1), 3, 19, (1, 2, 5, 3, 4, 6), (1,)),
-        ("corona", make_path(2), Graph(3, [(0, 1)]), 3, 8, (1, 2), (1, 3, 2)),
-        ("corona", make_path(3), make_path(6), 3, 35, (1, 2, 3), (6, 1, 3, 4, 2, 5)),
-        ("lexicographic", make_cycle(3), H7, 7, 205, None, (2, 1, 5, 4, 6, 3, 7)),
+        ("corona", make_path(2), Graph(3, [(0, 1)]), 3, 7, (1, 2), (1, 3, 2)),
+        ("corona", make_path(3), make_path(6), 3, 32, (1, 2, 3), (6, 1, 3, 4, 2, 5)),
+        ("lexicographic", make_cycle(3), H7, 7, 180, None, (2, 1, 5, 4, 6, 3, 7)),
         ("cartesian", make_cycle(5), make_cycle(4), 5, 10, (1, 2, 4, 5, 3), None),
         ("tensor", make_path(5), make_cycle(3), 5, 11, (5, 1, 2, 4, 3), None),
         ("strong", make_cycle(9), make_path(4), 3, 21, (1, 2, 3, 4, 5, 8, 6, 7, 9), None),
@@ -261,6 +359,19 @@ def test_fbl_found_is_pinned(theorem, g1, g2, p, nodes, lab_g1, lab_g2):
     assert (out.recipe.lab_g1, out.recipe.lab_g2) == (lab_g1, lab_g2)
     graph, lab, pred = run_recipe(out.recipe)
     assert brute_tally(graph.edges, lab.assign, p) == (pred.e0, pred.e1)
+
+
+@pytest.mark.parametrize(
+    "theorem,g1,g2,p",
+    [
+        ("tensor", make_path(10), make_cycle(3), 5),  # 164 874 nodes before parity
+        ("strong", make_path(9), make_path(3), 3),  # 2 027 nodes before parity
+        ("tensor", make_cycle(11), make_cycle(3), 11),  # exhausted at 2 M before
+    ],
+)
+def test_fbl_parity_empty_window(theorem, g1, g2, p):
+    out = find_base_labelings(theorem, g1, g2, p)
+    assert (out.outcome, out.nodes) == ("none", 0)
 
 
 def test_fbl_budget_exhaustion():
