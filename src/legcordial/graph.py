@@ -94,13 +94,17 @@ def check_shape(order: int, size: int, what: str = "graph") -> None:
 
 
 def adjacency(g: Graph) -> list[list[int]]:
-    """Neighbor lists indexed by vertex, each sorted ascending."""
+    """Neighbor lists indexed by vertex, each sorted ascending.
+
+    No sort is needed: g.edges is sorted with u < v in every pair, as both
+    Graph.__init__ and _trusted_graph leave it. So w's neighbours below w
+    (from the pairs (u, w)) arrive first and ascending, and those above w
+    (from the pairs (w, v)) follow, also ascending.
+    """
     adj: list[list[int]] = [[] for _ in range(g.order)]
     for u, v in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    for lst in adj:
-        lst.sort()
     return adj
 
 

@@ -18,19 +18,35 @@ search, because the first witness in search order always uses the smallest
 unused label of its class. When p >= n every class holds one label and this
 is the plain search.
 
-Two more rules are exact in the same sense. Vertices u and v are twins when
+Three more rules are exact in the same sense. First, the stabilizer chain,
+when p >= n. Labels are then distinct, so Aut(G) acts freely on labelings.
+Take the labels L in search-position order. A non-identity automorphism s
+is decided at the first position a it moves, where L(a) != L(s(a)). So L is
+the lex-least labeling of its orbit exactly when L(a) < L(b) for every
+position a and every other b in O_a, the orbit of a under the automorphisms
+that fix positions 0..a-1 (Puget, "Breaking symmetries in all different
+problems", IJCAI 2005). The engine computes these orbits once per graph,
+without listing the group, and starts position b's candidates above the
+label of the largest a whose orbit holds b. The first witness in search
+order is lex-least, so it survives, and so does each difference's first
+witness in `achievable_differences`. Count-all weighs every leaf by
+|Aut(G)| = prod |O_a|.
+
+Second, twin runs, when p < n. Vertices u and v are twins when
 N(u) - {v} = N(v) - {u}; swapping them is an automorphism. Consecutive
-positions of the search order that are twins form a run, and labels must
-increase along it. In count-all the leaf then stands for every order of the
-run's residue classes, k! / prod(m_r!) for a run of length k holding m_r
-labels of class r. The first witness in search order already increases
-along every run, since swapping twins keeps d. And d always has the parity
-of the graph's size, so the window is narrowed to that parity before the
-engine is built; an empty window is a certified "none" after 0 nodes.
+positions that are twins form a run, and labels must increase along it. In
+count-all the leaf then stands for every order of the run's residue classes,
+k! / prod(m_r!) for a run of length k holding m_r labels of class r. The
+first witness already increases along every run, since swapping twins keeps
+d. (At p >= n the chain holds every twin swap, so runs are not used there.)
+
+Third, d always has the parity of the graph's size, so the window is
+narrowed to that parity before the engine is built; an empty window is a
+certified "none" after 0 nodes.
 
 Budgets count assignment-tree nodes (each candidate label tried at a vertex:
-only class representatives, and inside a twin run only labels above the
-previous one) so runs are reproducible; the reported node count never
+only class representatives, and only labels above the bound of the chain or
+the twin run) so runs are reproducible; the reported node count never
 exceeds the node budget. An optional wall-clock limit is a secondary kill
 switch. A budget-exhausted run is a distinct outcome, never conflated with a
 completed proof of non-existence.
@@ -50,7 +66,6 @@ from .constructors import (
     normalize_theorem,
 )
 from .graph import Graph
-from .labeling import edge_label
 from .numtheory import LegendreContext
 
 DEFAULT_ORDER_CEILING = 12
@@ -134,13 +149,113 @@ class _FoundFirst(Exception):
     pass
 
 
-def _class_tail(lab: int, n: int, p: int) -> int:
-    """Labels in 1..n congruent to lab mod p that are >= lab.
+def _map_extension(
+    pn: list[int], deg: list[int], img: list[int], dom: int, used: int
+) -> list[int] | None:
+    """Extend a partial map of positions to an automorphism, or return None.
 
-    When lab is the smallest unused label of its class, these are exactly the
-    unused labels of the class, each of which gives an isomorphic subtree.
+    ``img[x]`` is the image of each x in the bitmask ``dom``, ``used`` is the
+    mask of those images, and the mapped pairs already agree on adjacency.
+    The next position mapped is the unmapped one with the most mapped
+    neighbours, so a dead end shows early.
     """
-    return (n - lab) // p + 1
+    n = len(pn)
+    if dom == (1 << n) - 1:
+        return img
+    best = -1
+    for x in range(n):
+        if not dom >> x & 1:
+            c = (pn[x] & dom).bit_count()
+            if c > best:
+                u, best = x, c
+    want = 0  # the images of u's mapped neighbours
+    m = pn[u] & dom
+    while m:
+        want |= 1 << img[(m & -m).bit_length() - 1]
+        m &= m - 1
+    du = deg[u]
+    for w in range(n):
+        if not used >> w & 1 and deg[w] == du and pn[w] & used == want:
+            img[u] = w
+            if _map_extension(pn, deg, img, dom | 1 << u, used | 1 << w):
+                return img
+    return None
+
+
+def _invariant(pn: list[int], deg: list[int], k: int) -> int:
+    """A number that every automorphism keeps at position k.
+
+    Each neighbour j of k adds deg[j] * 4096 plus the number of neighbours
+    j shares with k (any weight keeps the sum invariant; 4096 keeps the two
+    parts apart), so two positions with different numbers lie in different
+    orbits.
+    """
+    total, m = 0, pn[k]
+    while m:
+        j = (m & -m).bit_length() - 1
+        total += deg[j] * 4096 + (pn[j] & pn[k]).bit_count()
+        m &= m - 1
+    return total
+
+
+def _stabilizer_chain(pn: list[int], deg: list[int]) -> tuple[list[int], int]:
+    """Stabilizer-chain orbits of Aut(G), acting on search positions.
+
+    ``pn[k]`` is position k's neighbourhood bitmask and ``deg[k]`` its
+    degree; positions of equal degree are consecutive. O_a is the orbit of a under the
+    automorphisms that fix positions 0..a-1. Returns ``(above, size)``:
+    ``above[b]`` is the largest a < b with b in O_a, or -1, and ``size`` is
+    |Aut(G)| = prod |O_a|. Levels run from the last position down, so every
+    automorphism found so far fixes 0..a-1 and closes O_a without a search.
+    """
+    n = len(pn)
+    if 2 * sum(deg) > n * (n - 1):
+        # The complement has the same automorphisms, and its sparser
+        # neighbourhoods make the search below choose better.
+        pn = [((1 << n) - 1) & ~m & ~(1 << k) for k, m in enumerate(pn)]
+        deg = [n - 1 - d for d in deg]
+    inv: list[int | None] = [None] * n  # _invariant, computed when first needed
+    above = [-1] * n
+    size = 1
+    gens: list[list[int]] = []
+    for a in range(n - 2, -1, -1):
+        if deg[a + 1] != deg[a]:  # a's degree class is {a}: O_a = {a}
+            continue
+        fixed = (1 << a) - 1
+        na, fixed_na = pn[a], pn[a] & fixed
+        orbit, seen = [a], 1 << a
+        for b in range(a + 1, n):
+            if deg[b] != deg[a]:
+                break
+            if seen >> b & 1 or pn[b] & fixed != fixed_na:
+                continue
+            if na & ~(1 << b) == pn[b] & ~(1 << a):  # twins: swap them
+                g = list(range(n))
+                g[a], g[b] = b, a
+            else:
+                if inv[a] is None:
+                    inv[a] = _invariant(pn, deg, a)
+                if inv[b] is None:
+                    inv[b] = _invariant(pn, deg, b)
+                if inv[b] != inv[a]:
+                    continue
+                img = list(range(a)) + [-1] * (n - a)
+                img[a] = b
+                g = _map_extension(pn, deg, img, fixed | 1 << a, fixed | 1 << b)
+                if g is None:
+                    continue
+            gens.append(g)
+            for x in orbit:  # the list grows as the orbit closes
+                for h in gens:
+                    y = h[x]
+                    if not seen >> y & 1:
+                        seen |= 1 << y
+                        orbit.append(y)
+        size *= len(orbit)
+        for b in orbit[1:]:
+            if above[b] < 0:
+                above[b] = a
+    return above, size
 
 
 class _Engine:
@@ -148,35 +263,54 @@ class _Engine:
 
     def __init__(self, graph: Graph, ctx: LegendreContext):
         n = graph.order
+        p = ctx.p
         deg = [0] * n
-        nbrs = [0] * n  # neighbourhood bitmasks
         for u, v in graph.edges:
             deg[u] += 1
             deg[v] += 1
-            nbrs[u] |= 1 << v
-            nbrs[v] |= 1 << u
         self.graph = graph
-        self.order = sorted(range(n), key=lambda v: (-deg[v], v))
-        pos = {v: k for k, v in enumerate(self.order)}
+        # decreasing degree; the sort is stable, so ties stay in index order
+        self.order = sorted(range(n), key=deg.__getitem__, reverse=True)
+        pos = [0] * n
+        for k, v in enumerate(self.order):
+            pos[v] = k
         prev: list[list[int]] = [[] for _ in range(n)]
+        pn = [0] * n  # neighbourhood bitmasks over positions
         for u, v in graph.edges:
             ku, kv = pos[u], pos[v]
-            prev[max(ku, kv)].append(min(ku, kv))
+            pn[ku] |= 1 << kv
+            pn[kv] |= 1 << ku
+            if ku < kv:
+                prev[kv].append(ku)
+            else:
+                prev[ku].append(kv)
+        dp = [deg[v] for v in self.order]
+        # above[k]: the earlier position whose label k's must exceed, or -1.
+        # run[k]: k's offset in its run of twins, 1 when k is not in a run.
+        if p >= n:
+            # Labels are distinct mod p, so Aut(G) acts freely and every leaf
+            # stands for |Aut(G)| labelings; the chain holds every twin swap.
+            above, self.aut_weight = _stabilizer_chain(pn, dp)
+            run = [1] * n
+        else:
+            # Twins u, v (N(u) - {v} = N(v) - {u}) at consecutive positions
+            # form a run, and labels increase along it.
+            self.aut_weight = 1
+            above, run = [-1] * n, [1] * n
+            for k in range(1, n):
+                if dp[k] == dp[k - 1] and pn[k] & ~(1 << (k - 1)) == pn[k - 1] & ~(1 << k):
+                    above[k], run[k] = k - 1, run[k - 1] + 1
         # steps[k] = (earlier neighbours of position k, edges still undecided
-        # once k is labeled, k's offset in its run of consecutive twins: 1 when
-        # k is not a twin of k - 1). Twins u, v have N(u) - {v} = N(v) - {u}.
-        self.steps: list[tuple[list[int], int, int]] = []
+        # once k is labeled, above[k], run[k])
+        self.steps: list[tuple[list[int], int, int, int]] = []
         remaining = graph.size
-        t = 0
-        for k, v in enumerate(self.order):
+        for k in range(n):
             remaining -= len(prev[k])
-            u = self.order[k - 1]
-            twin = k > 0 and deg[u] == deg[v] and nbrs[u] & ~(1 << v) == nbrs[v] & ~(1 << u)
-            t = t + 1 if twin else 1
-            self.steps.append((prev[k], remaining, t))
-        # induced label for every possible endpoint sum 0..2n
-        self.sum_label = [edge_label(s, ctx) for s in range(2 * n + 1)]
-        self.p = ctx.p
+            self.steps.append((prev[k], remaining, above[k], run[k]))
+        # induced label for every possible endpoint sum 0..2n (see edge_label)
+        sym = ctx.symbols
+        self.sum_label = [1 if sym[s % p] == 1 else 0 for s in range(2 * n + 1)]
+        self.p = p
 
     def run(
         self,
@@ -194,13 +328,15 @@ class _Engine:
         """
         n = self.graph.order
         p = self.p
-        labels = [0] * n
+        labels = [0] * (n + 1)  # labels[-1] stays 0: "above" -1 bounds nothing
         # free[lab]: lab is the smallest unused label of its residue class, so
         # it may be tried now; indices past n pad the class successors of the
         # largest labels. When p >= n every class holds one label.
-        free = [0 < lab <= p for lab in range(n + p + 1)]
-        # mult[lab]: unused labels of lab's class, whose subtrees are isomorphic
-        mult = [_class_tail(lab, n, p) for lab in range(n + 1)]
+        free = [False] + [True] * p + [False] * n
+        # mult[lab]: the labels in 1..n congruent to lab mod p that are >= lab.
+        # When lab is the smallest unused label of its class, these are the
+        # unused labels of the class, each of which gives an isomorphic subtree.
+        mult = [(n - lab) // p + 1 for lab in range(n + 1)]
         nodes = count = 0
         witness = None
         steps = self.steps
@@ -218,9 +354,8 @@ class _Engine:
                 if on_complete is not None:
                     on_complete(diff, labels)
                 return
-            prev_k, rem, t = steps[k]
-            # labels increase along a run of twins
-            for lab in range(labels[k - 1] + 1 if t > 1 else 1, n + 1):
+            prev_k, rem, above, t = steps[k]
+            for lab in range(labels[above] + 1, n + 1):
                 if not free[lab]:
                     continue
                 if nodes >= max_nodes:
@@ -249,7 +384,7 @@ class _Engine:
 
         complete = exhausted = False
         try:
-            place(0, 0, 1)
+            place(0, 0, self.aut_weight)
             complete = True
         except _FoundFirst:
             pass

@@ -259,6 +259,16 @@ def test_search_complete12_prove_none_exit_4(capsys):
     assert json.loads(out) == {"outcome": "none", "nodes": 4095}
 
 
+def test_search_cycle10_p11_count_all_exit_0(capsys):
+    # 8.2 M nodes, past the 2 M default budget (exit 5), before the chain
+    code, out, _ = run(
+        capsys, "search", "--g", "cycle:10", "--p", "11", "--mode", "count-all"
+    )
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["outcome"], obj["count"]) == ("found", 845920)
+
+
 def test_construct_auto_parity_none_exit_4(capsys):
     # the tensor window has the wrong parity for C11, so no search runs
     code, out, err = run(

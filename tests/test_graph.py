@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from legcordial.graph import (
@@ -19,6 +21,7 @@ from legcordial.graph import (
     make_path,
     make_star,
 )
+from legcordial.products import cartesian
 
 
 def test_family_sizes():
@@ -127,3 +130,17 @@ def test_adjacency():
     adj = adjacency(make_star(4))
     assert adj[0] == [1, 2, 3]
     assert adj[1] == [0]
+
+
+def test_adjacency_is_sorted_without_a_sort():
+    # edges given shuffled and in both orientations; Graph keeps them sorted
+    rng = random.Random(7)
+    pairs = [(u, v) for u in range(9) for v in range(u + 1, 9) if rng.random() < 0.5]
+    rng.shuffle(pairs)
+    g = Graph(9, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs])
+    adj = adjacency(g)
+    for w in range(9):
+        assert adj[w] == sorted({v for u, v in pairs if u == w} | {u for u, v in pairs if v == w})
+    # a product, built through the trusted path
+    adj = adjacency(cartesian(make_cycle(4), make_path(3)))
+    assert all(lst == sorted(lst) for lst in adj) and sum(map(len, adj)) == 2 * 20

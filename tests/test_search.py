@@ -1,6 +1,6 @@
 import math
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from legcordial.constructors import ConnectivityViolation, HypothesisViolation, run_recipe
 from legcordial.graph import Graph, make_complete, make_cycle, make_path, make_star
-from legcordial.labeling import Labeling, rho_eta
+from legcordial.labeling import Labeling, edge_label, rho_eta
 from legcordial.numtheory import LegendreContext
-from legcordial.products import join
+from legcordial.products import cartesian, join
 from legcordial import search
 from legcordial.search import (
     MODES,
@@ -88,7 +88,7 @@ def tiny_connected_graphs(draw):
     return Graph(n, spanning + list(extra))
 
 
-@given(tiny_connected_graphs(), st.sampled_from([3, 5]))
+@given(tiny_connected_graphs(), st.sampled_from([3, 5, 7]))
 @settings(max_examples=40, deadline=None)
 def test_pruning_is_sound(g, p):
     """Pruned search and naive enumeration agree on the satisfiability verdict."""
@@ -126,14 +126,14 @@ def test_search_spec_has_no_jobs():
 
 
 def test_time_budget_bounds():
-    # C12 has no twins, so count-all at p=13 walks the full 12! tree
-    budget = Budget(max_seconds=0.3)
+    # Count-all C12 at p=13 walks one labeling per orbit, 12! / 24 of them.
+    # No engine spends 10**9 nodes in 0.3 s, so only the deadline stops it.
+    budget = Budget(max_nodes=10**9, max_seconds=0.3)
     start = time.monotonic()
     res = search_labeling(SearchSpec(make_cycle(12), 13, mode="count-all", budget=budget))
     assert res.outcome == "exhausted"
     # Expected about 0.3 s: the deadline is polled every 4096 nodes (a few
-    # ms). Without it the default node budget runs for about 1.6 s, so 1 s
-    # separates the two with room for a machine several times slower.
+    # ms), so 1 s leaves room for a machine several times slower.
     assert time.monotonic() - start < 1.0
 
 
@@ -175,17 +175,18 @@ THREE_RUNS = Graph(7, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (
 
 
 # Outcomes, counts and first witnesses of the engine before twin runs, with
-# the nodes the twin runs need. Before, complete:12 p=13 and p=5 and star:12
-# ended exhausted at 2 M nodes, so their verdicts are checked here instead:
-# every labeling of K_n has the same tally, and every labeling of K_{1,11}
-# at p=13 is cordial.
+# the nodes needed now: by the twin runs at p < n, and by the stabilizer
+# chain at p >= n (join(K2, C5) p=7 needed 6 793 with twin runs). Before,
+# complete:12 p=13 and p=5 and star:12 ended exhausted at 2 M nodes, so
+# their verdicts are checked here instead: every labeling of K_n has the
+# same tally, and every labeling of K_{1,11} at p=13 is cordial.
 TWIN_INSTANCES = [
     (make_complete(12), 13, "prove-none", "none", None, None, 4095),
     (make_complete(12), 5, "prove-none", "none", None, None, 431),
     (make_complete(9), 7, "prove-none", "none", None, None, 287),
     (make_star(12), 13, "count-all", "found", math.factorial(12), tuple(range(1, 13)), 24576),
     (join(make_complete(2), make_cycle(5)), 7, "count-all",
-     "found", 960, (1, 2, 3, 5, 4, 7, 6), 6793),
+     "found", 960, (1, 2, 3, 5, 4, 7, 6), 1637),
     (make_complete(7), 5, "prove-none", "none", None, None, 71),
     (make_complete(7), 11, "prove-none", "none", None, None, 127),
 ]
@@ -210,14 +211,119 @@ def test_star12_p13_is_cordial_for_every_labeling():
         assert abs(e0 - e1) <= 1
 
 
+def _check_against_oracles(g: Graph, p: int) -> None:
+    """Count-all and achievable_differences against tests/oracles.py."""
+    want = brute_diff_witnesses(g.edges, g.order, p)
+    res = search_labeling(SearchSpec(g, p, mode="count-all"))
+    assert res.complete
+    assert res.count == sum(len(ws) for d, ws in want.items() if abs(d) <= 1)
+    got, complete, _ = achievable_differences(g, p)
+    assert complete
+    assert set(got) == set(want)
+    for d, assign in got.items():
+        assert assign in want[d]
+
+
+def _above_and_runs(g: Graph, p: int) -> tuple[list[int], list[int]]:
+    engine = search._Engine(g, LegendreContext(p))
+    return [above for _, _, above, _ in engine.steps], [t for _, _, _, t in engine.steps]
+
+
 def test_twin_runs_are_found():
+    # p < n: twins at consecutive positions form runs
     engine = search._Engine(THREE_RUNS, LegendreContext(3))
     assert engine.order == [4, 2, 3, 0, 1, 5, 6]
-    assert [t for _, _, t in engine.steps] == [1, 1, 2, 1, 2, 1, 2]
-    engine = search._Engine(make_complete(5), LegendreContext(3))
-    assert [t for _, _, t in engine.steps] == [1, 2, 3, 4, 5]
-    engine = search._Engine(make_cycle(5), LegendreContext(3))
-    assert [t for _, _, t in engine.steps] == [1] * 5
+    assert _above_and_runs(THREE_RUNS, 3) == ([-1, -1, 1, -1, 3, -1, 5], [1, 1, 2, 1, 2, 1, 2])
+    assert _above_and_runs(make_complete(5), 3) == ([-1, 0, 1, 2, 3], [1, 2, 3, 4, 5])
+    assert _above_and_runs(make_cycle(5), 3) == ([-1] * 5, [1] * 5)
+
+
+def test_twin_pairs_are_chain_constraints():
+    # p >= n: no runs; each twin pair is an order constraint of the chain
+    assert _above_and_runs(THREE_RUNS, 7) == ([-1, -1, 1, -1, 3, -1, 5], [1] * 7)
+    assert _above_and_runs(make_complete(5), 5) == ([-1, 0, 1, 2, 3], [1] * 5)
+    # C5 has no twins: rotations put every position in O_0, and the
+    # reflection fixing vertex 0 swaps its neighbours 1 and 4
+    assert _above_and_runs(make_cycle(5), 5) == ([-1, 0, 0, 0, 1], [1] * 5)
+
+
+PETERSEN = Graph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+PRISM = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
+Q3 = Graph(8, [(u, u ^ (1 << i)) for u in range(8) for i in range(3) if u < u ^ (1 << i)])
+
+
+@pytest.mark.parametrize(
+    "g,aut",
+    [
+        (make_complete(12), math.factorial(12)),
+        (make_cycle(12), 24),
+        (make_star(12), math.factorial(11)),
+        (_bipartite(6, 6), 2 * math.factorial(6) ** 2),
+        (PETERSEN, 120),
+        (cartesian(make_cycle(3), make_cycle(4)), 48),
+        (make_path(12), 2),
+    ],
+    ids=["K12", "C12", "star12", "K66", "petersen", "C3xC4", "P12"],
+)
+def test_aut_weight_is_pinned(g, aut):
+    assert search._Engine(g, LegendreContext(13)).aut_weight == aut
+    assert search._Engine(g, LegendreContext(3)).aut_weight == 1  # p < n: no chain
+
+
+def _brute_aut_count(g: Graph) -> int:
+    edges = set(g.edges)
+    return sum(
+        all((min(s[u], s[v]), max(s[u], s[v])) in edges for u, v in edges)
+        for s in permutations(range(g.order))
+    )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        PRISM,
+        THREE_RUNS,
+        K222,  # dense: the chain works on the complement
+        join(make_complete(2), make_cycle(5)),
+        Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3), (0, 4)]),
+        Graph(7, [(0, 1), (0, 2), (1, 3), (2, 4), (0, 5), (5, 6)]),  # spider, two legs alike
+        Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 2), (3, 5)]),
+    ],
+)
+def test_aut_weight_matches_brute_force(g):
+    assert search._Engine(g, LegendreContext(11)).aut_weight == _brute_aut_count(g)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+@pytest.mark.parametrize(
+    "g",
+    [make_cycle(6), make_cycle(7), _bipartite(3, 3), PRISM, Q3],
+    ids=["C6", "C7", "K33", "prism", "Q3"],
+)
+def test_chain_matches_oracles(g, p):
+    _check_against_oracles(g, p)
+
+
+def test_cycle10_p11_count_all_fits_the_default_budget():
+    # 8 244 500 nodes, four times the default budget, before the chain
+    res = search_labeling(SearchSpec(make_cycle(10), 11, mode="count-all"))
+    assert (res.outcome, res.count, res.labeling, res.nodes) == (
+        "found", 845920, (1, 2, 3, 4, 5, 6, 7, 9, 10, 8), 820846
+    )
+    assert res.complete
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("n", [1, 4, 7, 12])
+def test_sum_label_matches_edge_label(n, p):
+    engine = search._Engine(make_path(n), LegendreContext(p))
+    ctx = LegendreContext(p)
+    assert engine.sum_label == [edge_label(s, ctx) for s in range(2 * n + 1)]
 
 
 TWIN_RICH = [_bipartite(3, 3), K222, make_star(7), make_complete(6), THREE_RUNS]
@@ -226,15 +332,7 @@ TWIN_RICH = [_bipartite(3, 3), K222, make_star(7), make_complete(6), THREE_RUNS]
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("g", TWIN_RICH, ids=["K33", "K222", "star7", "K6", "three_runs"])
 def test_twin_runs_match_oracles(g, p):
-    res = search_labeling(SearchSpec(g, p, mode="count-all"))
-    assert res.complete
-    assert res.count == brute_cordial_count(g.edges, g.order, p)
-    got, complete, _ = achievable_differences(g, p)
-    assert complete
-    want = brute_diff_witnesses(g.edges, g.order, p)
-    assert set(got) == set(want)
-    for d, assign in got.items():
-        assert assign in want[d]
+    _check_against_oracles(g, p)
 
 
 @pytest.mark.parametrize("mode", MODES)
