@@ -83,6 +83,11 @@ _OP_CONVENTIONS = {
 }
 
 
+# Every JSON payload is a fresh dict or list built by a handler, so it cannot
+# hold a cycle and the encoder's circular-reference walk is skipped.
+_dumps = json.JSONEncoder(check_circular=False).encode
+
+
 class _CliFailure(Exception):
     def __init__(self, code: int, kind: str, message: str):
         self.code = code
@@ -161,7 +166,7 @@ def _emit_graph(g: Graph, args, extra: dict | None = None, labeling: Labeling | 
     if args.format == "json":
         payload = graph_to_json(g)
         payload.update(extra or {})
-        _emit(json.dumps(payload), args.out)
+        _emit(_dumps(payload), args.out)
     elif args.format == "dot":
         vlabels = list(labeling.assign) if labeling else None
         elabels = None
@@ -234,7 +239,7 @@ def _cmd_verify(args) -> int:
     tally = induced_tally(lab, ctx)
     report = tally_report(tally)
     if args.format == "json":
-        _emit(json.dumps(report), args.out)
+        _emit(_dumps(report), args.out)
     elif args.format == "dot":
         _emit_graph(g, args, labeling=lab, ctx=ctx)
     else:
@@ -249,7 +254,7 @@ def _cmd_legendre(args) -> int:
     ctx = LegendreContext(args.p)
     sym = legendre_symbol(args.a, ctx)
     if args.format == "json":
-        _emit(json.dumps({"a": args.a, "p": args.p, "symbol": sym}), args.out)
+        _emit(_dumps({"a": args.a, "p": args.p, "symbol": sym}), args.out)
     else:
         _emit(str(sym), args.out)
     return EXIT_OK
@@ -275,7 +280,7 @@ def _cmd_search(args) -> int:
     result = search_labeling(spec)
     payload = result.to_json()
     if args.format == "json":
-        _emit(json.dumps(payload), args.out)
+        _emit(_dumps(payload), args.out)
     else:
         lines = [f"{key}: {payload[key]}" for key in sorted(payload)]
         _emit("\n".join(lines) + "\n", args.out)
@@ -373,7 +378,7 @@ def _cmd_construct(args) -> int:
         "verified": tally_report(predicted),
     }
     if args.format == "json":
-        _emit(json.dumps(bundle), args.out)
+        _emit(_dumps(bundle), args.out)
     elif args.format == "dot":
         _emit_graph(graph, args, labeling=lab, ctx=LegendreContext(recipe.p))
     else:
@@ -466,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(code: int, kind: str, message: str) -> int:
-    sys.stderr.write(json.dumps({"error": {"code": code, "type": kind, "message": message}}) + "\n")
+    sys.stderr.write(_dumps({"error": {"code": code, "type": kind, "message": message}}) + "\n")
     return code
 
 

@@ -54,7 +54,7 @@ from .labeling import (
     Labeling,
     induced_tally,
 )
-from .numtheory import LegendreContext
+from .numtheory import LegendreContext, check_prime
 from .products import (
     cartesian as cartesian_product,
     corona as corona_product,
@@ -170,7 +170,7 @@ def balance_form(theorem: str, g1: Graph, g2: Graph, p: int) -> BalanceForm:
     precondition fails, before any labeling statistics are consulted.
     """
     theorem = normalize_theorem(theorem)
-    LegendreContext(p)  # validates primality, oddness and the size cap
+    check_prime(p)
     if theorem == "join":
         n = _require_multiple(g1.order, p, "order of g1")
         m = g2.order

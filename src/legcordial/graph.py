@@ -2,6 +2,8 @@
 
 Edges are stored canonically as sorted (min, max) pairs so that two graphs
 built from the same edge set compare equal regardless of insertion order.
+Input already in that form (as graph_to_json writes it) is taken after one
+linear pass; any other input is checked, oriented, deduplicated and sorted.
 Standard families (paths, cycles, complete graphs, stars) follow the
 1-based naming v1..vn mapped onto indices 0..n-1; vertex labels used by the
 labeling machinery are a separate concept and stay 1-based.
@@ -35,15 +37,9 @@ class Graph:
     ):
         if not 1 <= order <= MAX_ORDER:
             raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
-        canon = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < order and 0 <= v < order):
-                raise ValueError(f"edge ({u},{v}) out of range for order {order}")
-            canon.add((u, v) if u < v else (v, u))
+        run = _canonical_run(order, edges)
         self.order = order
-        self.edges: tuple[Edge, ...] = tuple(sorted(canon))
+        self.edges: tuple[Edge, ...] = run if run is not None else _canonicalize(order, edges)
         if names is not None and len(names) != order:
             raise ValueError("names must have one entry per vertex")
         self.names = tuple(names) if names is not None else None
@@ -69,13 +65,53 @@ class Graph:
         return f"Graph(order={self.order}, size={self.size})"
 
 
+def _canonical_run(order: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...] | None:
+    """``edges`` as a tuple of pairs when they are already canonical, else None.
+
+    Canonical is how Graph stores edges and graph_to_json writes them: a
+    list or tuple of pairs (u, v) with exact int endpoints and
+    0 <= u < v < order, strictly increasing. One pass, which stops at the
+    first pair that is not; the caller then takes the checked path.
+    """
+    if not isinstance(edges, (list, tuple)):
+        return None  # an iterator can be read only once, by the checked path
+    pu = pv = 0  # the previous pair; pu = 0 also refuses a negative first u
+    try:
+        for u, v in edges:
+            if type(u) is not int or type(v) is not int or not u < v < order:
+                return None
+            if u == pu:
+                if v <= pv:
+                    return None
+            elif u < pu:
+                return None
+            pu, pv = u, v
+    except (TypeError, ValueError):  # not a pair, or not comparable with order
+        return None
+    return tuple(map(tuple, edges))
+
+
+def _canonicalize(order: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
+    """The checked path: refuse self-loops and out-of-range endpoints, then
+    orient each pair (min, max), drop repeats and sort."""
+    canon = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < order and 0 <= v < order):
+            raise ValueError(f"edge ({u},{v}) out of range for order {order}")
+        canon.add((u, v) if u < v else (v, u))
+    return tuple(sorted(canon))
+
+
 def _trusted_graph(order: int, edges: list[Edge]) -> Graph:
     """Graph from unique (u, v) pairs with 0 <= u < v < order, sorted in place.
 
     Skips the per-edge checks of Graph.__init__, which stays the path for
-    edges from outside (JSON, CLI specs, user code). The products use it:
-    they emit unique canonical edges by construction, and
-    tests/test_products.py checks each against Graph.__init__.
+    edges from outside (JSON, CLI specs, user code). The family generators
+    and the products use it: they emit unique canonical edges by
+    construction, and tests/test_graph.py and tests/test_products.py check
+    each against Graph.__init__.
     """
     edges.sort()
     g = Graph.__new__(Graph)
@@ -117,7 +153,7 @@ def make_path(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"path order must be >= 1, got {n}")
     check_shape(n, n - 1)
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return _trusted_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def make_cycle(n: int) -> Graph:
@@ -125,7 +161,8 @@ def make_cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle order must be >= 3, got {n}")
     check_shape(n, n)
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    # the wrap-around edge v1vn is (0, n-1), second in sorted order
+    return _trusted_graph(n, [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)])
 
 
 def make_complete(n: int) -> Graph:
@@ -133,7 +170,7 @@ def make_complete(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete-graph order must be >= 1, got {n}")
     check_shape(n, n * (n - 1) // 2)
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return _trusted_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def make_star(n: int) -> Graph:
@@ -141,7 +178,7 @@ def make_star(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"star order must be >= 1, got {n}")
     check_shape(n, n - 1)
-    return Graph(n, [(0, i) for i in range(1, n)])
+    return _trusted_graph(n, [(0, i) for i in range(1, n)])
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +264,24 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    """Read the {"order", "edges", "names"} format; extra keys are ignored."""
+    """Read the {"order", "edges", "names"} format; extra keys are ignored.
+
+    Edges as graph_to_json writes them are taken after one pass.
+    """
     try:
         order = obj["order"]
         edges = obj["edges"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"graph JSON needs 'order' and 'edges': {exc}") from exc
-    return Graph(int(order), [(int(u), int(v)) for u, v in edges], obj.get("names"))
+    order = int(order)
+    run = _canonical_run(order, edges)
+    if run is None:
+        # Not as graph_to_json writes it: each endpoint goes through int()
+        # ("3", 3.0 and true read as ints), then through Graph's checks.
+        return Graph(order, [(int(u), int(v)) for u, v in edges], obj.get("names"))
+    g = Graph(order, (), obj.get("names"))  # the order and names checks
+    g.edges = run
+    return g
 
 
 def graph_dumps(g: Graph) -> str:

@@ -35,6 +35,14 @@ def odd_primes_below(limit: int) -> list[int]:
     return [i for i in range(3, limit, 2) if sieve[i]]
 
 
+def check_prime(p: int) -> None:
+    """Refuse a p that is not an odd prime or exceeds MAX_PRIME."""
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if p > MAX_PRIME:
+        raise ValueError(f"p exceeds the supported bound {MAX_PRIME}: {p}")
+
+
 class LegendreContext:
     """An odd prime p plus its precomputed residue classification.
 
@@ -46,10 +54,7 @@ class LegendreContext:
     __slots__ = ("p", "symbols")
 
     def __init__(self, p: int):
-        if not is_odd_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if p > MAX_PRIME:
-            raise ValueError(f"p exceeds the supported bound {MAX_PRIME}: {p}")
+        check_prime(p)
         residues = {(x * x) % p for x in range(1, p)}
         table = [0] * p
         for r in range(1, p):

@@ -66,7 +66,7 @@ from .constructors import (
     normalize_theorem,
 )
 from .graph import Graph
-from .numtheory import LegendreContext
+from .numtheory import check_prime
 
 DEFAULT_ORDER_CEILING = 12
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -261,9 +261,9 @@ def _stabilizer_chain(pn: list[int], deg: list[int]) -> tuple[list[int], int]:
 class _Engine:
     """Shared backtracking core; one instance per (graph, prime)."""
 
-    def __init__(self, graph: Graph, ctx: LegendreContext):
+    def __init__(self, graph: Graph, p: int):
+        check_prime(p)
         n = graph.order
-        p = ctx.p
         deg = [0] * n
         for u, v in graph.edges:
             deg[u] += 1
@@ -307,9 +307,11 @@ class _Engine:
         for k in range(n):
             remaining -= len(prev[k])
             self.steps.append((prev[k], remaining, above[k], run[k]))
-        # induced label for every possible endpoint sum 0..2n (see edge_label)
-        sym = ctx.symbols
-        self.sum_label = [1 if sym[s % p] == 1 else 0 for s in range(2 * n + 1)]
+        # induced label for every possible endpoint sum 0..2n (see edge_label):
+        # 1 when s mod p is a quadratic residue, by Euler's criterion, so the
+        # set-up is 2n + 1 pow calls whatever p is, not a table of p residues
+        half = (p - 1) // 2
+        self.sum_label = [1 if pow(s % p, half, p) == 1 else 0 for s in range(2 * n + 1)]
         self.p = p
 
     def run(
@@ -330,9 +332,12 @@ class _Engine:
         p = self.p
         labels = [0] * (n + 1)  # labels[-1] stays 0: "above" -1 bounds nothing
         # free[lab]: lab is the smallest unused label of its residue class, so
-        # it may be tried now; indices past n pad the class successors of the
-        # largest labels. When p >= n every class holds one label.
-        free = [False] + [True] * p + [False] * n
+        # it may be tried now. lab + q is lab's class successor; indices past
+        # n are never read and only pad the successors of the largest labels.
+        # When p > n every class holds one label, and q = n + 1 keeps the
+        # list 2n + 2 long rather than p + n + 1.
+        q = min(p, n + 1)
+        free = [False] + [True] * q + [False] * n
         # mult[lab]: the labels in 1..n congruent to lab mod p that are >= lab.
         # When lab is the smallest unused label of its class, these are the
         # unused labels of the class, each of which gives an isomorphic subtree.
@@ -376,10 +381,10 @@ class _Engine:
                     r = lab % p
                     w = w * t // (1 + sum(1 for x in labels[k - t + 1:k] if x % p == r))
                 free[lab] = False
-                free[lab + p] = True
+                free[lab + q] = True
                 labels[k] = lab
                 place(k + 1, d, w)
-                free[lab + p] = False
+                free[lab + q] = False
                 free[lab] = True
 
         complete = exhausted = False
@@ -390,6 +395,10 @@ class _Engine:
             pass
         except _OutOfBudget:
             exhausted = True
+        finally:
+            # place refers to itself; dropping it here frees the run's state
+            # now rather than at the next cyclic collection
+            del place
         return {
             "nodes": nodes,
             "count": count,
@@ -418,7 +427,7 @@ def search_labeling(spec: SearchSpec) -> SearchResult:
     find-first semantics where a completed "none" is the certificate; a
     witness, if one exists, is reported as "found".
     """
-    return _run_search(spec, lambda: _Engine(spec.graph, LegendreContext(spec.p)))
+    return _run_search(spec, lambda: _Engine(spec.graph, spec.p))
 
 
 def _run_search(spec: SearchSpec, engine_for: Callable[[], _Engine]) -> SearchResult:
@@ -460,7 +469,7 @@ def achievable_differences(
             f"graph order {graph.order} exceeds the search ceiling {ceiling}"
         )
     budget = budget or Budget()
-    engine = _Engine(graph, LegendreContext(p))
+    engine = _Engine(graph, p)
     witnesses: dict[int, tuple[int, ...]] = {}
 
     def collect(diff: int, labels_by_pos: list[int]) -> None:
@@ -523,7 +532,7 @@ def find_base_labelings(
     def windowed(graph: Graph, lo: int, hi: int) -> SearchResult:
         def engine_for() -> _Engine:
             nonlocal engine
-            engine = engine or _Engine(graph, LegendreContext(p))
+            engine = engine or _Engine(graph, p)
             return engine
 
         spec = SearchSpec(

@@ -72,6 +72,31 @@ def test_op_missing_file_is_io_error(capsys):
     assert json.loads(err)["error"]["type"] == "io-error"
 
 
+def test_verify_of_a_construct_bundle_takes_the_linear_pass(tmp_path, capsys, monkeypatch):
+    from legcordial import graph
+
+    reached = []
+
+    def checked_path(order, edges):
+        reached.append(order)
+        raise AssertionError("canonical edges reached the checked path")
+
+    monkeypatch.setattr(graph, "_canonicalize", checked_path)
+    code, out, _ = run(
+        capsys, "construct", "strong", "--g1", "cycle:9", "--lab-g1", "1,2,3,4,5,8,6,7,9",
+        "--g2", "path:20", "--p", "3", "--format", "json",
+    )
+    assert code == 0
+    bundle = json.loads(out)
+    graph_file, labeling_file = tmp_path / "graph.json", tmp_path / "labeling.json"
+    graph_file.write_text(json.dumps(bundle["graph"]))
+    labeling_file.write_text(json.dumps(bundle["labeling"]))
+    code, out, _ = run(capsys, "verify", "--g", str(graph_file), "--labeling", str(labeling_file))
+    assert code == 0
+    assert json.loads(out) == bundle["verified"]
+    assert reached == []
+
+
 def test_graph_round_trip(tmp_path, capsys):
     path = tmp_path / "g.json"
     code, _, _ = run(capsys, "gen", "cycle:5", "--out", str(path))

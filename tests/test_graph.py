@@ -1,6 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from legcordial import graph
 
 from legcordial.graph import (
     MAX_ORDER,
@@ -34,6 +39,17 @@ def test_family_sizes():
         assert make_star(n).size == n - 1
     for n in range(3, 9):
         assert make_cycle(n).size == n
+
+
+@pytest.mark.parametrize("family,low", [(make_path, 1), (make_cycle, 3), (make_complete, 1), (make_star, 1)])
+def test_families_emit_canonical_edges(family, low):
+    # the families skip Graph's checks, so they must emit exactly what the
+    # checked path would store: unique (u, v) with u < v, strictly increasing
+    for n in range(low, 13):
+        g = family(n)
+        assert Graph(g.order, g.edges) == g
+        assert all(u < v for u, v in g.edges)
+        assert all(a < b for a, b in zip(g.edges, g.edges[1:]))
 
 
 def test_family_validation():
@@ -144,3 +160,127 @@ def test_adjacency_is_sorted_without_a_sort():
     # a product, built through the trusted path
     adj = adjacency(cartesian(make_cycle(4), make_path(3)))
     assert all(lst == sorted(lst) for lst in adj) and sum(map(len, adj)) == 2 * 20
+
+
+# ---------------------------------------------------------------------------
+# The linear pass against the checked path
+# ---------------------------------------------------------------------------
+
+def _outcome(build):
+    """What a build gives: the graph (with its endpoint types, since True == 1
+    and 1.0 == 1), or the exception type and message."""
+    try:
+        g = build()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return g.order, g.edges, g.names, [tuple(map(type, e)) for e in g.edges]
+
+
+def _checked(build):
+    """The same build with the linear pass switched off: the checked path."""
+    with mock.patch.object(graph, "_canonical_run", return_value=None):
+        return _outcome(build)
+
+
+def _from_json_reference(obj: dict) -> Graph:
+    """graph_from_json without the linear pass, for objects with both keys:
+    every endpoint through int(), then Graph."""
+    return Graph(int(obj["order"]), [(int(u), int(v)) for u, v in obj["edges"]], obj.get("names"))
+
+
+def _insert(edges: list, data, pair) -> None:
+    edges.insert(data.draw(st.integers(0, len(edges))), pair)
+
+
+def _mutate(edges: list, order: int, data, kind: str) -> None:
+    k = data.draw(st.integers(0, order - 1))
+    if kind == "shuffle":
+        edges[:] = data.draw(st.permutations(edges))
+    elif kind == "swap-neighbours" and len(edges) > 1:
+        i = data.draw(st.integers(0, len(edges) - 2))
+        edges[i], edges[i + 1] = edges[i + 1], edges[i]
+    elif kind == "reverse" and edges:
+        i = data.draw(st.integers(0, len(edges) - 1))
+        edges[i] = edges[i][::-1]
+    elif kind == "duplicate" and edges:  # next to the original; "shuffle" moves it
+        i = data.draw(st.integers(0, len(edges) - 1))
+        edges.insert(i + 1, edges[i])
+    elif kind == "self-loop":
+        _insert(edges, data, (k, k))
+    elif kind == "negative":
+        _insert(edges, data, (-1, k))
+    elif kind == "out-of-range":
+        _insert(edges, data, (k, order + data.draw(st.integers(0, 2))))
+    elif kind == "arity":
+        _insert(edges, data, data.draw(st.sampled_from([(k,), (k, k + 1, k + 2), ()])))
+    elif kind in ("str", "float", "bool") and edges:
+        i = data.draw(st.integers(0, len(edges) - 1))
+        pair = list(edges[i])
+        if pair:
+            j = data.draw(st.integers(0, len(pair) - 1))
+            pair[j] = {"str": str, "float": float, "bool": bool}[kind](pair[j])
+            edges[i] = tuple(pair)
+
+
+MUTATIONS = (
+    "shuffle", "swap-neighbours", "reverse", "duplicate", "self-loop",
+    "negative", "out-of-range", "arity", "str", "float", "bool",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_linear_pass_matches_checked_path(data):
+    order = data.draw(st.integers(1, 8))
+    canonical = sorted(data.draw(st.sets(
+        st.tuples(st.integers(0, order - 1), st.integers(0, order - 1)).filter(lambda e: e[0] < e[1]),
+        max_size=12,
+    )))
+    edges: list = list(canonical)
+    for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        _mutate(edges, order, data, kind)
+    edges = [data.draw(st.sampled_from([tuple, list]))(e) for e in edges]
+    edges = data.draw(st.sampled_from([list, tuple]))(edges)
+    names = data.draw(st.none() | st.lists(st.just("x"), min_size=max(order - 1, 0), max_size=order + 1))
+
+    got = _outcome(lambda: Graph(order, edges, names))
+    assert got == _checked(lambda: Graph(order, edges, names))
+    if edges == canonical and names is None and all(type(x) is int for e in edges for x in e):
+        assert got[1] == tuple(canonical)  # untouched input: the pass keeps it
+
+    obj = {"order": data.draw(st.sampled_from([order, str(order), float(order), 0])), "edges": edges}
+    if names is not None:
+        obj["names"] = names
+    assert _outcome(lambda: graph_from_json(obj)) == _checked(lambda: _from_json_reference(obj))
+
+
+def test_canonical_input_skips_the_checked_path(monkeypatch):
+    def checked_path(order, edges):
+        raise AssertionError("canonical edges reached the checked path")
+
+    g = cartesian(make_cycle(4), make_path(3))
+    monkeypatch.setattr(graph, "_canonicalize", checked_path)
+    assert Graph(g.order, g.edges) == g
+    assert Graph(g.order, [list(e) for e in g.edges]) == g
+    assert graph_from_json(graph_to_json(g)) == g
+    assert graph_loads(graph_dumps(g)).edges == g.edges
+
+
+def test_other_input_takes_the_checked_path():
+    # shuffled, reversed, repeated, bool and float endpoints, and iterators
+    assert Graph(3, [(1, 2), (0, 1)]).edges == ((0, 1), (1, 2))
+    assert Graph(3, [(1, 0), (0, 1)]).edges == ((0, 1),)
+    assert Graph(3, [(0, 1), (0, 1), (1, 2)]).edges == ((0, 1), (1, 2))
+    assert Graph(3, iter([(0, 1), (1, 2)])).edges == ((0, 1), (1, 2))
+    assert Graph(3, [(False, 2)]).edges == ((False, 2),)  # stored as given
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        Graph(3, [(0, 1), (1, 1)])
+    with pytest.raises(ValueError, match=r"edge \(0,3\) out of range for order 3"):
+        Graph(3, [(0, 1), (0, 3)])
+    # JSON endpoints go through int()
+    assert graph_from_json({"order": 3, "edges": [["0", 1.0], [True, 2]]}).edges == ((0, 1), (1, 2))
+    for edges in ([[0, 1], [1.0, 2]], [[0, 1], [True, 2]]):
+        g = graph_from_json({"order": 3, "edges": edges})
+        assert [type(x) for e in g.edges for x in e] == [int] * 4
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        graph_from_json({"order": 0, "edges": [["a", 1]]})

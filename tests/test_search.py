@@ -1,3 +1,4 @@
+import gc
 import math
 import time
 from itertools import combinations, permutations
@@ -225,13 +226,13 @@ def _check_against_oracles(g: Graph, p: int) -> None:
 
 
 def _above_and_runs(g: Graph, p: int) -> tuple[list[int], list[int]]:
-    engine = search._Engine(g, LegendreContext(p))
+    engine = search._Engine(g, p)
     return [above for _, _, above, _ in engine.steps], [t for _, _, _, t in engine.steps]
 
 
 def test_twin_runs_are_found():
     # p < n: twins at consecutive positions form runs
-    engine = search._Engine(THREE_RUNS, LegendreContext(3))
+    engine = search._Engine(THREE_RUNS, 3)
     assert engine.order == [4, 2, 3, 0, 1, 5, 6]
     assert _above_and_runs(THREE_RUNS, 3) == ([-1, -1, 1, -1, 3, -1, 5], [1, 1, 2, 1, 2, 1, 2])
     assert _above_and_runs(make_complete(5), 3) == ([-1, 0, 1, 2, 3], [1, 2, 3, 4, 5])
@@ -271,8 +272,8 @@ Q3 = Graph(8, [(u, u ^ (1 << i)) for u in range(8) for i in range(3) if u < u ^ 
     ids=["K12", "C12", "star12", "K66", "petersen", "C3xC4", "P12"],
 )
 def test_aut_weight_is_pinned(g, aut):
-    assert search._Engine(g, LegendreContext(13)).aut_weight == aut
-    assert search._Engine(g, LegendreContext(3)).aut_weight == 1  # p < n: no chain
+    assert search._Engine(g, 13).aut_weight == aut
+    assert search._Engine(g, 3).aut_weight == 1  # p < n: no chain
 
 
 def _brute_aut_count(g: Graph) -> int:
@@ -296,7 +297,7 @@ def _brute_aut_count(g: Graph) -> int:
     ],
 )
 def test_aut_weight_matches_brute_force(g):
-    assert search._Engine(g, LegendreContext(11)).aut_weight == _brute_aut_count(g)
+    assert search._Engine(g, 11).aut_weight == _brute_aut_count(g)
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -318,10 +319,10 @@ def test_cycle10_p11_count_all_fits_the_default_budget():
     assert res.complete
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 9973])
 @pytest.mark.parametrize("n", [1, 4, 7, 12])
 def test_sum_label_matches_edge_label(n, p):
-    engine = search._Engine(make_path(n), LegendreContext(p))
+    engine = search._Engine(make_path(n), p)
     ctx = LegendreContext(p)
     assert engine.sum_label == [edge_label(s, ctx) for s in range(2 * n + 1)]
 
@@ -477,3 +478,45 @@ def test_fbl_budget_exhaustion():
         "cartesian", make_cycle(5), make_cycle(4), 5, budget=Budget(max_nodes=3)
     )
     assert out.outcome == "exhausted"
+
+
+def test_largest_prime_matches_oracles():
+    # the engine reads 2n + 1 sums, so p = 9973 costs no more set-up than p = 7
+    g = make_cycle(6)
+    _check_against_oracles(g, 9973)
+    res = search_labeling(SearchSpec(g, 9973))
+    assert (res.outcome, res.labeling, res.nodes) == ("found", (1, 2, 3, 5, 4, 6), 11)
+    assert brute_tally(g.edges, res.labeling, 9973) == (3, 3)
+    res = search_labeling(SearchSpec(g, 9973, mode="count-all"))
+    assert (res.count, res.nodes) == (192, 346)
+
+
+def test_invalid_primes_are_refused():
+    for p, msg in ((9, "p must be an odd prime, got 9"), (10007, "p exceeds the supported bound")):
+        with pytest.raises(ValueError, match=msg):
+            search_labeling(SearchSpec(make_cycle(6), p))
+        with pytest.raises(ValueError, match=msg):
+            achievable_differences(make_cycle(6), p)
+
+
+def test_searches_leave_no_reference_cycles():
+    g = make_cycle(6)
+    runs = [
+        lambda: search_labeling(SearchSpec(g, 7)),
+        lambda: search_labeling(SearchSpec(g, 7, mode="count-all")),
+        lambda: search_labeling(SearchSpec(g, 3, mode="prove-none")),
+        lambda: search_labeling(SearchSpec(g, 7, budget=Budget(max_nodes=5))),
+        lambda: achievable_differences(g, 5),
+        lambda: find_base_labelings("join", make_path(3), make_complete(1), 3),
+    ]
+    for run in runs:  # warm any first-call caches
+        run()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            for run in runs:
+                run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
