@@ -48,9 +48,6 @@ class Graph:
     def size(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph)
@@ -273,13 +270,16 @@ def graph_from_json(obj: dict) -> Graph:
         edges = obj["edges"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"graph JSON needs 'order' and 'edges': {exc}") from exc
-    order = int(order)
-    run = _canonical_run(order, edges)
-    if run is None:
-        # Not as graph_to_json writes it: each endpoint goes through int()
-        # ("3", 3.0 and true read as ints), then through Graph's checks.
-        return Graph(order, [(int(u), int(v)) for u, v in edges], obj.get("names"))
-    g = Graph(order, (), obj.get("names"))  # the order and names checks
+    try:
+        order = int(order)
+        run = _canonical_run(order, edges)
+        if run is None:
+            # Not as graph_to_json writes it: each endpoint goes through int()
+            # ("3", 3.0 and true read as ints), then through Graph's checks.
+            return Graph(order, [(int(u), int(v)) for u, v in edges], obj.get("names"))
+        g = Graph(order, (), obj.get("names"))  # the order and names checks
+    except TypeError as exc:  # a null order or endpoint, non-list edges or names
+        raise ValueError(f"malformed graph JSON: {exc}") from exc
     g.edges = run
     return g
 

@@ -40,20 +40,27 @@ k! / prod(m_r!) for a run of length k holding m_r labels of class r. The
 first witness already increases along every run, since swapping twins keeps
 d. (At p >= n the chain holds every twin swap, so runs are not used there.)
 
+Both rules also cap each position's label, once per engine, and a larger
+label would leave no leaf below it: L(a) <= n - |O_a| + 1 at p >= n, since
+the rest of O_a needs larger labels, and L <= n - (R - t) at offset t of a
+twin run of length R. The last position's label, the one left unused, is
+computed rather than scanned for.
+
 Third, d always has the parity of the graph's size, so the window is
 narrowed to that parity before the engine is built; an empty window is a
 certified "none" after 0 nodes.
 
 Budgets count assignment-tree nodes (each candidate label tried at a vertex:
 only class representatives, and only labels above the bound of the chain or
-the twin run) so runs are reproducible; the reported node count never
-exceeds the node budget. An optional wall-clock limit is a secondary kill
-switch. A budget-exhausted run is a distinct outcome, never conflated with a
-completed proof of non-existence.
+the twin run and below the position's ceiling) so runs are reproducible; the
+reported node count never exceeds the node budget. An optional wall-clock
+limit is a secondary kill switch. A budget-exhausted run is a distinct
+outcome, never conflated with a completed proof of non-existence.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -198,15 +205,16 @@ def _invariant(pn: list[int], deg: list[int], k: int) -> int:
     return total
 
 
-def _stabilizer_chain(pn: list[int], deg: list[int]) -> tuple[list[int], int]:
+def _stabilizer_chain(pn: list[int], deg: list[int]) -> tuple[list[int], list[int]]:
     """Stabilizer-chain orbits of Aut(G), acting on search positions.
 
     ``pn[k]`` is position k's neighbourhood bitmask and ``deg[k]`` its
     degree; positions of equal degree are consecutive. O_a is the orbit of a under the
-    automorphisms that fix positions 0..a-1. Returns ``(above, size)``:
-    ``above[b]`` is the largest a < b with b in O_a, or -1, and ``size`` is
-    |Aut(G)| = prod |O_a|. Levels run from the last position down, so every
-    automorphism found so far fixes 0..a-1 and closes O_a without a search.
+    automorphisms that fix positions 0..a-1. Returns ``(above, sizes)``:
+    ``above[b]`` is the largest a < b with b in O_a, or -1, and ``sizes[a]``
+    is |O_a|, so |Aut(G)| = prod sizes. Levels run from the last position
+    down, so every automorphism found so far fixes 0..a-1 and closes O_a
+    without a search.
     """
     n = len(pn)
     if 2 * sum(deg) > n * (n - 1):
@@ -216,7 +224,7 @@ def _stabilizer_chain(pn: list[int], deg: list[int]) -> tuple[list[int], int]:
         deg = [n - 1 - d for d in deg]
     inv: list[int | None] = [None] * n  # _invariant, computed when first needed
     above = [-1] * n
-    size = 1
+    sizes = [1] * n
     gens: list[list[int]] = []
     for a in range(n - 2, -1, -1):
         if deg[a + 1] != deg[a]:  # a's degree class is {a}: O_a = {a}
@@ -251,11 +259,11 @@ def _stabilizer_chain(pn: list[int], deg: list[int]) -> tuple[list[int], int]:
                     if not seen >> y & 1:
                         seen |= 1 << y
                         orbit.append(y)
-        size *= len(orbit)
+        sizes[a] = len(orbit)
         for b in orbit[1:]:
             if above[b] < 0:
                 above[b] = a
-    return above, size
+    return above, sizes
 
 
 class _Engine:
@@ -287,11 +295,14 @@ class _Engine:
         dp = [deg[v] for v in self.order]
         # above[k]: the earlier position whose label k's must exceed, or -1.
         # run[k]: k's offset in its run of twins, 1 when k is not in a run.
+        # top[k]: k's label ceiling plus 1 (see the module docstring).
         if p >= n:
             # Labels are distinct mod p, so Aut(G) acts freely and every leaf
             # stands for |Aut(G)| labelings; the chain holds every twin swap.
-            above, self.aut_weight = _stabilizer_chain(pn, dp)
+            above, sizes = _stabilizer_chain(pn, dp)
+            self.aut_weight = math.prod(sizes)
             run = [1] * n
+            top = [n + 2 - size for size in sizes]
         else:
             # Twins u, v (N(u) - {v} = N(v) - {u}) at consecutive positions
             # form a run, and labels increase along it.
@@ -300,18 +311,22 @@ class _Engine:
             for k in range(1, n):
                 if dp[k] == dp[k - 1] and pn[k] & ~(1 << (k - 1)) == pn[k - 1] & ~(1 << k):
                     above[k], run[k] = k - 1, run[k - 1] + 1
+            top = [n + 1] * n
+            for k in range(n - 2, -1, -1):
+                if run[k + 1] > 1:  # k + 1 continues k's run
+                    top[k] = top[k + 1] - 1
         # steps[k] = (earlier neighbours of position k, edges still undecided
-        # once k is labeled, above[k], run[k])
-        self.steps: list[tuple[list[int], int, int, int]] = []
+        # once k is labeled, above[k], run[k], top[k])
+        self.steps: list[tuple[list[int], int, int, int, int]] = []
         remaining = graph.size
         for k in range(n):
             remaining -= len(prev[k])
-            self.steps.append((prev[k], remaining, above[k], run[k]))
-        # induced label for every possible endpoint sum 0..2n (see edge_label):
-        # 1 when s mod p is a quadratic residue, by Euler's criterion, so the
-        # set-up is 2n + 1 pow calls whatever p is, not a table of p residues
+            self.steps.append((prev[k], remaining, above[k], run[k], top[k]))
+        # what an edge adds to d for every endpoint sum 0..2n: +1 when s mod p
+        # is a quadratic residue (edge_label 1), by Euler's criterion, else -1;
+        # 2n + 1 pow calls whatever p is, not a table of p residues
         half = (p - 1) // 2
-        self.sum_label = [1 if pow(s % p, half, p) == 1 else 0 for s in range(2 * n + 1)]
+        self.sum_label = [1 if pow(s % p, half, p) == 1 else -1 for s in range(2 * n + 1)]
         self.p = p
 
     def run(
@@ -330,6 +345,8 @@ class _Engine:
         """
         n = self.graph.order
         p = self.p
+        last = n - 1
+        total = n * (n + 1) // 2
         labels = [0] * (n + 1)  # labels[-1] stays 0: "above" -1 bounds nothing
         # free[lab]: lab is the smallest unused label of its residue class, so
         # it may be tried now. lab + q is lab's class successor; indices past
@@ -343,34 +360,34 @@ class _Engine:
         # unused labels of the class, each of which gives an isomorphic subtree.
         mult = [(n - lab) // p + 1 for lab in range(n + 1)]
         nodes = count = 0
+        # one budget test per node; past it, raise or poll the deadline and
+        # move the checkpoint 4096 nodes on
+        checkpoint = max_nodes if deadline is None else 0
         witness = None
         steps = self.steps
         sum_label = self.sum_label
 
-        def place(k: int, diff: int, weight: int) -> None:
-            nonlocal nodes, count, witness
-            if k == n:
-                if lo <= diff <= hi:
-                    count += weight
-                    if witness is None:
-                        witness = self._assign_by_vertex(labels)
-                    if stop_at_first:
-                        raise _FoundFirst
-                if on_complete is not None:
-                    on_complete(diff, labels)
-                return
-            prev_k, rem, above, t = steps[k]
-            for lab in range(labels[above] + 1, n + 1):
+        def place(k: int, diff: int, weight: int, used: int) -> None:
+            nonlocal nodes, count, witness, checkpoint
+            prev_k, rem, above, t, top = steps[k]
+            leaf = k == last
+            if leaf:
+                # the one label left: free, and alone in its class (mult 1)
+                lab = total - used
+                candidates = (lab,) if lab > labels[above] else ()
+            else:
+                candidates = range(labels[above] + 1, top)
+            for lab in candidates:
                 if not free[lab]:
                     continue
-                if nodes >= max_nodes:
-                    raise _OutOfBudget
-                if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
-                    raise _OutOfBudget
+                if nodes >= checkpoint:
+                    if nodes >= max_nodes or time.monotonic() > deadline:
+                        raise _OutOfBudget
+                    checkpoint = min(nodes + 4096, max_nodes)
                 nodes += 1
                 d = diff
                 for j in prev_k:
-                    d += 1 if sum_label[lab + labels[j]] else -1
+                    d += sum_label[lab + labels[j]]
                 if d - rem > hi or d + rem < lo:
                     continue
                 w = weight * mult[lab]
@@ -380,16 +397,26 @@ class _Engine:
                     # class, multiplies out to t! / prod(m_r!).
                     r = lab % p
                     w = w * t // (1 + sum(1 for x in labels[k - t + 1:k] if x % p == r))
+                labels[k] = lab
+                if leaf:
+                    # rem is 0 here, so the test above put d in [lo, hi]
+                    count += w
+                    if witness is None:
+                        witness = self._assign_by_vertex(labels)
+                    if stop_at_first:
+                        raise _FoundFirst
+                    if on_complete is not None:
+                        on_complete(d, labels)
+                    return
                 free[lab] = False
                 free[lab + q] = True
-                labels[k] = lab
-                place(k + 1, d, w)
+                place(k + 1, d, w, used + lab)
                 free[lab + q] = False
                 free[lab] = True
 
         complete = exhausted = False
         try:
-            place(0, 0, self.aut_weight)
+            place(0, 0, self.aut_weight, 0)
             complete = True
         except _FoundFirst:
             pass

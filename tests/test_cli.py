@@ -209,6 +209,30 @@ def test_construct_recipe_file(tmp_path, capsys):
     assert json.loads(out)["verified"]["cordial"] is True
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"order": 3, "edges": [[0, None]]},
+        {"order": 3, "edges": 5},
+        {"order": 3, "edges": None},
+        {"order": 3, "edges": [[0, 1]], "names": 5},
+        {"order": None, "edges": [[0, 1]]},
+    ],
+    ids=["null-endpoint", "int-edges", "null-edges", "int-names", "null-order"],
+)
+@pytest.mark.parametrize("command", ["verify", "search"])
+def test_malformed_graph_file_is_usage_error(tmp_path, capsys, obj, command):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    argv = ["--labeling", "1,2,3"] if command == "verify" else []
+    code, out, err = run(capsys, command, "--g", str(path), "--p", "3", *argv)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["code"], error["type"]) == (2, "usage-error")
+    assert error["message"].startswith("malformed graph JSON: ")
+
+
 @pytest.mark.parametrize("obj", [{"p": 3}, [1, 2], {"theorem": 3, "p": 3}])
 def test_construct_malformed_recipe_is_usage_error(tmp_path, capsys, obj):
     recipe = tmp_path / "recipe.json"
@@ -240,13 +264,14 @@ def test_search_count_all(capsys):
 
 
 def test_search_budget_exhausted_exit_5(capsys):
+    # the proof needs 4 nodes
     code, out, _ = run(
         capsys,
         "search", "--g", "complete:4", "--p", "3",
-        "--mode", "prove-none", "--budget-nodes", "5",
+        "--mode", "prove-none", "--budget-nodes", "3",
     )
     assert code == 5
-    assert json.loads(out)["outcome"] == "exhausted"
+    assert json.loads(out) == {"outcome": "exhausted", "nodes": 3}
 
 
 @pytest.mark.parametrize(
@@ -276,12 +301,13 @@ def test_help_still_exits_0(capsys):
 
 
 def test_search_complete12_prove_none_exit_4(capsys):
-    # the twins of K12 leave 4095 nodes of what was a 2 M node budget overrun
+    # what was a 2 M node budget overrun: the chain of K12 left 4095 nodes,
+    # and its label ceilings leave the one labeling 1..12
     code, out, _ = run(
         capsys, "search", "--g", "complete:12", "--p", "13", "--mode", "prove-none"
     )
     assert code == 4
-    assert json.loads(out) == {"outcome": "none", "nodes": 4095}
+    assert json.loads(out) == {"outcome": "none", "nodes": 12}
 
 
 def test_search_cycle10_p11_count_all_exit_0(capsys):
@@ -306,7 +332,7 @@ def test_construct_auto_parity_none_exit_4(capsys):
 # Each call sets flags the one before it did not, so a parser that kept state
 # between calls would show up as a difference from separate processes.
 SEQUENCE = [
-    ("search", "--g", "complete:4", "--p", "3", "--mode", "prove-none", "--budget-nodes", "5"),
+    ("search", "--g", "complete:4", "--p", "3", "--mode", "prove-none", "--budget-nodes", "3"),
     ("search", "--g", "cycle:5", "--p", "5", "--format", "table"),
     ("gen", "path:4", "--format", "table"),
     ("construct", "corona-path", "--g", "path:2", "--p", "3"),
@@ -341,9 +367,10 @@ def test_search_diff_objective(capsys):
 
 
 def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("LEGCORDIAL_BUDGET_NODES", "5")
+    monkeypatch.setenv("LEGCORDIAL_BUDGET_NODES", "3")  # the proof needs 4
     code, out, _ = run(capsys, "search", "--g", "complete:4", "--p", "3", "--mode", "prove-none")
     assert code == 5
+    assert json.loads(out) == {"outcome": "exhausted", "nodes": 3}
 
 
 def test_table_output_is_not_json(capsys):
@@ -417,7 +444,7 @@ def test_construct_with_only_the_needed_labels_skips_search(capsys, monkeypatch,
         (("verify", "--g", "cycle:3", "--labeling", "1,2,3", "--p", "3"),
          {"e0": 2, "e1": 1, "cordial": True}),
         (("search", "--g", "cycle:3", "--p", "3", "--mode", "count-all"),
-         {"outcome": "found", "nodes": 7, "labeling": [1, 2, 3], "count": 6}),
+         {"outcome": "found", "nodes": 3, "labeling": [1, 2, 3], "count": 6}),
         (("construct", "corona-path", "--g", "path:2", "--p", "3"),
          {"theorem": "corona-path", "p": 3,
           "graph": {"order": 6, "edges": [[0, 1], [0, 4], [1, 4], [2, 3], [2, 5], [3, 5], [4, 5]]},

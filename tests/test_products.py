@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from legcordial.graph import (
     MAX_SIZE,
     Graph,
+    adjacency,
     has_odd_cycle,
     is_connected,
     make_complete,
@@ -69,7 +70,7 @@ def test_corona_examples():
     # corona(P2, K1): path-shaped on 4 vertices, never P4's exact edge set
     g = corona(make_path(2), make_complete(1))
     assert (g.order, g.size) == (4, 3)
-    assert sorted(g.degree(v) for v in range(4)) == [1, 1, 2, 2]
+    assert sorted(map(len, adjacency(g))) == [1, 1, 2, 2]
     assert is_connected(g)
 
 
@@ -83,7 +84,7 @@ def test_lexicographic_examples():
 def test_cartesian_examples():
     c4 = cartesian(make_path(2), make_path(2))
     assert (c4.order, c4.size) == (4, 4)
-    assert all(c4.degree(v) == 2 for v in range(4))
+    assert [len(nbrs) for nbrs in adjacency(c4)] == [2, 2, 2, 2]
     assert is_connected(c4)
     g = make_star(4)
     assert cartesian(make_complete(1), g) == g

@@ -37,6 +37,8 @@ def test_k4_has_no_cordial_labeling_mod3():
     res = search_labeling(SearchSpec(make_complete(4), 3, mode="prove-none"))
     assert res.outcome == "none"
     assert res.complete
+    # K4 is one run of twins: one labeling, 1 2 3 4, one node per position
+    assert res.nodes == 4
 
 
 def test_c5_target_difference():
@@ -106,12 +108,13 @@ def test_determinism():
 
 
 def test_budget_exhaustion_is_distinct():
+    # the proof needs 4 nodes (test_k4_has_no_cordial_labeling_mod3)
     res = search_labeling(
-        SearchSpec(make_complete(4), 3, mode="prove-none", budget=Budget(max_nodes=5))
+        SearchSpec(make_complete(4), 3, mode="prove-none", budget=Budget(max_nodes=3))
     )
     assert res.outcome == "exhausted"
     assert not res.complete
-    assert res.nodes == 5
+    assert res.nodes == 3
 
 
 def test_order_ceiling():
@@ -176,11 +179,12 @@ THREE_RUNS = Graph(7, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (
 
 
 # Outcomes, counts and first witnesses of the engine before twin runs, with
-# the nodes needed now: by the twin runs at p < n, and by the stabilizer
-# chain at p >= n (join(K2, C5) p=7 needed 6 793 with twin runs). Before,
-# complete:12 p=13 and p=5 and star:12 ended exhausted at 2 M nodes, so
-# their verdicts are checked here instead: every labeling of K_n has the
-# same tally, and every labeling of K_{1,11} at p=13 is cordial.
+# the nodes needed before the label ceilings: by the twin runs at p < n, and
+# by the stabilizer chain at p >= n (join(K2, C5) p=7 needed 6 793 with twin
+# runs). Before twin runs, complete:12 p=13 and p=5 and star:12 ended
+# exhausted at 2 M nodes, so their verdicts are checked here instead: every
+# labeling of K_n has the same tally, and every labeling of K_{1,11} at p=13
+# is cordial.
 TWIN_INSTANCES = [
     (make_complete(12), 13, "prove-none", "none", None, None, 4095),
     (make_complete(12), 5, "prove-none", "none", None, None, 431),
@@ -191,12 +195,24 @@ TWIN_INSTANCES = [
     (make_complete(7), 5, "prove-none", "none", None, None, 71),
     (make_complete(7), 11, "prove-none", "none", None, None, 127),
 ]
+# The nodes with the label ceilings, by (graph, p). A complete graph is one
+# run or one orbit, so its only labeling is 1..n, at one node per position.
+TWIN_NODES = {
+    (make_complete(12), 13): 12,
+    (make_complete(12), 5): 12,
+    (make_complete(9), 7): 9,
+    (make_star(12), 13): 364,
+    (join(make_complete(2), make_cycle(5)), 7): 1234,
+    (make_complete(7), 5): 7,
+    (make_complete(7), 11): 7,
+}
 
 
-@pytest.mark.parametrize("g,p,mode,outcome,count,witness,nodes", TWIN_INSTANCES)
-def test_twin_runs_keep_results(g, p, mode, outcome, count, witness, nodes):
+@pytest.mark.parametrize("g,p,mode,outcome,count,witness,nodes_before", TWIN_INSTANCES)
+def test_twin_runs_keep_results(g, p, mode, outcome, count, witness, nodes_before):
     res = search_labeling(SearchSpec(g, p, mode=mode))
-    assert (res.outcome, res.count, res.labeling, res.nodes) == (outcome, count, witness, nodes)
+    assert (res.outcome, res.count, res.labeling) == (outcome, count, witness)
+    assert res.nodes == TWIN_NODES[g, p] < nodes_before
     assert res.complete
     if g.size == g.order * (g.order - 1) // 2:
         e0, e1 = brute_tally(g.edges, range(1, g.order + 1), p)
@@ -213,11 +229,18 @@ def test_star12_p13_is_cordial_for_every_labeling():
 
 
 def _check_against_oracles(g: Graph, p: int) -> None:
-    """Count-all and achievable_differences against tests/oracles.py."""
+    """Every mode and achievable_differences against tests/oracles.py."""
     want = brute_diff_witnesses(g.edges, g.order, p)
+    cordial = [w for d, ws in want.items() if abs(d) <= 1 for w in ws]
     res = search_labeling(SearchSpec(g, p, mode="count-all"))
     assert res.complete
-    assert res.count == sum(len(ws) for d, ws in want.items() if abs(d) <= 1)
+    assert res.count == len(cordial)
+    for mode in ("find-first", "prove-none"):
+        res = search_labeling(SearchSpec(g, p, mode=mode))
+        if cordial:
+            assert (res.outcome, res.labeling in cordial) == ("found", True)
+        else:
+            assert (res.outcome, res.labeling) == ("none", None)
     got, complete, _ = achievable_differences(g, p)
     assert complete
     assert set(got) == set(want)
@@ -227,7 +250,12 @@ def _check_against_oracles(g: Graph, p: int) -> None:
 
 def _above_and_runs(g: Graph, p: int) -> tuple[list[int], list[int]]:
     engine = search._Engine(g, p)
-    return [above for _, _, above, _ in engine.steps], [t for _, _, _, t in engine.steps]
+    return [step[2] for step in engine.steps], [step[3] for step in engine.steps]
+
+
+def _largest_labels(g: Graph, p: int) -> list[int]:
+    """The largest label each search position may take: its ceiling - 1."""
+    return [step[4] - 1 for step in search._Engine(g, p).steps]
 
 
 def test_twin_runs_are_found():
@@ -246,6 +274,18 @@ def test_twin_pairs_are_chain_constraints():
     # C5 has no twins: rotations put every position in O_0, and the
     # reflection fixing vertex 0 swaps its neighbours 1 and 4
     assert _above_and_runs(make_cycle(5), 5) == ([-1, 0, 0, 0, 1], [1] * 5)
+
+
+def test_label_ceilings():
+    # p >= n: position a's label is at most n - |O_a| + 1. C5 has |O_0| = 5
+    # (rotations) and |O_1| = 2 (the reflection fixing position 0).
+    assert _largest_labels(make_cycle(5), 5) == [1, 4, 5, 5, 5]
+    # the whole of K5's Aut is the chain: |O_a| = 5 - a
+    assert _largest_labels(make_complete(5), 5) == [1, 2, 3, 4, 5]
+    # p < n: offset t of a run of length R is at most n - (R - t)
+    assert _largest_labels(make_complete(5), 3) == [1, 2, 3, 4, 5]
+    assert _largest_labels(THREE_RUNS, 3) == [7, 6, 7, 6, 7, 6, 7]
+    assert _largest_labels(make_cycle(5), 3) == [5] * 5
 
 
 PETERSEN = Graph(
@@ -311,10 +351,11 @@ def test_chain_matches_oracles(g, p):
 
 
 def test_cycle10_p11_count_all_fits_the_default_budget():
-    # 8 244 500 nodes, four times the default budget, before the chain
+    # 8 244 500 nodes, four times the default budget, before the chain, and
+    # 820 846 before the label ceilings
     res = search_labeling(SearchSpec(make_cycle(10), 11, mode="count-all"))
     assert (res.outcome, res.count, res.labeling, res.nodes) == (
-        "found", 845920, (1, 2, 3, 4, 5, 6, 7, 9, 10, 8), 820846
+        "found", 845920, (1, 2, 3, 4, 5, 6, 7, 9, 10, 8), 639729
     )
     assert res.complete
 
@@ -322,16 +363,18 @@ def test_cycle10_p11_count_all_fits_the_default_budget():
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 9973])
 @pytest.mark.parametrize("n", [1, 4, 7, 12])
 def test_sum_label_matches_edge_label(n, p):
+    # the change in d = e1 - e0 that an edge with endpoint sum s adds
     engine = search._Engine(make_path(n), p)
     ctx = LegendreContext(p)
-    assert engine.sum_label == [edge_label(s, ctx) for s in range(2 * n + 1)]
+    assert engine.sum_label == [2 * edge_label(s, ctx) - 1 for s in range(2 * n + 1)]
 
 
-TWIN_RICH = [_bipartite(3, 3), K222, make_star(7), make_complete(6), THREE_RUNS]
+# K5 at p=3 is a single run, whose ceilings leave one label per position
+TWIN_RICH = [_bipartite(3, 3), K222, make_star(7), make_complete(6), THREE_RUNS, make_complete(5)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-@pytest.mark.parametrize("g", TWIN_RICH, ids=["K33", "K222", "star7", "K6", "three_runs"])
+@pytest.mark.parametrize("g", TWIN_RICH, ids=["K33", "K222", "star7", "K6", "three_runs", "K5"])
 def test_twin_runs_match_oracles(g, p):
     _check_against_oracles(g, p)
 
@@ -437,11 +480,15 @@ H7 = Graph(7, [(0, 6), (1, 5), (2, 4), (1, 6), (2, 5), (3, 6), (4, 5)])
 
 
 # One found case per balance theorem: outcome and witnesses recorded before
-# the theorem table replaced the per-theorem branches, nodes since twin runs
-# (the corona and lexicographic cases needed 8, 35 and 205 before). The join
-# case enumerates g2 and the second corona case g1 (the smaller factor).
+# the theorem table replaced the per-theorem branches, nodes_before since
+# twin runs (the corona and lexicographic cases needed 8, 35 and 205 before).
+# FBL_NODES holds the cases whose nodes fell with the label ceilings. The
+# join case enumerates g2 and the second corona case g1 (the smaller factor).
+FBL_NODES = {("corona", 7): 6, ("corona", 32): 30, ("lexicographic", 180): 172}
+
+
 @pytest.mark.parametrize(
-    "theorem,g1,g2,p,nodes,lab_g1,lab_g2",
+    "theorem,g1,g2,p,nodes_before,lab_g1,lab_g2",
     [
         ("join", make_cycle(6), make_complete(1), 3, 19, (1, 2, 5, 3, 4, 6), (1,)),
         ("corona", make_path(2), Graph(3, [(0, 1)]), 3, 7, (1, 2), (1, 3, 2)),
@@ -452,8 +499,9 @@ H7 = Graph(7, [(0, 6), (1, 5), (2, 4), (1, 6), (2, 5), (3, 6), (4, 5)])
         ("strong", make_cycle(9), make_path(4), 3, 21, (1, 2, 3, 4, 5, 8, 6, 7, 9), None),
     ],
 )
-def test_fbl_found_is_pinned(theorem, g1, g2, p, nodes, lab_g1, lab_g2):
+def test_fbl_found_is_pinned(theorem, g1, g2, p, nodes_before, lab_g1, lab_g2):
     out = find_base_labelings(theorem, g1, g2, p)
+    nodes = FBL_NODES.get((theorem, nodes_before), nodes_before)
     assert (out.outcome, out.nodes) == ("found", nodes)
     assert (out.recipe.lab_g1, out.recipe.lab_g2) == (lab_g1, lab_g2)
     graph, lab, pred = run_recipe(out.recipe)
@@ -488,7 +536,7 @@ def test_largest_prime_matches_oracles():
     assert (res.outcome, res.labeling, res.nodes) == ("found", (1, 2, 3, 5, 4, 6), 11)
     assert brute_tally(g.edges, res.labeling, 9973) == (3, 3)
     res = search_labeling(SearchSpec(g, 9973, mode="count-all"))
-    assert (res.count, res.nodes) == (192, 346)
+    assert (res.count, res.nodes) == (192, 216)  # 346 before the label ceilings
 
 
 def test_invalid_primes_are_refused():
