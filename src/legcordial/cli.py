@@ -292,29 +292,37 @@ def _cmd_search(args) -> int:
 
 
 def _recipe_from_json(obj: dict) -> ConstructionRecipe:
-    def graph_of(key: str) -> Graph | None:
-        val = obj.get(key)
+    try:
+        theorem = normalize_theorem(obj["theorem"])
+        if "p" not in obj:
+            raise KeyError("p")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"recipe JSON needs 'theorem' and 'p': {exc}") from exc
+
+    def graph_of(val) -> Graph | None:
         if val is None:
             return None
         if isinstance(val, str):
             return parse_family(val)
         return graph_from_json(val)
 
-    def labels_of(key: str) -> tuple[int, ...] | None:
-        val = obj.get(key)
+    def labels_of(val) -> tuple[int, ...] | None:
         return tuple(int(x) for x in val) if val is not None else None
 
-    try:
-        return ConstructionRecipe(
-            theorem=normalize_theorem(obj["theorem"]),
-            p=int(obj["p"]),
-            g1=graph_of("g1"),
-            g2=graph_of("g2"),
-            lab_g1=labels_of("lab_g1"),
-            lab_g2=labels_of("lab_g2"),
-        )
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"recipe JSON needs 'theorem' and 'p': {exc}") from exc
+    def field(key: str, read):
+        try:
+            return read(obj.get(key))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"recipe field {key!r}: {exc}") from exc
+
+    return ConstructionRecipe(
+        theorem=theorem,
+        p=field("p", int),
+        g1=field("g1", graph_of),
+        g2=field("g2", graph_of),
+        lab_g1=field("lab_g1", labels_of),
+        lab_g2=field("lab_g2", labels_of),
+    )
 
 
 def _cmd_construct(args) -> int:

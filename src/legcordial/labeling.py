@@ -116,7 +116,12 @@ def labeling_from_json(obj: dict, graph: Graph) -> tuple[Labeling, int | None]:
     except (TypeError, KeyError) as exc:
         raise ValueError(f"labeling JSON needs 'assign': {exc}") from exc
     p = obj.get("p")
-    return Labeling(graph, tuple(int(x) for x in assign)), (int(p) if p is not None else None)
+    try:
+        assign = tuple(int(x) for x in assign)
+        p = int(p) if p is not None else None
+    except TypeError as exc:  # a null or list entry or p, or a non-list assign
+        raise ValueError(f"malformed labeling JSON: {exc}") from exc
+    return Labeling(graph, assign), p
 
 
 def tally_report(tally: EdgeTally) -> dict:

@@ -44,7 +44,7 @@ Both rules also cap each position's label, once per engine, and a larger
 label would leave no leaf below it: L(a) <= n - |O_a| + 1 at p >= n, since
 the rest of O_a needs larger labels, and L <= n - (R - t) at offset t of a
 twin run of length R. The last position's label, the one left unused, is
-computed rather than scanned for.
+not scanned for: the position before it reads it off and settles the leaf.
 
 Third, d always has the parity of the graph's size, so the window is
 narrowed to that parity before the engine is built; an empty window is a
@@ -52,7 +52,8 @@ certified "none" after 0 nodes.
 
 Budgets count assignment-tree nodes (each candidate label tried at a vertex:
 only class representatives, and only labels above the bound of the chain or
-the twin run and below the position's ceiling) so runs are reproducible; the
+the twin run and below the position's ceiling; the last position's one label
+is a node when it is above its bound) so runs are reproducible; the
 reported node count never exceeds the node budget. An optional wall-clock
 limit is a secondary kill switch. A budget-exhausted run is a distinct
 outcome, never conflated with a completed proof of non-existence.
@@ -340,50 +341,65 @@ class _Engine:
     ) -> dict:
         """Explore the assignment tree; returns nodes used, count, witness, completeness.
 
+        The candidates are read from ``avail``, an int passed down the
+        recursion: bit lab is set when lab is the smallest unused label of
+        its residue class. Position k walks the set bits in
+        (labels[above], top), lowest first. The child's mask is built from
+        the parent's, so nothing is undone after a call. Position n - 2
+        settles each leaf itself. Once its candidate passes the window test,
+        the one label left is the single bit of the child's mask, and it is
+        a node when it is above its bound. Order 1 has no position n - 2;
+        its one position is its own leaf.
+
         ``on_complete(diff, labels)`` sees every leaf; ``labels`` is indexed
         by search position and changes afterwards (see ``_assign_by_vertex``).
         """
         n = self.graph.order
         p = self.p
-        last = n - 1
-        total = n * (n + 1) // 2
+        last, penult = n - 1, n - 2
         labels = [0] * (n + 1)  # labels[-1] stays 0: "above" -1 bounds nothing
-        # free[lab]: lab is the smallest unused label of its residue class, so
-        # it may be tried now. lab + q is lab's class successor; indices past
-        # n are never read and only pad the successors of the largest labels.
-        # When p > n every class holds one label, and q = n + 1 keeps the
-        # list 2n + 2 long rather than p + n + 1.
+        # lab + q is lab's class successor. When p > n every class holds one
+        # label, and q = n + 1 keeps each mask below bit 2n + 2 rather than
+        # p + n + 1; & full drops the successors past n.
         q = min(p, n + 1)
-        free = [False] + [True] * q + [False] * n
+        full = (1 << n + 1) - 2  # labels 1..n
         # mult[lab]: the labels in 1..n congruent to lab mod p that are >= lab.
         # When lab is the smallest unused label of its class, these are the
         # unused labels of the class, each of which gives an isomorphic subtree.
         mult = [(n - lab) // p + 1 for lab in range(n + 1)]
         nodes = count = 0
-        # one budget test per node; past it, raise or poll the deadline and
-        # move the checkpoint 4096 nodes on
+        # one budget test per node; past it, next_checkpoint raises or polls
+        # the deadline and moves the checkpoint 4096 nodes on
         checkpoint = max_nodes if deadline is None else 0
         witness = None
         steps = self.steps
         sum_label = self.sum_label
+        leaf_prev, _, leaf_above, leaf_t, _ = steps[last]
 
-        def place(k: int, diff: int, weight: int, used: int) -> None:
+        def next_checkpoint() -> int:
+            if nodes >= max_nodes or time.monotonic() > deadline:
+                raise _OutOfBudget
+            return min(nodes + 4096, max_nodes)
+
+        def twin_weight(w: int, lab: int, k: int, t: int) -> int:
+            # The subtree stands for every order of the run's classes: t / m
+            # per step, with m the run's labels so far in lab's class,
+            # multiplies out to t! / prod(m_r!).
+            r = lab % p
+            return w * t // (1 + sum(1 for x in labels[k - t + 1:k] if x % p == r))
+
+        def place(k: int, diff: int, weight: int, avail: int) -> None:
             nonlocal nodes, count, witness, checkpoint
             prev_k, rem, above, t, top = steps[k]
-            leaf = k == last
-            if leaf:
-                # the one label left: free, and alone in its class (mult 1)
-                lab = total - used
-                candidates = (lab,) if lab > labels[above] else ()
-            else:
-                candidates = range(labels[above] + 1, top)
-            for lab in candidates:
-                if not free[lab]:
-                    continue
+            # labels[above] < top (a chain orbit or a twin run bounds both),
+            # so the mask of labels[above] + 1 .. top - 1 is not negative
+            m = avail & (1 << top) - (2 << labels[above])
+            while m:
+                low = m & -m
+                m ^= low
+                lab = low.bit_length() - 1
                 if nodes >= checkpoint:
-                    if nodes >= max_nodes or time.monotonic() > deadline:
-                        raise _OutOfBudget
-                    checkpoint = min(nodes + 4096, max_nodes)
+                    checkpoint = next_checkpoint()
                 nodes += 1
                 d = diff
                 for j in prev_k:
@@ -392,31 +408,39 @@ class _Engine:
                     continue
                 w = weight * mult[lab]
                 if t > 1:
-                    # The subtree stands for every order of the run's classes:
-                    # t / m per step, with m the run's labels so far in lab's
-                    # class, multiplies out to t! / prod(m_r!).
-                    r = lab % p
-                    w = w * t // (1 + sum(1 for x in labels[k - t + 1:k] if x % p == r))
+                    w = twin_weight(w, lab, k, t)
                 labels[k] = lab
-                if leaf:
-                    # rem is 0 here, so the test above put d in [lo, hi]
-                    count += w
-                    if witness is None:
-                        witness = self._assign_by_vertex(labels)
-                    if stop_at_first:
-                        raise _FoundFirst
-                    if on_complete is not None:
-                        on_complete(d, labels)
-                    return
-                free[lab] = False
-                free[lab + q] = True
-                place(k + 1, d, w, used + lab)
-                free[lab + q] = False
-                free[lab] = True
+                rest = (avail ^ low | low << q) & full
+                if k < penult:
+                    place(k + 1, d, w, rest)
+                    continue
+                if k == penult:
+                    # the leaf: the one label left, alone in its class (mult 1)
+                    lab = rest.bit_length() - 1
+                    if lab <= labels[leaf_above]:
+                        continue
+                    if nodes >= checkpoint:
+                        checkpoint = next_checkpoint()
+                    nodes += 1
+                    for j in leaf_prev:
+                        d += sum_label[lab + labels[j]]
+                    if d > hi or d < lo:
+                        continue
+                    if leaf_t > 1:
+                        w = twin_weight(w, lab, last, leaf_t)
+                    labels[last] = lab
+                # rem is 0 at the leaf, so d is in [lo, hi]
+                count += w
+                if witness is None:
+                    witness = self._assign_by_vertex(labels)
+                if stop_at_first:
+                    raise _FoundFirst
+                if on_complete is not None:
+                    on_complete(d, labels)
 
         complete = exhausted = False
         try:
-            place(0, 0, self.aut_weight, 0)
+            place(0, 0, self.aut_weight, full & (1 << q + 1) - 2)
             complete = True
         except _FoundFirst:
             pass

@@ -233,7 +233,7 @@ def test_malformed_graph_file_is_usage_error(tmp_path, capsys, obj, command):
     assert error["message"].startswith("malformed graph JSON: ")
 
 
-@pytest.mark.parametrize("obj", [{"p": 3}, [1, 2], {"theorem": 3, "p": 3}])
+@pytest.mark.parametrize("obj", [{"p": 3}, [1, 2], {"theorem": 3, "p": 3}, "cart"])
 def test_construct_malformed_recipe_is_usage_error(tmp_path, capsys, obj):
     recipe = tmp_path / "recipe.json"
     recipe.write_text(json.dumps(obj))
@@ -242,6 +242,41 @@ def test_construct_malformed_recipe_is_usage_error(tmp_path, capsys, obj):
     error = json.loads(err)["error"]
     assert error["type"] == "usage-error"
     assert error["message"].startswith("recipe JSON needs 'theorem' and 'p': ")
+
+
+@pytest.mark.parametrize(
+    "key,value", [("lab_g1", 5), ("lab_g2", [1, None]), ("p", None), ("p", [5]), ("g1", 7)]
+)
+def test_construct_bad_recipe_field_is_named(tmp_path, capsys, key, value):
+    obj = {"theorem": "cartesian", "p": 5, "g1": "cycle:5", "g2": "cycle:4", key: value}
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "construct", "--recipe", str(recipe))
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "usage-error"
+    assert error["message"].startswith(f"recipe field '{key}': ")
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"p": 3, "assign": [1, None, 3]},
+        {"p": 3, "assign": 5},
+        {"p": [1], "assign": [1, 2, 3]},
+    ],
+    ids=["null-entry", "int-assign", "list-p"],
+)
+def test_malformed_labeling_file_is_usage_error(tmp_path, capsys, obj):
+    path = tmp_path / "lab.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--g", "cycle:3", "--labeling", str(path))
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["code"], error["type"]) == (2, "usage-error")
+    assert error["message"].startswith("malformed labeling JSON: ")
 
 
 def test_search_found(capsys):

@@ -17,6 +17,7 @@ from legcordial.search import (
     MODES,
     Budget,
     DiffWindow,
+    SearchResult,
     SearchSpec,
     achievable_differences,
     find_base_labelings,
@@ -410,6 +411,68 @@ def test_achievable_differences_matches_oracle():
             assert assign in want[d]
             e0, e1 = brute_tally(g.edges, assign, p)
             assert e1 - e0 == d
+
+
+# Each (mode, max_nodes) point below stops the run at a different node:
+# at inner positions and at leaves, which their parent position settles.
+BUDGET_SWEEP = [
+    ("count-all", make_path(7), 3),  # twin runs, p < n
+    ("count-all", make_cycle(7), 11),  # chain orbits, p >= n
+    ("prove-none", make_complete(5), 7),
+]
+
+
+@pytest.mark.parametrize("mode,g,p", BUDGET_SWEEP, ids=["path7-p3", "cycle7-p11", "K5-p7"])
+def test_budget_sweep_stops_at_every_node(mode, g, p):
+    full = search_labeling(SearchSpec(g, p, mode=mode))
+    assert full.outcome != "exhausted"
+    for max_nodes in range(1, full.nodes):
+        res = search_labeling(SearchSpec(g, p, mode=mode, budget=Budget(max_nodes=max_nodes)))
+        assert (res.outcome, res.nodes, res.complete) == ("exhausted", max_nodes, False)
+    for max_nodes in (full.nodes, full.nodes + 1):
+        assert search_labeling(SearchSpec(g, p, mode=mode, budget=Budget(max_nodes=max_nodes))) == full
+
+
+def test_achievable_differences_budget_sweep():
+    g = make_cycle(6)
+    full, complete, nodes = achievable_differences(g, 7)
+    assert complete
+    for max_nodes in range(1, nodes):
+        partial, complete, used = achievable_differences(g, 7, Budget(max_nodes=max_nodes))
+        assert (complete, used) == (False, max_nodes)
+        assert all(full[d] == w for d, w in partial.items())
+    for max_nodes in (nodes, nodes + 1):
+        assert achievable_differences(g, 7, Budget(max_nodes=max_nodes)) == (full, True, nodes)
+
+
+# Orders 1 and 2, as recorded before leaves were settled by their parent
+# position: (window, outcome, nodes, witness, count in count-all). Graph(1)
+# has no edge, so d = 0; path:2's one edge has label sum 3, a non-residue
+# mod 3 and mod 5, so d = -1. exact(1) has the wrong parity for Graph(1):
+# "none" at 0 nodes.
+SMALL_ORDERS = [
+    (Graph(1), DiffWindow.cordial(), "found", 1, (1,), 1),
+    (Graph(1), DiffWindow.exact(1), "none", 0, None, 0),
+    (Graph(1), DiffWindow.around(2), "none", 1, None, 0),
+    (make_path(2), DiffWindow.cordial(), "found", 2, (1, 2), 2),
+    (make_path(2), DiffWindow.exact(1), "none", 2, None, 0),
+    (make_path(2), DiffWindow.around(2), "none", 2, None, 0),
+]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "g,window,outcome,nodes,witness,count",
+    SMALL_ORDERS,
+    ids=["K1-cordial", "K1-exact1", "K1-around2", "P2-cordial", "P2-exact1", "P2-around2"],
+)
+def test_orders_1_and_2_are_pinned(g, window, outcome, nodes, witness, count, mode, p):
+    res = search_labeling(SearchSpec(g, p, objective=window, mode=mode))
+    count_all = mode == "count-all"
+    complete = count_all or outcome == "none"
+    want = SearchResult(outcome, nodes, witness, count if count_all else None, complete)
+    assert res == want
 
 
 def test_search_report_json():
