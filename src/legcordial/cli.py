@@ -25,6 +25,8 @@ from .constructors import (
 )
 from .graph import (
     Graph,
+    exact_int,
+    exact_ints,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
@@ -307,7 +309,7 @@ def _recipe_from_json(obj: dict) -> ConstructionRecipe:
         return graph_from_json(val)
 
     def labels_of(val) -> tuple[int, ...] | None:
-        return tuple(int(x) for x in val) if val is not None else None
+        return exact_ints(val, "label") if val is not None else None
 
     def field(key: str, read):
         try:
@@ -317,7 +319,7 @@ def _recipe_from_json(obj: dict) -> ConstructionRecipe:
 
     return ConstructionRecipe(
         theorem=theorem,
-        p=field("p", int),
+        p=field("p", lambda val: exact_int(val, "p")),
         g1=field("g1", graph_of),
         g2=field("g2", graph_of),
         lab_g1=field("lab_g1", labels_of),

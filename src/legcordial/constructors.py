@@ -256,8 +256,8 @@ def _base_tallies(
             raise ValueError(f"base labeling {which} does not belong to its factor graph")
     t1 = induced_tally(lab_g1, ctx) if labeled1 else None
     t2 = induced_tally(lab_g2, ctx) if labeled2 else None
-    d1 = t1.e1 - t1.e0 if labeled1 else 0
-    d2 = t2.e1 - t2.e0 if labeled2 else 0
+    d1 = t1.difference if labeled1 else 0
+    d2 = t2.difference if labeled2 else 0
     lhs = form.coef1 * d1 + form.coef2 * d2
     if not form.lo <= lhs <= form.hi:
         raise HypothesisViolation(

@@ -126,6 +126,26 @@ def check_shape(order: int, size: int, what: str = "graph") -> None:
         raise ValueError(f"{what} size {size} exceeds the supported bound {MAX_SIZE}")
 
 
+def exact_int(value: object, what: str) -> int:
+    """``value`` when it is an exact int, else TypeError naming ``what``.
+
+    The JSON readers use it, since int() would truncate 3.9 and read "3",
+    3.0 and true as integers.
+    """
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple, each entry checked by exact_int."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:  # one pass in C when all are ints
+        for x in values:
+            exact_int(x, what)
+    return values
+
+
 def adjacency(g: Graph) -> list[list[int]]:
     """Neighbor lists indexed by vertex, each sorted ascending.
 
@@ -263,7 +283,8 @@ def graph_to_json(g: Graph) -> dict:
 def graph_from_json(obj: dict) -> Graph:
     """Read the {"order", "edges", "names"} format; extra keys are ignored.
 
-    Edges as graph_to_json writes them are taken after one pass.
+    The order and endpoints must be exact ints (see exact_int). Edges as
+    graph_to_json writes them are taken after one pass.
     """
     try:
         order = obj["order"]
@@ -271,14 +292,13 @@ def graph_from_json(obj: dict) -> Graph:
     except (TypeError, KeyError) as exc:
         raise ValueError(f"graph JSON needs 'order' and 'edges': {exc}") from exc
     try:
-        order = int(order)
+        order = exact_int(order, "graph order")
         run = _canonical_run(order, edges)
         if run is None:
-            # Not as graph_to_json writes it: each endpoint goes through int()
-            # ("3", 3.0 and true read as ints), then through Graph's checks.
-            return Graph(order, [(int(u), int(v)) for u, v in edges], obj.get("names"))
+            pairs = [exact_ints(e, "graph endpoint") for e in edges]
+            return Graph(order, pairs, obj.get("names"))
         g = Graph(order, (), obj.get("names"))  # the order and names checks
-    except TypeError as exc:  # a null order or endpoint, non-list edges or names
+    except TypeError as exc:  # a non-int order or endpoint, non-list edges or names
         raise ValueError(f"malformed graph JSON: {exc}") from exc
     g.edges = run
     return g

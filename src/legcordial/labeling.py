@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Edge, Graph, is_connected
+from .graph import Edge, Graph, exact_int, exact_ints, is_connected
 from .numtheory import LegendreContext
 
 
@@ -42,14 +42,14 @@ class Labeling:
 
 @dataclass(frozen=True)
 class EdgeTally:
-    """Counts of induced edge labels; difference e0 - e1 drives search pruning."""
+    """Counts of induced edge labels; difference d = e1 - e0, as search uses it."""
 
     e0: int
     e1: int
 
     @property
     def difference(self) -> int:
-        return self.e0 - self.e1
+        return self.e1 - self.e0
 
     @property
     def is_cordial(self) -> bool:
@@ -110,16 +110,16 @@ def labeling_to_json(lab: Labeling, p: int) -> dict:
 
 
 def labeling_from_json(obj: dict, graph: Graph) -> tuple[Labeling, int | None]:
-    """Read the {"p", "assign"} format against a known graph."""
+    """Read the {"p", "assign"} format, with exact ints only, against a known graph."""
     try:
         assign = obj["assign"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"labeling JSON needs 'assign': {exc}") from exc
     p = obj.get("p")
     try:
-        assign = tuple(int(x) for x in assign)
-        p = int(p) if p is not None else None
-    except TypeError as exc:  # a null or list entry or p, or a non-list assign
+        assign = exact_ints(assign, "labeling entry")
+        p = exact_int(p, "labeling p") if p is not None else None
+    except TypeError as exc:  # a non-int entry or p, or a non-list assign
         raise ValueError(f"malformed labeling JSON: {exc}") from exc
     return Labeling(graph, assign), p
 

@@ -28,8 +28,7 @@ that fix positions 0..a-1 (Puget, "Breaking symmetries in all different
 problems", IJCAI 2005). The engine computes these orbits once per graph,
 without listing the group, and starts position b's candidates above the
 label of the largest a whose orbit holds b. The first witness in search
-order is lex-least, so it survives, and so does each difference's first
-witness in `achievable_differences`. Count-all weighs every leaf by
+order is lex-least, so it survives. Count-all weighs every leaf by
 |Aut(G)| = prod |O_a|.
 
 Second, twin runs, when p < n. Vertices u and v are twins when
@@ -57,6 +56,11 @@ is a node when it is above its bound) so runs are reproducible; the
 reported node count never exceeds the node budget. An optional wall-clock
 limit is a secondary kill switch. A budget-exhausted run is a distinct
 outcome, never conflated with a completed proof of non-existence.
+
+`achievable_differences` and `find_base_labelings` are sequences of
+find-first window runs (probes) that share one budget. A window prunes only
+subtrees with no leaf inside it, so the probe [d, d] finds the first
+labeling in search order with difference d.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ from dataclasses import dataclass, field
 from .constructors import (
     BALANCE_THEOREMS,
     BASE_LABELINGS,
+    BalanceForm,
     ConstructionRecipe,
     balance_form,
     normalize_theorem,
@@ -121,14 +126,13 @@ class SearchSpec:
     objective: DiffWindow = field(default_factory=DiffWindow.cordial)
     budget: Budget = field(default_factory=Budget)
     mode: str = "find-first"
-    ceiling: int = DEFAULT_ORDER_CEILING
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.graph.order > self.ceiling:
+        if self.graph.order > DEFAULT_ORDER_CEILING:
             raise ValueError(
-                f"graph order {self.graph.order} exceeds the search ceiling {self.ceiling}"
+                f"graph order {self.graph.order} exceeds the search ceiling {DEFAULT_ORDER_CEILING}"
             )
 
 
@@ -331,13 +335,7 @@ class _Engine:
         self.p = p
 
     def run(
-        self,
-        lo: int,
-        hi: int,
-        stop_at_first: bool,
-        max_nodes: int,
-        deadline: float | None,
-        on_complete=None,
+        self, lo: int, hi: int, stop_at_first: bool, max_nodes: int, deadline: float | None
     ) -> dict:
         """Explore the assignment tree; returns nodes used, count, witness, completeness.
 
@@ -350,9 +348,6 @@ class _Engine:
         the one label left is the single bit of the child's mask, and it is
         a node when it is above its bound. Order 1 has no position n - 2;
         its one position is its own leaf.
-
-        ``on_complete(diff, labels)`` sees every leaf; ``labels`` is indexed
-        by search position and changes afterwards (see ``_assign_by_vertex``).
         """
         n = self.graph.order
         p = self.p
@@ -435,8 +430,6 @@ class _Engine:
                     witness = self._assign_by_vertex(labels)
                 if stop_at_first:
                     raise _FoundFirst
-                if on_complete is not None:
-                    on_complete(d, labels)
 
         complete = exhausted = False
         try:
@@ -507,36 +500,57 @@ def _run_search(spec: SearchSpec, engine_for: Callable[[], _Engine]) -> SearchRe
     return SearchResult("none", out["nodes"], complete=True)
 
 
+class _Probes:
+    """Find-first window runs that share one node budget and one deadline.
+
+    Each graph's engine is built at its first run that needs one and kept.
+    Once a run exhausts the budget, or no node or time is left for the next
+    one, ``complete`` is False and every later run finds nothing at no cost.
+    """
+
+    def __init__(self, p: int, budget: Budget | None):
+        budget = budget or Budget()
+        self.p = p
+        self.max_nodes = budget.max_nodes
+        self.deadline = _deadline(budget)
+        self.nodes = 0
+        self.complete = True
+        self.engines: dict[int, _Engine] = {}  # by id() of the graph
+
+    def find(self, graph: Graph, lo: int, hi: int) -> tuple[int, ...] | None:
+        """The first labeling of ``graph`` in search order with d in [lo, hi], or None."""
+        secs = None if self.deadline is None else self.deadline - time.monotonic()
+        if self.nodes >= self.max_nodes or (secs is not None and secs <= 0):
+            self.complete = False
+        if not self.complete:
+            return None
+        budget = Budget(self.max_nodes - self.nodes, secs)
+        spec = SearchSpec(graph, self.p, DiffWindow(lo, hi), budget)
+        res = _run_search(spec, lambda: self._engine(graph))
+        self.nodes += res.nodes
+        self.complete = res.outcome != "exhausted"
+        return res.labeling
+
+    def _engine(self, graph: Graph) -> _Engine:
+        if id(graph) not in self.engines:
+            self.engines[id(graph)] = _Engine(graph, self.p)
+        return self.engines[id(graph)]
+
+
 def achievable_differences(
-    graph: Graph, p: int, budget: Budget | None = None, ceiling: int = DEFAULT_ORDER_CEILING
+    graph: Graph, p: int, budget: Budget | None = None
 ) -> tuple[dict[int, tuple[int, ...]], bool, int]:
     """Map each achievable d = |rho|-|eta| to its first witness labeling.
 
-    Returns (witnesses, complete, nodes). complete is False when the budget
-    ran out, in which case the map may be partial.
+    One probe [d, d] per d in -size..size of the size's parity, on one
+    engine. Returns (witnesses, complete, nodes). complete is False when the
+    budget ran out, in which case the map may be partial.
     """
-    if graph.order > ceiling:
-        raise ValueError(
-            f"graph order {graph.order} exceeds the search ceiling {ceiling}"
-        )
-    budget = budget or Budget()
-    engine = _Engine(graph, p)
-    witnesses: dict[int, tuple[int, ...]] = {}
-
-    def collect(diff: int, labels_by_pos: list[int]) -> None:
-        if diff not in witnesses:
-            witnesses[diff] = engine._assign_by_vertex(labels_by_pos)
-
+    probes = _Probes(p, budget)
     q = graph.size
-    out = engine.run(
-        -q - 1,
-        q + 1,
-        stop_at_first=False,
-        max_nodes=budget.max_nodes,
-        deadline=_deadline(budget),
-        on_complete=collect,
-    )
-    return witnesses, not out["exhausted_budget"], out["nodes"]
+    found = {d: probes.find(graph, d, d) for d in range(-q, q + 1, 2)}
+    witnesses = {d: lab for d, lab in found.items() if lab is not None}
+    return witnesses, probes.complete, probes.nodes
 
 
 @dataclass(frozen=True)
@@ -547,98 +561,54 @@ class RecipeSearchResult:
 
 
 def find_base_labelings(
-    theorem: str,
-    g1: Graph,
-    g2: Graph,
-    p: int,
-    budget: Budget | None = None,
-    ceiling: int = DEFAULT_ORDER_CEILING,
+    theorem: str, g1: Graph, g2: Graph, p: int, budget: Budget | None = None
 ) -> RecipeSearchResult:
     """Search for base labelings satisfying a construction's balance hypothesis.
 
     Structural preconditions (orders, divisibility, connectivity, odd-cycle
     and tree requirements) are enforced before any search begins and raise
-    immediately. For single-labeling hypotheses the relevant factor is
-    searched for the exact target window. For the join and corona the factor
-    with fewer vertices is enumerated completely, and for each difference it
-    can achieve the other factor is searched for the complementary window;
-    outcome "none" certifies that the full combined space was exhausted.
+    immediately. A single-labeling hypothesis is one probe of its factor at
+    the target window; the join and corona probe both factors (see
+    ``_probe_pair``). Outcome "none" certifies that no pair of labelings fits.
     """
     theorem = normalize_theorem(theorem)
     if theorem not in BALANCE_THEOREMS:
         raise ValueError(f"{theorem} takes no base labelings")
     form = balance_form(theorem, g1, g2, p)  # raises on structural violations
-    budget = budget or Budget()
-    nodes_left = budget.max_nodes
-    deadline = _deadline(budget)
-
-    def remaining_budget() -> Budget:
-        secs = None
-        if deadline is not None:
-            secs = max(deadline - time.monotonic(), 0.001)
-        return Budget(max_nodes=max(nodes_left, 1), max_seconds=secs)
-
-    engine = None  # every window search of one call is on the same graph
-
-    def windowed(graph: Graph, lo: int, hi: int) -> SearchResult:
-        def engine_for() -> _Engine:
-            nonlocal engine
-            engine = engine or _Engine(graph, p)
-            return engine
-
-        spec = SearchSpec(
-            graph,
-            p,
-            objective=DiffWindow(lo, hi),
-            budget=remaining_budget(),
-            mode="find-first",
-            ceiling=ceiling,
-        )
-        return _run_search(spec, engine_for)
-
+    probes = _Probes(p, budget)
     labeled1, labeled2 = BASE_LABELINGS[theorem]
-    if not (labeled1 and labeled2):  # the hypothesis constrains one factor
-        res = windowed(g1 if labeled1 else g2, form.lo, form.hi)
-        if res.outcome != "found":
-            return RecipeSearchResult(res.outcome, None, res.nodes)
-        labs = (res.labeling, None) if labeled1 else (None, res.labeling)
-        return RecipeSearchResult("found", ConstructionRecipe(theorem, p, g1, g2, *labs), res.nodes)
+    if labeled1 and labeled2:
+        labs = _probe_pair(probes, form, g1, g2)
+    else:  # the hypothesis constrains one factor
+        lab = probes.find(g1 if labeled1 else g2, form.lo, form.hi)
+        labs = None if lab is None else (lab, None) if labeled1 else (None, lab)
+    if labs is None:
+        return RecipeSearchResult("none" if probes.complete else "exhausted", None, probes.nodes)
+    return RecipeSearchResult("found", ConstructionRecipe(theorem, p, g1, g2, *labs), probes.nodes)
 
-    # Two labeled factors: enumerate the smaller one completely.
+
+def _probe_pair(
+    probes: _Probes, form: BalanceForm, g1: Graph, g2: Graph
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Labelings of g1 and g2 with coef1*d1 + coef2*d2 in [lo, hi], or None.
+
+    The factor with fewer vertices is probed at each d_scan in ascending
+    order, and when it reaches d_scan the other factor is probed at the
+    complementary window. A d_scan whose window misses the other factor's
+    range [-size, size] is skipped without a probe.
+    """
     scan_is_g1 = g1.order <= g2.order
-    scan_graph, other_graph = (g1, g2) if scan_is_g1 else (g2, g1)
-    scan_coef, other_coef = (
-        (form.coef1, form.coef2) if scan_is_g1 else (form.coef2, form.coef1)
-    )
-    witnesses, scan_complete, nodes = achievable_differences(
-        scan_graph, p, remaining_budget(), ceiling
-    )
-    total_nodes = nodes
-    nodes_left -= nodes
-    all_complete = scan_complete
-    for d_scan in sorted(witnesses):
-        if nodes_left <= 0:
-            all_complete = False
-            break
+    scan, other = (g1, g2) if scan_is_g1 else (g2, g1)
+    scan_coef, other_coef = (form.coef1, form.coef2) if scan_is_g1 else (form.coef2, form.coef1)
+    q = other.size
+    for d_scan in range(-scan.size, scan.size + 1, 2):
         # need other_coef * d_other in [lo - scan_coef*d_scan, hi - scan_coef*d_scan]
-        lo_num = form.lo - scan_coef * d_scan
-        hi_num = form.hi - scan_coef * d_scan
-        d_lo = -(-lo_num // other_coef)  # ceil
-        d_hi = hi_num // other_coef  # floor
+        d_lo = max(-(-(form.lo - scan_coef * d_scan) // other_coef), -q)  # ceil
+        d_hi = min((form.hi - scan_coef * d_scan) // other_coef, q)  # floor
         if d_lo > d_hi:
             continue
-        res = windowed(other_graph, d_lo, d_hi)
-        total_nodes += res.nodes
-        nodes_left -= res.nodes
-        if res.outcome == "found":
-            lab1, lab2 = (
-                (witnesses[d_scan], res.labeling)
-                if scan_is_g1
-                else (res.labeling, witnesses[d_scan])
-            )
-            recipe = ConstructionRecipe(theorem, p, g1, g2, lab_g1=lab1, lab_g2=lab2)
-            return RecipeSearchResult("found", recipe, total_nodes)
-        if res.outcome == "exhausted":
-            all_complete = False
-    outcome = "none" if all_complete else "exhausted"
-    return RecipeSearchResult(outcome, None, total_nodes)
+        lab_scan = probes.find(scan, d_scan, d_scan)
+        lab_other = None if lab_scan is None else probes.find(other, d_lo, d_hi)
+        if lab_other is not None:
+            return (lab_scan, lab_other) if scan_is_g1 else (lab_other, lab_scan)
+    return None

@@ -217,8 +217,15 @@ def test_construct_recipe_file(tmp_path, capsys):
         {"order": 3, "edges": None},
         {"order": 3, "edges": [[0, 1]], "names": 5},
         {"order": None, "edges": [[0, 1]]},
+        {"order": 3.7, "edges": [[0, 1.9], [True, 2]]},
+        {"order": 3, "edges": [[1, 2], [0, "1"]]},
+        {"order": 3, "edges": [[1, 2], [0, 1.0]]},
+        {"order": 3, "edges": [[1, 2], [0, True]]},
     ],
-    ids=["null-endpoint", "int-edges", "null-edges", "int-names", "null-order"],
+    ids=[
+        "null-endpoint", "int-edges", "null-edges", "int-names", "null-order",
+        "float-order", "str-endpoint", "float-endpoint", "bool-endpoint",
+    ],
 )
 @pytest.mark.parametrize("command", ["verify", "search"])
 def test_malformed_graph_file_is_usage_error(tmp_path, capsys, obj, command):
@@ -245,7 +252,12 @@ def test_construct_malformed_recipe_is_usage_error(tmp_path, capsys, obj):
 
 
 @pytest.mark.parametrize(
-    "key,value", [("lab_g1", 5), ("lab_g2", [1, None]), ("p", None), ("p", [5]), ("g1", 7)]
+    "key,value",
+    [
+        ("lab_g1", 5), ("lab_g2", [1, None]), ("p", None), ("p", [5]), ("g1", 7),
+        ("p", 5.0), ("p", "5"), ("p", True), ("lab_g1", [1.5, 2.2, 3.7, 4, 5]),
+        ("lab_g1", [2, 1, 3, 5, True]),
+    ],
 )
 def test_construct_bad_recipe_field_is_named(tmp_path, capsys, key, value):
     obj = {"theorem": "cartesian", "p": 5, "g1": "cycle:5", "g2": "cycle:4", key: value}
@@ -265,8 +277,14 @@ def test_construct_bad_recipe_field_is_named(tmp_path, capsys, key, value):
         {"p": 3, "assign": [1, None, 3]},
         {"p": 3, "assign": 5},
         {"p": [1], "assign": [1, 2, 3]},
+        {"p": 3.9, "assign": [1.5, 2.2, 3.7]},
+        {"p": "3", "assign": [1, 2, 3]},
+        {"p": 3.0, "assign": [1, 2, 3]},
+        {"p": True, "assign": [1, 2, 3]},
+        {"p": 3, "assign": [1, 2, 3.0]},
     ],
-    ids=["null-entry", "int-assign", "list-p"],
+    ids=["null-entry", "int-assign", "list-p", "float-p-and-entries", "str-p", "float-p",
+         "bool-p", "float-entry"],
 )
 def test_malformed_labeling_file_is_usage_error(tmp_path, capsys, obj):
     path = tmp_path / "lab.json"

@@ -1,4 +1,5 @@
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -14,6 +15,8 @@ from legcordial.graph import (
     adjacency,
     bipartition,
     check_shape,
+    exact_int,
+    exact_ints,
     graph_dumps,
     graph_from_json,
     graph_loads,
@@ -184,8 +187,13 @@ def _checked(build):
 
 def _from_json_reference(obj: dict) -> Graph:
     """graph_from_json without the linear pass, for objects with both keys:
-    every endpoint through int(), then Graph."""
-    return Graph(int(obj["order"]), [(int(u), int(v)) for u, v in obj["edges"]], obj.get("names"))
+    the order and every endpoint must be exact ints, then Graph."""
+    try:
+        order = exact_int(obj["order"], "graph order")
+        pairs = [exact_ints(e, "graph endpoint") for e in obj["edges"]]
+        return Graph(order, pairs, obj.get("names"))
+    except TypeError as exc:
+        raise ValueError(f"malformed graph JSON: {exc}") from exc
 
 
 def _insert(edges: list, data, pair) -> None:
@@ -216,8 +224,10 @@ def _mutate(edges: list, order: int, data, kind: str) -> None:
     elif kind in ("str", "float", "bool") and edges:
         i = data.draw(st.integers(0, len(edges) - 1))
         pair = list(edges[i])
-        if pair:
-            j = data.draw(st.integers(0, len(pair) - 1))
+        # only an entry that is still an int: float("True") would raise here
+        ints = [j for j, x in enumerate(pair) if type(x) is int]
+        if ints:
+            j = data.draw(st.sampled_from(ints))
             pair[j] = {"str": str, "float": float, "bool": bool}[kind](pair[j])
             edges[i] = tuple(pair)
 
@@ -248,7 +258,8 @@ def test_linear_pass_matches_checked_path(data):
     if edges == canonical and names is None and all(type(x) is int for e in edges for x in e):
         assert got[1] == tuple(canonical)  # untouched input: the pass keeps it
 
-    obj = {"order": data.draw(st.sampled_from([order, str(order), float(order), 0])), "edges": edges}
+    # "3", 3.0 and true are refused as orders; 0 reaches Graph's range check
+    obj = {"order": data.draw(st.sampled_from([order, str(order), float(order), True, 0])), "edges": edges}
     if names is not None:
         obj["names"] = names
     assert _outcome(lambda: graph_from_json(obj)) == _checked(lambda: _from_json_reference(obj))
@@ -277,10 +288,24 @@ def test_other_input_takes_the_checked_path():
         Graph(3, [(0, 1), (1, 1)])
     with pytest.raises(ValueError, match=r"edge \(0,3\) out of range for order 3"):
         Graph(3, [(0, 1), (0, 3)])
-    # JSON endpoints go through int()
-    assert graph_from_json({"order": 3, "edges": [["0", 1.0], [True, 2]]}).edges == ((0, 1), (1, 2))
-    for edges in ([[0, 1], [1.0, 2]], [[0, 1], [True, 2]]):
-        g = graph_from_json({"order": 3, "edges": edges})
-        assert [type(x) for e in g.edges for x in e] == [int] * 4
-    with pytest.raises(ValueError, match="invalid literal for int"):
-        graph_from_json({"order": 0, "edges": [["a", 1]]})
+    # JSON endpoints and orders must be exact ints: nothing is converted
+    assert graph_from_json({"order": 3, "edges": [[1, 2], [0, 1]]}).edges == ((0, 1), (1, 2))
+    for obj, bad in (
+        ({"order": 3, "edges": [[0, 1], [1.0, 2]]}, "graph endpoint must be an integer, got 1.0"),
+        ({"order": 3, "edges": [[0, 1], [True, 2]]}, "graph endpoint must be an integer, got True"),
+        ({"order": 0, "edges": [["a", 1]]}, "graph endpoint must be an integer, got 'a'"),
+        ({"order": 3.7, "edges": [[0, 1.9], [True, 2]]}, "graph order must be an integer, got 3.7"),
+        ({"order": "3", "edges": [[0, 1]]}, "graph order must be an integer, got '3'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"malformed graph JSON: {bad}")):
+            graph_from_json(obj)
+
+
+def test_exact_int_refuses_what_int_would_convert():
+    assert exact_int(3, "x") == 3
+    assert exact_ints([1, 2, 3], "x") == (1, 2, 3)
+    for value in (3.0, 3.9, "3", True, None, [3]):
+        with pytest.raises(TypeError, match=r"^x must be an integer, got "):
+            exact_int(value, "x")
+        with pytest.raises(TypeError, match=r"^x must be an integer, got "):
+            exact_ints([1, value, 3], "x")

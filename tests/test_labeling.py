@@ -44,7 +44,7 @@ def test_tally_c3_identity():
     lab = identity_labeling(make_cycle(3))
     tally = induced_tally(lab, CTX3)
     assert (tally.e0, tally.e1) == (2, 1)
-    assert tally.difference == 1
+    assert tally.difference == -1  # d = e1 - e0, as search uses it
     assert tally.is_cordial
     assert is_cordial(lab, CTX3)
 

@@ -121,7 +121,6 @@ def test_budget_exhaustion_is_distinct():
 def test_order_ceiling():
     with pytest.raises(ValueError, match="ceiling"):
         SearchSpec(make_path(13), 3)
-    SearchSpec(make_path(13), 3, ceiling=13)
 
 
 def test_search_spec_has_no_jobs():
@@ -433,6 +432,39 @@ def test_budget_sweep_stops_at_every_node(mode, g, p):
         assert search_labeling(SearchSpec(g, p, mode=mode, budget=Budget(max_nodes=max_nodes))) == full
 
 
+# The complete maps as the leaf scan that preceded the per-difference probes
+# recorded them, in 9 943 and 65 201 nodes.
+ACHIEVABLE_PINNED = [
+    (make_cycle(8), 11, 277, {
+        -8: (1, 5, 2, 8, 3, 4, 6, 7),
+        -6: (1, 2, 4, 3, 8, 5, 6, 7),
+        -4: (1, 2, 3, 8, 5, 6, 4, 7),
+        -2: (1, 2, 3, 4, 6, 5, 8, 7),
+        0: (1, 2, 3, 4, 5, 8, 6, 7),
+        2: (1, 2, 3, 4, 5, 6, 7, 8),
+        4: (1, 2, 3, 4, 5, 7, 6, 8),
+        6: (1, 2, 3, 6, 4, 5, 7, 8),
+        8: (1, 2, 3, 6, 8, 7, 5, 4),
+    }),
+    (make_path(9), 5, 152, {
+        -8: (9, 1, 2, 3, 4, 6, 7, 5, 8),
+        -6: (6, 1, 2, 3, 4, 5, 7, 8, 9),
+        -4: (9, 1, 2, 3, 4, 5, 6, 7, 8),
+        -2: (7, 1, 2, 3, 4, 5, 6, 8, 9),
+        0: (8, 1, 2, 3, 4, 5, 6, 7, 9),
+        2: (8, 1, 2, 3, 4, 7, 9, 5, 6),
+        4: (8, 1, 2, 3, 6, 5, 4, 7, 9),
+        6: (3, 1, 2, 4, 7, 9, 5, 6, 8),
+        8: (8, 1, 3, 6, 5, 4, 2, 7, 9),
+    }),
+]
+
+
+@pytest.mark.parametrize("g,p,nodes,want", ACHIEVABLE_PINNED, ids=["cycle8-p11", "path9-p5"])
+def test_achievable_differences_maps_are_pinned(g, p, nodes, want):
+    assert achievable_differences(g, p) == (want, True, nodes)
+
+
 def test_achievable_differences_budget_sweep():
     g = make_cycle(6)
     full, complete, nodes = achievable_differences(g, 7)
@@ -545,9 +577,11 @@ H7 = Graph(7, [(0, 6), (1, 5), (2, 4), (1, 6), (2, 5), (3, 6), (4, 5)])
 # One found case per balance theorem: outcome and witnesses recorded before
 # the theorem table replaced the per-theorem branches, nodes_before since
 # twin runs (the corona and lexicographic cases needed 8, 35 and 205 before).
-# FBL_NODES holds the cases whose nodes fell with the label ceilings. The
-# join case enumerates g2 and the second corona case g1 (the smaller factor).
-FBL_NODES = {("corona", 7): 6, ("corona", 32): 30, ("lexicographic", 180): 172}
+# FBL_NODES holds the cases whose nodes fell with the label ceilings (the
+# lexicographic case) or with the per-difference probes. The join case
+# probes g2 and the second corona case g1 (the smaller factor); before the
+# probes, that corona case needed 30 nodes.
+FBL_NODES = {("corona", 7): 6, ("corona", 32): 26, ("lexicographic", 180): 172}
 
 
 @pytest.mark.parametrize(
@@ -571,6 +605,38 @@ def test_fbl_found_is_pinned(theorem, g1, g2, p, nodes_before, lab_g1, lab_g2):
     assert brute_tally(graph.edges, lab.assign, p) == (pred.e0, pred.e1)
 
 
+# Join and corona cases whose nodes the per-difference probes changed:
+# (theorem, g1, g2, p, outcome, nodes, recipe's base labelings or None).
+# The C10 corona recipe is the one the leaf scan found after 326 027 nodes;
+# the P11 corona ended "exhausted" at the 2 M default budget before. K5 is
+# dense and reaches few differences, so its probes cost more than its leaf
+# scan did.
+PROBE_CASES = [
+    ("join", make_cycle(6), make_cycle(7), 3, "none", 26, None),  # 285 before
+    ("join", make_complete(5), make_cycle(10), 5, "none", 23, None),  # 10 before
+    (
+        "corona", make_cycle(10), make_cycle(10), 5, "found", 50,
+        ((1, 2, 3, 4, 5, 6, 7, 9, 10, 8), (1, 2, 3, 4, 5, 6, 8, 7, 9, 10)),
+    ),
+    ("corona", make_path(11), make_cycle(11), 11, "found", 46, None),
+]
+
+
+@pytest.mark.parametrize(
+    "theorem,g1,g2,p,outcome,nodes,labs",
+    PROBE_CASES,
+    ids=["join-C6-C7-p3", "join-K5-C10-p5", "corona-C10-C10-p5", "corona-P11-C11-p11"],
+)
+def test_fbl_probe_nodes_are_pinned(theorem, g1, g2, p, outcome, nodes, labs):
+    out = find_base_labelings(theorem, g1, g2, p)
+    assert (out.outcome, out.nodes) == (outcome, nodes)
+    if outcome == "found":
+        if labs is not None:
+            assert (out.recipe.lab_g1, out.recipe.lab_g2) == labs
+        graph, lab, pred = run_recipe(out.recipe)
+        assert brute_tally(graph.edges, lab.assign, p) == (pred.e0, pred.e1)
+
+
 @pytest.mark.parametrize(
     "theorem,g1,g2,p",
     [
@@ -582,6 +648,48 @@ def test_fbl_found_is_pinned(theorem, g1, g2, p, nodes_before, lab_g1, lab_g2):
 def test_fbl_parity_empty_window(theorem, g1, g2, p):
     out = find_base_labelings(theorem, g1, g2, p)
     assert (out.outcome, out.nodes) == ("none", 0)
+
+
+def test_fbl_builds_each_engine_once_and_lists_no_leaves(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the join probes its factors, it does not list their leaves")
+
+    built = []
+    engine = search._Engine
+
+    def counted(graph, p):
+        built.append(graph.order)
+        return engine(graph, p)
+
+    monkeypatch.setattr(search, "achievable_differences", no_scan)
+    monkeypatch.setattr(search, "_Engine", counted)
+    out = find_base_labelings("join", make_cycle(7), make_cycle(9), 7)
+    assert (out.outcome, out.nodes) == ("found", 1947)  # 3 331 before the probes
+    assert sorted(built) == [7, 9]
+
+
+class _Clock:
+    """Stands in for the time module: monotonic() moves 1 s on at every call."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+def test_probes_share_one_deadline(monkeypatch):
+    # The deadline is set at t=1 to 3.5, the first probe starts at t=2 and
+    # polls the clock once at its first node, and the second sees t=5 > 3.5.
+    g = make_cycle(10)
+    first = search_labeling(SearchSpec(g, 5, DiffWindow.exact(-10)))
+    monkeypatch.setattr(search, "time", _Clock())
+    got = achievable_differences(g, 5, Budget(max_seconds=2.5))
+    assert got == ({-10: first.labeling}, False, first.nodes)
+    monkeypatch.setattr(search, "time", _Clock())
+    out = find_base_labelings("join", make_cycle(7), make_cycle(9), 7, Budget(max_seconds=2.5))
+    assert (out.outcome, out.recipe) == ("exhausted", None)
 
 
 def test_fbl_budget_exhaustion():
