@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 MAX_ORDER = 1_000_000  # total-vertex cap shared by every graph builder
@@ -89,8 +90,13 @@ def _canonical_run(order: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ..
 
 
 def _canonicalize(order: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
-    """The checked path: refuse self-loops and out-of-range endpoints, then
+    """The checked path: refuse endpoints that are not exact ints (TypeError,
+    as exact_int words it), self-loops and out-of-range endpoints, then
     orient each pair (min, max), drop repeats and sort."""
+    edges = list(edges)  # an iterator can be read only once
+    if not set(map(type, chain.from_iterable(edges))) <= {int}:  # one pass in C when all are ints
+        for x in chain.from_iterable(edges):
+            exact_int(x, "graph endpoint")
     canon = set()
     for u, v in edges:
         if u == v:

@@ -9,52 +9,61 @@ exactly when even labeling every undecided edge uniformly 0 or uniformly 1
 cannot bring d into the window, which keeps pruning sound for counting and
 non-existence proofs, not just satisfiability.
 
-An edge's induced label depends only on (f(u) + f(v)) mod p, so when p < n
-two unused labels of one residue class mod p lead to isomorphic subtrees.
-Each node therefore expands only the smallest unused label of each class,
-and in count-all a subtree counts once per unused label of the chosen
-label's class. Outcomes, counts and first witnesses are those of the full
-search, because the first witness in search order always uses the smallest
-unused label of its class. When p >= n every class holds one label and this
-is the plain search.
+Two exact reductions shrink the tree; an engine uses one of them. First,
+residue classes and twin runs, when p < n. An edge's induced label depends
+only on (f(u) + f(v)) mod p, so two unused labels of one residue class mod
+p lead to isomorphic subtrees. Each node therefore expands only the
+smallest unused label of each class, and in count-all a subtree counts once
+per unused label of the chosen label's class. Outcomes, counts and first
+witnesses are those of the full search, because the first witness in
+search order always uses the smallest unused label of its class. Vertices
+u and v are twins when N(u) - {v} = N(v) - {u}; swapping them is an
+automorphism. Consecutive positions that are twins form a run, and labels
+must increase along it. In count-all the leaf then stands for every order
+of the run's residue classes, k! / prod(m_r!) for a run of length k holding
+m_r labels of class r. The first witness already increases along every
+run, since swapping twins keeps d.
 
-Three more rules are exact in the same sense. First, the stabilizer chain,
-when p >= n. Labels are then distinct, so Aut(G) acts freely on labelings.
-Take the labels L in search-position order. A non-identity automorphism s
-is decided at the first position a it moves, where L(a) != L(s(a)). So L is
-the lex-least labeling of its orbit exactly when L(a) < L(b) for every
-position a and every other b in O_a, the orbit of a under the automorphisms
-that fix positions 0..a-1 (Puget, "Breaking symmetries in all different
-problems", IJCAI 2005). The engine computes these orbits once per graph,
-without listing the group, and starts position b's candidates above the
-label of the largest a whose orbit holds b. The first witness in search
-order is lex-least, so it survives. Count-all weighs every leaf by
-|Aut(G)| = prod |O_a|.
+Second, the stabilizer chain, exact at every p: labels 1..n are distinct
+integers, so Aut(G) acts freely on labelings. Take the labels L in
+search-position order. A non-identity automorphism s is decided at the
+first position a it moves, where L(a) != L(s(a)). So L is the lex-least
+labeling of its orbit exactly when L(a) < L(b) for every position a and
+every other b in O_a, the orbit of a under the automorphisms that fix
+positions 0..a-1 (Puget, "Breaking symmetries in all different problems",
+IJCAI 2005). The engine computes these orbits once per graph, without
+listing the group, and starts position b's candidates above the label of
+the largest a whose orbit holds b; every unused label is a candidate. The
+first witness in search order is lex-least, so it survives. Count-all
+weighs every leaf by |Aut(G)| = prod |O_a|. The chain holds every twin
+swap, so runs are not used with it. Its set-up stops after CHAIN_CALL_CAP
+automorphism-extension steps, and the engine then goes without it.
 
-Second, twin runs, when p < n. Vertices u and v are twins when
-N(u) - {v} = N(v) - {u}; swapping them is an automorphism. Consecutive
-positions that are twins form a run, and labels must increase along it. In
-count-all the leaf then stands for every order of the run's residue classes,
-k! / prod(m_r!) for a run of length k holding m_r labels of class r. The
-first witness already increases along every run, since swapping twins keeps
-d. (At p >= n the chain holds every twin swap, so runs are not used there.)
+The chain is used whenever p >= n. At p < n it replaces residue classes
+and twin runs only in count-all and prove-none, which visit the whole
+tree, and only when |Aut(G)| exceeds T = prod m_r! * prod R!, the most
+those two cut (m_r labels of class r, runs of length R); a bound on
+|Aut(G)| from degrees and _invariant skips the chain's set-up when it
+cannot win. Find-first runs stop at their first witness, too soon for the
+set-up to pay.
 
-Both rules also cap each position's label, once per engine, and a larger
-label would leave no leaf below it: L(a) <= n - |O_a| + 1 at p >= n, since
-the rest of O_a needs larger labels, and L <= n - (R - t) at offset t of a
-twin run of length R. The last position's label, the one left unused, is
-not scanned for: the position before it reads it off and settles the leaf.
+Both reductions also cap each position's label, once per engine, and a
+larger label would leave no leaf below it: L(a) <= n - |O_a| + 1 under the
+chain, since the rest of O_a needs larger labels, and L <= n - (R - t) at
+offset t of a twin run of length R. The last position's label, the one
+left unused, is not scanned for: the position before it reads it off and
+settles the leaf.
 
-Third, d always has the parity of the graph's size, so the window is
+Also, d always has the parity of the graph's size, so the window is
 narrowed to that parity before the engine is built; an empty window is a
 certified "none" after 0 nodes.
 
 Budgets count assignment-tree nodes (each candidate label tried at a vertex:
-only class representatives, and only labels above the bound of the chain or
-the twin run and below the position's ceiling; the last position's one label
-is a node when it is above its bound) so runs are reproducible; the
-reported node count never exceeds the node budget. An optional wall-clock
-limit is a secondary kill switch. A budget-exhausted run is a distinct
+only class representatives under residue classes, and only labels above the
+bound of the chain or the twin run and below the position's ceiling; the
+last position's one label is a node when it is above its bound) so runs are
+reproducible; the reported node count never exceeds the node budget. An
+optional wall-clock limit is a secondary kill switch. A budget-exhausted run is a distinct
 outcome, never conflated with a completed proof of non-existence.
 
 `achievable_differences` and `find_base_labelings` are sequences of
@@ -67,6 +76,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -83,6 +93,9 @@ from .numtheory import check_prime
 
 DEFAULT_ORDER_CEILING = 12
 DEFAULT_NODE_BUDGET = 2_000_000
+# _map_extension calls allowed in one _stabilizer_chain run; at the cap the
+# engine drops the chain and searches without it
+CHAIN_CALL_CAP = 10_000
 
 MODES = ("find-first", "count-all", "prove-none")
 
@@ -161,16 +174,24 @@ class _FoundFirst(Exception):
     pass
 
 
+class _ChainCapped(Exception):
+    pass
+
+
 def _map_extension(
-    pn: list[int], deg: list[int], img: list[int], dom: int, used: int
+    pn: list[int], deg: list[int], img: list[int], dom: int, used: int, left: list[int]
 ) -> list[int] | None:
     """Extend a partial map of positions to an automorphism, or return None.
 
     ``img[x]`` is the image of each x in the bitmask ``dom``, ``used`` is the
     mask of those images, and the mapped pairs already agree on adjacency.
     The next position mapped is the unmapped one with the most mapped
-    neighbours, so a dead end shows early.
+    neighbours, so a dead end shows early. ``left[0]`` is the number of
+    calls still allowed; past it, _ChainCapped is raised.
     """
+    if not left[0]:
+        raise _ChainCapped
+    left[0] -= 1
     n = len(pn)
     if dom == (1 << n) - 1:
         return img
@@ -189,7 +210,7 @@ def _map_extension(
     for w in range(n):
         if not used >> w & 1 and deg[w] == du and pn[w] & used == want:
             img[u] = w
-            if _map_extension(pn, deg, img, dom | 1 << u, used | 1 << w):
+            if _map_extension(pn, deg, img, dom | 1 << u, used | 1 << w, left):
                 return img
     return None
 
@@ -210,7 +231,7 @@ def _invariant(pn: list[int], deg: list[int], k: int) -> int:
     return total
 
 
-def _stabilizer_chain(pn: list[int], deg: list[int]) -> tuple[list[int], list[int]]:
+def _stabilizer_chain(pn: list[int], deg: list[int]) -> tuple[list[int], list[int]] | None:
     """Stabilizer-chain orbits of Aut(G), acting on search positions.
 
     ``pn[k]`` is position k's neighbourhood bitmask and ``deg[k]`` its
@@ -219,7 +240,8 @@ def _stabilizer_chain(pn: list[int], deg: list[int]) -> tuple[list[int], list[in
     ``above[b]`` is the largest a < b with b in O_a, or -1, and ``sizes[a]``
     is |O_a|, so |Aut(G)| = prod sizes. Levels run from the last position
     down, so every automorphism found so far fixes 0..a-1 and closes O_a
-    without a search.
+    without a search. Returns None once CHAIN_CALL_CAP calls of
+    _map_extension have not sufficed.
     """
     n = len(pn)
     if 2 * sum(deg) > n * (n - 1):
@@ -231,6 +253,7 @@ def _stabilizer_chain(pn: list[int], deg: list[int]) -> tuple[list[int], list[in
     above = [-1] * n
     sizes = [1] * n
     gens: list[list[int]] = []
+    left = [CHAIN_CALL_CAP]
     for a in range(n - 2, -1, -1):
         if deg[a + 1] != deg[a]:  # a's degree class is {a}: O_a = {a}
             continue
@@ -254,7 +277,10 @@ def _stabilizer_chain(pn: list[int], deg: list[int]) -> tuple[list[int], list[in
                     continue
                 img = list(range(a)) + [-1] * (n - a)
                 img[a] = b
-                g = _map_extension(pn, deg, img, fixed | 1 << a, fixed | 1 << b)
+                try:
+                    g = _map_extension(pn, deg, img, fixed | 1 << a, fixed | 1 << b, left)
+                except _ChainCapped:
+                    return None
                 if g is None:
                     continue
             gens.append(g)
@@ -271,10 +297,42 @@ def _stabilizer_chain(pn: list[int], deg: list[int]) -> tuple[list[int], list[in
     return above, sizes
 
 
+def _chain_cuts_more(
+    pn: list[int], deg: list[int], p: int, run: list[int]
+) -> tuple[list[int], list[int]] | None:
+    """The stabilizer chain at p < n when it cuts more than residue classes
+    and twin runs do, else None.
+
+    Those two divide the labelings by at most T = prod m_r! * prod R!, where
+    m_r labels in 1..n are congruent to r mod p and R runs over the twin-run
+    lengths (``run`` holds each position's offset in its run); the chain
+    divides them by |Aut(G)|. Automorphisms keep degree and _invariant, so
+    B = prod (cell size)! over the cells of equal (degree, _invariant) bounds
+    |Aut(G)|. The chain is computed only when T < n! and B > T, and kept
+    only when |Aut(G)| > T.
+    """
+    n = len(pn)
+    # n % p classes hold n // p + 1 labels, the other classes n // p
+    cut = math.factorial(n // p + 1) ** (n % p) * math.factorial(n // p) ** (p - n % p)
+    cut *= math.prod(run)  # a run's offsets 1..R multiply out to R!
+    if cut >= math.factorial(n):
+        return None
+    cells = Counter(zip(deg, [_invariant(pn, deg, k) for k in range(n)]))
+    if math.prod(map(math.factorial, cells.values())) <= cut:
+        return None
+    chain = _stabilizer_chain(pn, deg)
+    if chain is None or math.prod(chain[1]) <= cut:
+        return None
+    return chain
+
+
 class _Engine:
     """Shared backtracking core; one instance per (graph, prime)."""
 
-    def __init__(self, graph: Graph, p: int):
+    def __init__(self, graph: Graph, p: int, whole_tree: bool = False):
+        """``whole_tree``: the runs will visit the whole pruned tree
+        (count-all, prove-none), so at p < n the stabilizer chain may pay
+        for its set-up (see _chain_cuts_more)."""
         check_prime(p)
         n = graph.order
         deg = [0] * n
@@ -301,25 +359,34 @@ class _Engine:
         # above[k]: the earlier position whose label k's must exceed, or -1.
         # run[k]: k's offset in its run of twins, 1 when k is not in a run.
         # top[k]: k's label ceiling plus 1 (see the module docstring).
+        # q: the step between labels of one class in run; n + 1 puts each
+        # label in a class of its own.
         if p >= n:
-            # Labels are distinct mod p, so Aut(G) acts freely and every leaf
-            # stands for |Aut(G)| labelings; the chain holds every twin swap.
-            above, sizes = _stabilizer_chain(pn, dp)
-            self.aut_weight = math.prod(sizes)
-            run = [1] * n
-            top = [n + 2 - size for size in sizes]
+            # The chain holds every twin swap. At its cap, the plain search.
+            chain = _stabilizer_chain(pn, dp) or ([-1] * n, [1] * n)
         else:
             # Twins u, v (N(u) - {v} = N(v) - {u}) at consecutive positions
             # form a run, and labels increase along it.
-            self.aut_weight = 1
             above, run = [-1] * n, [1] * n
             for k in range(1, n):
                 if dp[k] == dp[k - 1] and pn[k] & ~(1 << (k - 1)) == pn[k - 1] & ~(1 << k):
                     above[k], run[k] = k - 1, run[k - 1] + 1
+            chain = _chain_cuts_more(pn, dp, p, run) if whole_tree else None
+        if chain is not None:
+            # Labels are distinct, so Aut(G) acts freely and every leaf
+            # stands for |Aut(G)| labelings.
+            above, sizes = chain
+            self.aut_weight = math.prod(sizes)
+            run = [1] * n
+            top = [n + 2 - size for size in sizes]
+            self.q = n + 1
+        else:
+            self.aut_weight = 1
             top = [n + 1] * n
             for k in range(n - 2, -1, -1):
                 if run[k + 1] > 1:  # k + 1 continues k's run
                     top[k] = top[k + 1] - 1
+            self.q = p
         # steps[k] = (earlier neighbours of position k, edges still undecided
         # once k is labeled, above[k], run[k], top[k])
         self.steps: list[tuple[list[int], int, int, int, int]] = []
@@ -353,15 +420,15 @@ class _Engine:
         p = self.p
         last, penult = n - 1, n - 2
         labels = [0] * (n + 1)  # labels[-1] stays 0: "above" -1 bounds nothing
-        # lab + q is lab's class successor. When p > n every class holds one
-        # label, and q = n + 1 keeps each mask below bit 2n + 2 rather than
-        # p + n + 1; & full drops the successors past n.
-        q = min(p, n + 1)
+        # lab + q is lab's class successor: q = p under residue classes, and
+        # q = n + 1 when each label is its own class, which keeps each mask
+        # below bit 2n + 2; & full drops the successors past n.
+        q = self.q
         full = (1 << n + 1) - 2  # labels 1..n
-        # mult[lab]: the labels in 1..n congruent to lab mod p that are >= lab.
+        # mult[lab]: the labels in 1..n congruent to lab mod q that are >= lab.
         # When lab is the smallest unused label of its class, these are the
         # unused labels of the class, each of which gives an isomorphic subtree.
-        mult = [(n - lab) // p + 1 for lab in range(n + 1)]
+        mult = [(n - lab) // q + 1 for lab in range(n + 1)]
         nodes = count = 0
         # one budget test per node; past it, next_checkpoint raises or polls
         # the deadline and moves the checkpoint 4096 nodes on
@@ -471,7 +538,7 @@ def search_labeling(spec: SearchSpec) -> SearchResult:
     find-first semantics where a completed "none" is the certificate; a
     witness, if one exists, is reported as "found".
     """
-    return _run_search(spec, lambda: _Engine(spec.graph, spec.p))
+    return _run_search(spec, lambda: _Engine(spec.graph, spec.p, spec.mode != "find-first"))
 
 
 def _run_search(spec: SearchSpec, engine_for: Callable[[], _Engine]) -> SearchResult:
@@ -594,8 +661,9 @@ def _probe_pair(
 
     The factor with fewer vertices is probed at each d_scan in ascending
     order, and when it reaches d_scan the other factor is probed at the
-    complementary window. A d_scan whose window misses the other factor's
-    range [-size, size] is skipped without a probe.
+    complementary window. A d_scan whose window holds no difference of the
+    other factor (none in [-size, size] of the size's parity) is skipped
+    without a probe.
     """
     scan_is_g1 = g1.order <= g2.order
     scan, other = (g1, g2) if scan_is_g1 else (g2, g1)
@@ -605,6 +673,9 @@ def _probe_pair(
         # need other_coef * d_other in [lo - scan_coef*d_scan, hi - scan_coef*d_scan]
         d_lo = max(-(-(form.lo - scan_coef * d_scan) // other_coef), -q)  # ceil
         d_hi = min((form.hi - scan_coef * d_scan) // other_coef, q)  # floor
+        # d_other has the parity of q, as -q and q do
+        d_lo += (d_lo - q) % 2
+        d_hi -= (d_hi - q) % 2
         if d_lo > d_hi:
             continue
         lab_scan = probes.find(scan, d_scan, d_scan)

@@ -278,12 +278,22 @@ def test_canonical_input_skips_the_checked_path(monkeypatch):
 
 
 def test_other_input_takes_the_checked_path():
-    # shuffled, reversed, repeated, bool and float endpoints, and iterators
+    # shuffled, reversed, repeated, and iterators
     assert Graph(3, [(1, 2), (0, 1)]).edges == ((0, 1), (1, 2))
     assert Graph(3, [(1, 0), (0, 1)]).edges == ((0, 1),)
     assert Graph(3, [(0, 1), (0, 1), (1, 2)]).edges == ((0, 1), (1, 2))
     assert Graph(3, iter([(0, 1), (1, 2)])).edges == ((0, 1), (1, 2))
-    assert Graph(3, [(False, 2)]).edges == ((False, 2),)  # stored as given
+    # endpoints must be exact ints: bool and float ones are refused, also
+    # when an equal int pair comes first
+    for edges, bad in (
+        ([(False, 2)], "False"),
+        ([(0, 1.5)], "1.5"),
+        ([(1, 2), (True, 2)], "True"),
+        ([(0, 1), (2.0, 2.0)], "2.0"),
+        (iter([(0, 1), (1, None)]), "None"),
+    ):
+        with pytest.raises(TypeError, match=re.escape(f"graph endpoint must be an integer, got {bad}")):
+            Graph(3, edges)
     with pytest.raises(ValueError, match="self-loop at vertex 1"):
         Graph(3, [(0, 1), (1, 1)])
     with pytest.raises(ValueError, match=r"edge \(0,3\) out of range for order 3"):

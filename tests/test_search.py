@@ -142,7 +142,8 @@ def test_time_budget_bounds():
 
 
 # Outcomes, counts and first witnesses recorded before the engine exploited
-# residue classes, with the node counts it needed then.
+# residue classes, with the node counts it needed then. Count-all C7 p=5
+# now takes the stabilizer chain instead (test_cycle7_p5_count_all_is_pinned).
 SYMMETRIC_INSTANCES = [
     (make_cycle(7), 5, "count-all", DiffWindow.cordial(),
      "found", 2408, (1, 2, 3, 4, 7, 6, 5), 13283),
@@ -313,7 +314,7 @@ Q3 = Graph(8, [(u, u ^ (1 << i)) for u in range(8) for i in range(3) if u < u ^ 
 )
 def test_aut_weight_is_pinned(g, aut):
     assert search._Engine(g, 13).aut_weight == aut
-    assert search._Engine(g, 3).aut_weight == 1  # p < n: no chain
+    assert search._Engine(g, 3).aut_weight == 1  # find-first at p < n: no chain
 
 
 def _brute_aut_count(g: Graph) -> int:
@@ -348,6 +349,107 @@ def test_aut_weight_matches_brute_force(g):
 )
 def test_chain_matches_oracles(g, p):
     _check_against_oracles(g, p)
+
+
+W7 = Graph(7, [(0, k) for k in range(1, 7)] + [(k, k % 6 + 1) for k in range(1, 7)])
+K4K2 = cartesian(make_complete(4), make_complete(2))
+
+
+# At p < n, count-all and prove-none use the chain when |Aut(G)| exceeds
+# T = prod m_r! * prod R!, the most that residue classes and twin runs cut:
+# C6 p=3 has |Aut| 12 > T 8, C7 p=5 14 > 4, C8 p=7 16 > 2, Q3 p=5 48 > 8,
+# K4xK2 p=5 48 > 8 and W7 p=5 12 > 4.
+@pytest.mark.parametrize(
+    "g,p",
+    [(make_cycle(6), 3), (make_cycle(7), 5), (make_cycle(8), 7), (Q3, 5), (K4K2, 5), (W7, 5)],
+    ids=["C6-p3", "C7-p5", "C8-p7", "Q3-p5", "K4xK2-p5", "W7-p5"],
+)
+def test_chain_below_p_matches_oracles(g, p):
+    engine = search._Engine(g, p, whole_tree=True)
+    assert (engine.q, engine.aut_weight) == (g.order + 1, _brute_aut_count(g))
+    want = brute_diff_witnesses(g.edges, g.order, p)
+
+    def first(witnesses):  # the first in search order: lex-least by position
+        return min(witnesses, key=lambda a: [a[v] for v in engine.order])
+
+    cordial = [w for d, ws in want.items() if abs(d) <= 1 for w in ws]
+    res = search_labeling(SearchSpec(g, p, mode="count-all"))
+    assert (res.outcome, res.count, res.labeling, res.complete) == (
+        "found", len(cordial), first(cordial), True
+    )
+    assert search_labeling(SearchSpec(g, p, mode="prove-none")).labeling == first(cordial)
+    for d in range(-g.size, g.size + 1, 2):
+        window = DiffWindow.exact(d)
+        res = search_labeling(SearchSpec(g, p, window, mode="count-all"))
+        witness = first(want[d]) if d in want else None
+        assert (res.count, res.labeling) == (len(want.get(d, ())), witness)
+        res = search_labeling(SearchSpec(g, p, window, mode="prove-none"))
+        outcome = "found" if d in want else "none"
+        assert (res.outcome, res.labeling, res.complete) == (outcome, witness, d not in want)
+
+
+@pytest.mark.parametrize(
+    "g,nodes",
+    [
+        (make_cycle(7), 1366),
+        # C7 with its vertices named as the search benchmark's seed 0 names them
+        (Graph(7, [(0, 1), (0, 3), (1, 2), (2, 4), (3, 5), (4, 6), (5, 6)]), 960),
+    ],
+    ids=["C7", "C7-relabelled"],
+)
+def test_cycle7_p5_count_all_is_pinned(g, nodes):
+    # 3 487 nodes for both under residue classes, which cut a factor 2! * 2!
+    res = search_labeling(SearchSpec(g, 5, mode="count-all"))
+    assert (res.outcome, res.count, res.nodes, res.complete) == ("found", 2408, nodes, True)
+
+
+def test_find_first_below_p_builds_no_chain(monkeypatch):
+    def no_chain(*args):
+        raise AssertionError("find-first at p < n needs no chain")
+
+    monkeypatch.setattr(search, "_stabilizer_chain", no_chain)
+    g = make_cycle(7)
+    assert search_labeling(SearchSpec(g, 5)).outcome == "found"
+    assert achievable_differences(g, 5)[1]
+    assert find_base_labelings("join", make_cycle(6), make_cycle(7), 3).outcome == "none"
+    with pytest.raises(AssertionError, match="needs no chain"):  # count-all does build it
+        search_labeling(SearchSpec(g, 5, mode="count-all"))
+
+
+def _circulant(n: int, jumps) -> tuple[list[int], list[int]]:
+    """Neighbourhood masks and degrees of the circulant C_n(jumps); every
+    vertex has the same degree, so index order is the search order."""
+    pn = [0] * n
+    for u in range(n):
+        for j in jumps:
+            pn[u] |= 1 << (u + j) % n
+            pn[(u + j) % n] |= 1 << u
+    return pn, [m.bit_count() for m in pn]
+
+
+def test_chain_set_up_is_capped():
+    # C_32(1..7) needs 121 083 _map_extension calls, about 1 s, for its
+    # chain; the cap stops it after CHAIN_CALL_CAP calls (0.12 s on a
+    # 2-vCPU VM). No test or benchmark graph needs more than 100 calls.
+    pn, deg = _circulant(32, range(1, 8))
+    start = time.monotonic()
+    assert search._stabilizer_chain(pn, deg) is None
+    assert time.monotonic() - start < 0.6
+    assert search._stabilizer_chain(*_circulant(12, (1, 2))) is not None
+
+
+def test_capped_chain_falls_back_to_an_exact_search(monkeypatch):
+    monkeypatch.setattr(search, "CHAIN_CALL_CAP", 0)
+    g = make_cycle(7)
+    # p >= n: the plain search, with no order constraint and no ceiling
+    engine = search._Engine(g, 11)
+    assert (engine.aut_weight, engine.q) == (1, 8)
+    assert [step[2:] for step in engine.steps] == [(-1, 1, 8)] * 7
+    # p < n: residue classes, as without the chain
+    assert (search._Engine(g, 5, whole_tree=True).q, search._Engine(g, 5).q) == (5, 5)
+    for p in (5, 11):
+        _check_against_oracles(g, p)
+    assert search_labeling(SearchSpec(g, 5, mode="count-all")).nodes == 3487
 
 
 def test_cycle10_p11_count_all_fits_the_default_budget():
@@ -610,15 +712,17 @@ def test_fbl_found_is_pinned(theorem, g1, g2, p, nodes_before, lab_g1, lab_g2):
 # The C10 corona recipe is the one the leaf scan found after 326 027 nodes;
 # the P11 corona ended "exhausted" at the 2 M default budget before. K5 is
 # dense and reaches few differences, so its probes cost more than its leaf
-# scan did.
+# scan did. The two coronas needed 50 and 46 nodes while a scan probe still
+# ran when the complementary window held no difference of the other
+# factor's parity.
 PROBE_CASES = [
     ("join", make_cycle(6), make_cycle(7), 3, "none", 26, None),  # 285 before
     ("join", make_complete(5), make_cycle(10), 5, "none", 23, None),  # 10 before
     (
-        "corona", make_cycle(10), make_cycle(10), 5, "found", 50,
+        "corona", make_cycle(10), make_cycle(10), 5, "found", 32,
         ((1, 2, 3, 4, 5, 6, 7, 9, 10, 8), (1, 2, 3, 4, 5, 6, 8, 7, 9, 10)),
     ),
-    ("corona", make_path(11), make_cycle(11), 11, "found", 46, None),
+    ("corona", make_path(11), make_cycle(11), 11, "found", 27, None),
 ]
 
 
