@@ -282,6 +282,21 @@ def _finalize(
     return composite, lab, PredictedTally(e0, e1)
 
 
+def _column_layout(lab: Labeling, columns: int) -> list[int]:
+    """Vertex (a, j) of a product-set composite, at pair_index(a, j, columns) =
+    a * columns + j, takes lab(a) + n*j with n = lab's order: column j
+    repeats the labeling shifted by n*j."""
+    n = lab.graph.order
+    return [x + n * j for x in lab.assign for j in range(columns)]
+
+
+def _block_layout(lab: Labeling, blocks: int) -> list[int]:
+    """Block i, the indices s*i .. s*i + s - 1 with s = lab's order (pair_index
+    and corona_copy_index both place it so), repeats the labeling shifted by s*i."""
+    s = lab.graph.order
+    return [x + s * i for i in range(blocks) for x in lab.assign]
+
+
 # ---------------------------------------------------------------------------
 # Constructions without base labelings
 # ---------------------------------------------------------------------------
@@ -397,13 +412,9 @@ def construct_corona(
     """
     ctx, params, t1, t2 = _base_tallies("corona", g1, lab_g1, g2, lab_g2, p)
     n, m = params["n"], params["m"]
-    s = g2.order
     composite = corona_product(g1, g2)
-    assign = [0] * composite.order
-    for i in range(n):
-        for j in range(s):
-            assign[corona_copy_index(i, j, s)] = lab_g2.assign[j] + s * i
-        assign[corona_host_index(i, n, s)] = lab_g1.assign[i] + n * s
+    # host i comes last, at corona_host_index(i, n, |V(g2)|) = n*|V(g2)| + i
+    assign = _block_layout(lab_g2, n) + [x + n * g2.order for x in lab_g1.assign]
     base = n * m * (p - 1) // 2
     e0 = t1.e0 + n * t2.e0 + base + n * m
     e1 = t1.e1 + n * t2.e1 + base
@@ -421,12 +432,8 @@ def construct_lexicographic(
     """
     ctx, params, _, t2 = _base_tallies("lexicographic", g1, None, g2, lab_g2, p)
     n, m = params["n"], params["m"]
-    s = g2.order
     composite = lexicographic_product(g1, g2)
-    assign = [0] * composite.order
-    for i in range(n):
-        for j in range(s):
-            assign[pair_index(i, j, s)] = lab_g2.assign[j] + s * i
+    assign = _block_layout(lab_g2, n)
     base = n * m * m * p * (p - 1) // 2
     e0 = n * t2.e0 + base + n * m * m * p
     e1 = n * t2.e1 + base
@@ -446,10 +453,7 @@ def construct_cartesian(
     ctx, params, t1, _ = _base_tallies("cartesian", g1, lab_g1, g2, None, p)
     n, m, k = params["n"], params["m"], params["k"]
     composite = cartesian_product(g1, g2)
-    assign = [0] * composite.order
-    for a in range(g1.order):
-        for j in range(n):
-            assign[pair_index(a, j, n)] = lab_g1.assign[a] + g1.order * j
+    assign = _column_layout(lab_g1, n)
     base = n * m * k * (p - 1) // 2
     e0 = n * t1.e0 + base + n * m * k
     e1 = n * t1.e1 + base
@@ -467,10 +471,7 @@ def construct_tensor(
     """
     ctx, _, t1, _ = _base_tallies("tensor", g1, lab_g1, g2, None, p)
     composite = tensor_product(g1, g2)
-    assign = [0] * composite.order
-    for a in range(g1.order):
-        for j in range(g2.order):
-            assign[pair_index(a, j, g2.order)] = lab_g1.assign[a] + g1.order * j
+    assign = _column_layout(lab_g1, g2.order)
     q = g2.size
     e0 = 2 * t1.e0 * q
     e1 = 2 * t1.e1 * q
@@ -490,10 +491,7 @@ def construct_strong(
     ctx, params, t1, _ = _base_tallies("strong", g1, lab_g1, g2, None, p)
     n = params["n"]
     composite = strong_product(g1, g2)
-    assign = [0] * composite.order
-    for a in range(g1.order):
-        for j in range(n):
-            assign[pair_index(a, j, n)] = lab_g1.assign[a] + 3 * p * j
+    assign = _column_layout(lab_g1, n)  # g1's order is 3p
     rho1, eta1 = t1.e1, t1.e0
     cart_base = 3 * (p - 1) // 2 * (n - 1)
     e0 = n * eta1 + cart_base + 3 * (n - 1) + 2 * eta1 * (n - 1)

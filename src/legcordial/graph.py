@@ -36,7 +36,7 @@ class Graph:
         edges: Iterable[Sequence[int]] = (),
         names: Sequence[str] | None = None,
     ):
-        if not 1 <= order <= MAX_ORDER:
+        if not 1 <= exact_int(order, "graph order") <= MAX_ORDER:
             raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
         run = _canonical_run(order, edges)
         self.order = order
@@ -135,8 +135,9 @@ def check_shape(order: int, size: int, what: str = "graph") -> None:
 def exact_int(value: object, what: str) -> int:
     """``value`` when it is an exact int, else TypeError naming ``what``.
 
-    The JSON readers use it, since int() would truncate 3.9 and read "3",
-    3.0 and true as integers.
+    The objects that take integers from callers (Graph, Labeling, the
+    search's Budget and DiffWindow) and the recipe reader use it, since
+    int() would truncate 3.9 and read "3", 3.0 and true as integers.
     """
     if type(value) is not int:
         raise TypeError(f"{what} must be an integer, got {value!r}")
@@ -289,8 +290,8 @@ def graph_to_json(g: Graph) -> dict:
 def graph_from_json(obj: dict) -> Graph:
     """Read the {"order", "edges", "names"} format; extra keys are ignored.
 
-    The order and endpoints must be exact ints (see exact_int). Edges as
-    graph_to_json writes them are taken after one pass.
+    Graph checks the order and endpoints (exact ints only, see exact_int);
+    edges as graph_to_json writes them are taken after one pass.
     """
     try:
         order = obj["order"]
@@ -298,16 +299,9 @@ def graph_from_json(obj: dict) -> Graph:
     except (TypeError, KeyError) as exc:
         raise ValueError(f"graph JSON needs 'order' and 'edges': {exc}") from exc
     try:
-        order = exact_int(order, "graph order")
-        run = _canonical_run(order, edges)
-        if run is None:
-            pairs = [exact_ints(e, "graph endpoint") for e in edges]
-            return Graph(order, pairs, obj.get("names"))
-        g = Graph(order, (), obj.get("names"))  # the order and names checks
+        return Graph(order, edges, obj.get("names"))
     except TypeError as exc:  # a non-int order or endpoint, non-list edges or names
         raise ValueError(f"malformed graph JSON: {exc}") from exc
-    g.edges = run
-    return g
 
 
 def graph_dumps(g: Graph) -> str:

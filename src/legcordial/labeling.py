@@ -32,8 +32,10 @@ class Labeling:
     assign: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.graph.order
-        if len(self.assign) != n or sorted(self.assign) != list(range(1, n + 1)):
+        n, assign = self.graph.order, self.assign
+        exact_ints(assign, "labeling entry")
+        # n distinct ints from 1 to n are exactly 1..n
+        if len(assign) != n or len(set(assign)) != n or min(assign) != 1 or max(assign) != n:
             raise ValueError(f"assign must be a permutation of 1..{n}")
 
     def label(self, v: int) -> int:
@@ -117,11 +119,10 @@ def labeling_from_json(obj: dict, graph: Graph) -> tuple[Labeling, int | None]:
         raise ValueError(f"labeling JSON needs 'assign': {exc}") from exc
     p = obj.get("p")
     try:
-        assign = exact_ints(assign, "labeling entry")
-        p = exact_int(p, "labeling p") if p is not None else None
+        lab = Labeling(graph, tuple(assign))
+        return lab, exact_int(p, "labeling p") if p is not None else None
     except TypeError as exc:  # a non-int entry or p, or a non-list assign
         raise ValueError(f"malformed labeling JSON: {exc}") from exc
-    return Labeling(graph, assign), p
 
 
 def tally_report(tally: EdgeTally) -> dict:

@@ -12,8 +12,8 @@ MAX_PRIME = 10_000  # desk-scale cap; keeps every table and label sum tiny
 
 
 def is_odd_prime(n: int) -> bool:
-    """True iff n is prime and n >= 3 (trial division)."""
-    if n < 3 or n % 2 == 0:
+    """True iff n is an exact int (not a float or bool), prime and >= 3 (trial division)."""
+    if type(n) is not int or n < 3 or n % 2 == 0:
         return False
     d = 3
     while d * d <= n:

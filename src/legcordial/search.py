@@ -77,7 +77,6 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .constructors import (
@@ -88,7 +87,7 @@ from .constructors import (
     balance_form,
     normalize_theorem,
 )
-from .graph import Graph
+from .graph import Graph, exact_int
 from .numtheory import check_prime
 
 DEFAULT_ORDER_CEILING = 12
@@ -106,9 +105,9 @@ class Budget:
     max_seconds: float | None = None
 
     def __post_init__(self):
-        if self.max_nodes <= 0:
+        if exact_int(self.max_nodes, "node budget") <= 0:
             raise ValueError("node budget must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
+        if self.max_seconds is not None and not self.max_seconds > 0:  # nan too
             raise ValueError("time budget must be positive")
 
 
@@ -118,6 +117,10 @@ class DiffWindow:
 
     lo: int
     hi: int
+
+    def __post_init__(self):  # the parity narrowing is exact only on ints
+        exact_int(self.lo, "window bound")
+        exact_int(self.hi, "window bound")
 
     @staticmethod
     def cordial() -> "DiffWindow":
@@ -143,10 +146,22 @@ class SearchSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.graph.order > DEFAULT_ORDER_CEILING:
-            raise ValueError(
-                f"graph order {self.graph.order} exceeds the search ceiling {DEFAULT_ORDER_CEILING}"
-            )
+        _check_ceiling(self.graph)
+        check_prime(self.p)
+
+
+def _check_ceiling(graph: Graph) -> None:
+    if graph.order > DEFAULT_ORDER_CEILING:
+        raise ValueError(
+            f"graph order {graph.order} exceeds the search ceiling {DEFAULT_ORDER_CEILING}"
+        )
+
+
+def _parity_window(graph: Graph, lo: int, hi: int) -> tuple[int, int]:
+    """[lo, hi] narrowed to the parity of the graph's size, which d always has;
+    lo > hi when no d fits."""
+    parity = graph.size % 2
+    return lo + (lo - parity) % 2, hi - (hi - parity) % 2
 
 
 @dataclass(frozen=True)
@@ -327,13 +342,13 @@ def _chain_cuts_more(
 
 
 class _Engine:
-    """Shared backtracking core; one instance per (graph, prime)."""
+    """Shared backtracking core; one instance per (graph, prime, whole_tree).
+    The prime is checked by its callers, SearchSpec and _Probes."""
 
     def __init__(self, graph: Graph, p: int, whole_tree: bool = False):
         """``whole_tree``: the runs will visit the whole pruned tree
         (count-all, prove-none), so at p < n the stabilizer chain may pay
         for its set-up (see _chain_cuts_more)."""
-        check_prime(p)
         n = graph.order
         deg = [0] * n
         for u, v in graph.edges:
@@ -403,8 +418,9 @@ class _Engine:
 
     def run(
         self, lo: int, hi: int, stop_at_first: bool, max_nodes: int, deadline: float | None
-    ) -> dict:
-        """Explore the assignment tree; returns nodes used, count, witness, completeness.
+    ) -> tuple[int, int, tuple[int, ...] | None, bool]:
+        """Explore the assignment tree; returns (nodes, count, first witness,
+        whether the node budget or the deadline ran out).
 
         The candidates are read from ``avail``, an int passed down the
         recursion: bit lab is set when lab is the smallest unused label of
@@ -498,10 +514,9 @@ class _Engine:
                 if stop_at_first:
                     raise _FoundFirst
 
-        complete = exhausted = False
+        exhausted = False
         try:
             place(0, 0, self.aut_weight, full & (1 << q + 1) - 2)
-            complete = True
         except _FoundFirst:
             pass
         except _OutOfBudget:
@@ -510,13 +525,7 @@ class _Engine:
             # place refers to itself; dropping it here frees the run's state
             # now rather than at the next cyclic collection
             del place
-        return {
-            "nodes": nodes,
-            "count": count,
-            "witness": witness,
-            "complete": complete,
-            "exhausted_budget": exhausted,
-        }
+        return nodes, count, witness, exhausted
 
     def _assign_by_vertex(self, labels_by_pos: list[int]) -> tuple[int, ...]:
         assign = [0] * self.graph.order
@@ -538,33 +547,22 @@ def search_labeling(spec: SearchSpec) -> SearchResult:
     find-first semantics where a completed "none" is the certificate; a
     witness, if one exists, is reported as "found".
     """
-    return _run_search(spec, lambda: _Engine(spec.graph, spec.p, spec.mode != "find-first"))
-
-
-def _run_search(spec: SearchSpec, engine_for: Callable[[], _Engine]) -> SearchResult:
-    """Run ``spec`` on ``engine_for()``, an engine for its graph and prime.
-
-    d = e1 - e0 has the parity of the graph's size, so the window shrinks to
-    that parity first; an empty window is a certified "none" at 0 nodes,
-    reached without building the engine.
-    """
-    parity = spec.graph.size % 2
-    lo = spec.objective.lo + (spec.objective.lo - parity) % 2
-    hi = spec.objective.hi - (spec.objective.hi - parity) % 2
+    lo, hi = _parity_window(spec.graph, spec.objective.lo, spec.objective.hi)
     count_all = spec.mode == "count-all"
     if lo > hi:
         return SearchResult("none", 0, count=0 if count_all else None, complete=True)
-    out = engine_for().run(lo, hi, not count_all, spec.budget.max_nodes, _deadline(spec.budget))
-    if out["exhausted_budget"]:
-        return SearchResult("exhausted", out["nodes"])
+    engine = _Engine(spec.graph, spec.p, spec.mode != "find-first")
+    nodes, count, witness, exhausted = engine.run(
+        lo, hi, not count_all, spec.budget.max_nodes, _deadline(spec.budget)
+    )
+    if exhausted:
+        return SearchResult("exhausted", nodes)
     if count_all:
-        outcome = "found" if out["count"] > 0 else "none"
-        return SearchResult(
-            outcome, out["nodes"], labeling=out["witness"], count=out["count"], complete=True
-        )
-    if out["witness"] is not None:
-        return SearchResult("found", out["nodes"], labeling=out["witness"])
-    return SearchResult("none", out["nodes"], complete=True)
+        outcome = "found" if count > 0 else "none"
+        return SearchResult(outcome, nodes, labeling=witness, count=count, complete=True)
+    if witness is not None:
+        return SearchResult("found", nodes, labeling=witness)
+    return SearchResult("none", nodes, complete=True)
 
 
 class _Probes:
@@ -576,6 +574,7 @@ class _Probes:
     """
 
     def __init__(self, p: int, budget: Budget | None):
+        check_prime(p)
         budget = budget or Budget()
         self.p = p
         self.max_nodes = budget.max_nodes
@@ -586,22 +585,24 @@ class _Probes:
 
     def find(self, graph: Graph, lo: int, hi: int) -> tuple[int, ...] | None:
         """The first labeling of ``graph`` in search order with d in [lo, hi], or None."""
-        secs = None if self.deadline is None else self.deadline - time.monotonic()
-        if self.nodes >= self.max_nodes or (secs is not None and secs <= 0):
+        if self.nodes >= self.max_nodes or (
+            self.deadline is not None and time.monotonic() >= self.deadline
+        ):
             self.complete = False
         if not self.complete:
             return None
-        budget = Budget(self.max_nodes - self.nodes, secs)
-        spec = SearchSpec(graph, self.p, DiffWindow(lo, hi), budget)
-        res = _run_search(spec, lambda: self._engine(graph))
-        self.nodes += res.nodes
-        self.complete = res.outcome != "exhausted"
-        return res.labeling
-
-    def _engine(self, graph: Graph) -> _Engine:
+        _check_ceiling(graph)  # also when the window below is empty
+        lo, hi = _parity_window(graph, lo, hi)
+        if lo > hi:
+            return None
         if id(graph) not in self.engines:
             self.engines[id(graph)] = _Engine(graph, self.p)
-        return self.engines[id(graph)]
+        nodes, _, witness, exhausted = self.engines[id(graph)].run(
+            lo, hi, True, self.max_nodes - self.nodes, self.deadline
+        )
+        self.nodes += nodes
+        self.complete = not exhausted
+        return witness
 
 
 def achievable_differences(

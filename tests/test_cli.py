@@ -327,6 +327,41 @@ def test_search_budget_exhausted_exit_5(capsys):
     assert json.loads(out) == {"outcome": "exhausted", "nodes": 3}
 
 
+def _one_usage_error(code, out, err) -> str:
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["code"], error["type"]) == (2, "usage-error")
+    return error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv,msg",
+    [
+        # d is even on C6, so diff:1 is a window no labeling fits; p is refused first
+        (("--p", "4"), "p must be an odd prime, got 4"),
+        (("--p", "9", "--mode", "count-all"), "p must be an odd prime, got 9"),
+        (("--p", "5", "--budget-seconds", "nan"), "time budget must be positive"),
+    ],
+)
+def test_search_bad_prime_or_budget_is_usage_error(capsys, argv, msg):
+    got = run(capsys, "search", "--g", "cycle:6", "--objective", "diff:1", *argv)
+    assert _one_usage_error(*got) == msg
+
+
+def test_search_nan_budget_from_environment_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("LEGCORDIAL_BUDGET_SECONDS", "nan")
+    got = run(capsys, "search", "--g", "cycle:6", "--p", "5")
+    assert _one_usage_error(*got) == "time budget must be positive"
+
+
+def test_construct_auto_over_the_search_ceiling_is_usage_error(capsys):
+    # d1 = 0 is a window no labeling of C15 (odd size) fits, but the order
+    # is refused before that window is answered
+    got = run(capsys, "construct", "tensor", "--g1", "cycle:15", "--g2", "path:3", "--p", "5", "--auto")
+    assert _one_usage_error(*got) == "graph order 15 exceeds the search ceiling 12"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

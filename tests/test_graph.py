@@ -85,6 +85,10 @@ def test_graph_validation():
         Graph(0, [])
     with pytest.raises(ValueError):
         Graph(2, [], names=["a"])
+    # the order must be an exact int, as JSON input must
+    for order, edges in ((3.0, [(0, 1), (1, 2)]), (True, [])):
+        with pytest.raises(TypeError, match=f"graph order must be an integer, got {order}"):
+            Graph(order, edges)
 
 
 def test_edge_order_invariance():
@@ -187,9 +191,12 @@ def _checked(build):
 
 def _from_json_reference(obj: dict) -> Graph:
     """graph_from_json without the linear pass, for objects with both keys:
-    the order and every endpoint must be exact ints, then Graph."""
+    the order must be an exact int in range, every endpoint an exact int,
+    then Graph."""
     try:
         order = exact_int(obj["order"], "graph order")
+        if not 1 <= order <= MAX_ORDER:
+            raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
         pairs = [exact_ints(e, "graph endpoint") for e in obj["edges"]]
         return Graph(order, pairs, obj.get("names"))
     except TypeError as exc:
@@ -303,12 +310,14 @@ def test_other_input_takes_the_checked_path():
     for obj, bad in (
         ({"order": 3, "edges": [[0, 1], [1.0, 2]]}, "graph endpoint must be an integer, got 1.0"),
         ({"order": 3, "edges": [[0, 1], [True, 2]]}, "graph endpoint must be an integer, got True"),
-        ({"order": 0, "edges": [["a", 1]]}, "graph endpoint must be an integer, got 'a'"),
         ({"order": 3.7, "edges": [[0, 1.9], [True, 2]]}, "graph order must be an integer, got 3.7"),
         ({"order": "3", "edges": [[0, 1]]}, "graph order must be an integer, got '3'"),
     ):
         with pytest.raises(ValueError, match=re.escape(f"malformed graph JSON: {bad}")):
             graph_from_json(obj)
+    # the order is checked before the edges
+    with pytest.raises(ValueError, match=re.escape(f"order must be in 1..{MAX_ORDER}, got 0")):
+        graph_from_json({"order": 0, "edges": [["a", 1]]})
 
 
 def test_exact_int_refuses_what_int_would_convert():

@@ -32,6 +32,12 @@ def test_labeling_validation():
         Labeling(g, (0, 1, 2))
     with pytest.raises(ValueError):
         Labeling(g, (1, 2))
+    with pytest.raises(ValueError):
+        Labeling(g, (1, 2, 3, 4))
+    # entries must be exact ints: 2.0 == 2 and True == 1 would pass the rest
+    for assign, bad in (((1.0, 2.0, 3.0), "1.0"), ((True, 2, 3), "True"), ((1, 2, "3"), "'3'")):
+        with pytest.raises(TypeError, match=f"labeling entry must be an integer, got {bad}"):
+            Labeling(make_cycle(3), assign)
 
 
 def test_edge_label_examples():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from legcordial.numtheory import (
     LegendreContext,
+    check_prime,
     euler_criterion,
     is_odd_prime,
     legendre_symbol,
@@ -33,9 +34,11 @@ def test_odd_primes_below():
 
 
 def test_context_rejects_bad_p():
-    for bad in (1, 2, 4, 9, 15):
+    for bad in (1, 2, 4, 9, 15, 3.0, 7.0):
         with pytest.raises(ValueError):
             LegendreContext(bad)
+        with pytest.raises(ValueError, match=f"p must be an odd prime, got {bad}"):
+            check_prime(bad)
     with pytest.raises(ValueError):
         LegendreContext(10007)  # above the size cap
 

@@ -785,7 +785,8 @@ class _Clock:
 
 def test_probes_share_one_deadline(monkeypatch):
     # The deadline is set at t=1 to 3.5, the first probe starts at t=2 and
-    # polls the clock once at its first node, and the second sees t=5 > 3.5.
+    # polls the clock once at its first node (t=3), and the second sees
+    # t=4 >= 3.5.
     g = make_cycle(10)
     first = search_labeling(SearchSpec(g, 5, DiffWindow.exact(-10)))
     monkeypatch.setattr(search, "time", _Clock())
@@ -815,11 +816,37 @@ def test_largest_prime_matches_oracles():
 
 
 def test_invalid_primes_are_refused():
-    for p, msg in ((9, "p must be an odd prime, got 9"), (10007, "p exceeds the supported bound")):
-        with pytest.raises(ValueError, match=msg):
-            search_labeling(SearchSpec(make_cycle(6), p))
+    for p, msg in (
+        (9, "p must be an odd prime, got 9"),
+        (4, "p must be an odd prime, got 4"),
+        (5.0, "p must be an odd prime, got 5.0"),
+        (10007, "p exceeds the supported bound"),
+    ):
+        # refused when the spec is built, also for a window no d fits
+        for window in (DiffWindow.cordial(), DiffWindow.exact(1)):
+            with pytest.raises(ValueError, match=msg):
+                SearchSpec(make_cycle(6), p, window)
         with pytest.raises(ValueError, match=msg):
             achievable_differences(make_cycle(6), p)
+
+
+def test_window_bounds_must_be_ints():
+    # narrowed to odd d, [0.5, 1.5] would be [2.0, 1.0]: a false "none" for d = 1
+    for lo, hi in ((0.5, 1.5), (1.0, 1), (0, True)):
+        with pytest.raises(TypeError, match="window bound must be an integer"):
+            DiffWindow(lo, hi)
+
+
+def test_budget_bounds_are_checked():
+    for nodes in (0, -1):
+        with pytest.raises(ValueError, match="node budget must be positive"):
+            Budget(max_nodes=nodes)
+    for nodes in (2.5, 1e6, True):
+        with pytest.raises(TypeError, match="node budget must be an integer"):
+            Budget(max_nodes=nodes)
+    for seconds in (0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="time budget must be positive"):
+            Budget(max_seconds=seconds)
 
 
 def test_searches_leave_no_reference_cycles():
