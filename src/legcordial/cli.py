@@ -14,6 +14,8 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
+from typing import Iterable
 
 from .constructors import (
     BALANCE_THEOREMS,
@@ -28,8 +30,8 @@ from .graph import (
     exact_int,
     exact_ints,
     graph_from_json,
+    graph_json_pieces,
     graph_to_dot,
-    graph_to_json,
     is_connected,
     make_complete,
     make_cycle,
@@ -42,7 +44,7 @@ from .labeling import (
     edge_label,
     induced_tally,
     labeling_from_json,
-    labeling_to_json,
+    labeling_json_pieces,
     tally_report,
 )
 from .numtheory import LegendreContext, legendre_symbol
@@ -142,16 +144,18 @@ def load_graph_arg(spec: str) -> Graph:
         raise _CliFailure(EXIT_IO, "io-error", f"bad JSON in {spec!r}: {exc}")
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(pieces: Iterable[str], out_path: str | None) -> None:
+    """Write the pieces to out_path as they come, or to stdout ending in a newline."""
     if out_path:
         try:
             with open(out_path, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise _CliFailure(EXIT_IO, "io-error", f"cannot write {out_path!r}: {exc}")
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        last = ""
+        sys.stdout.writelines((last := piece) for piece in pieces)
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
 
 
@@ -166,9 +170,7 @@ def _graph_table(g: Graph, extra: dict | None = None) -> str:
 def _emit_graph(g: Graph, args, extra: dict | None = None, labeling: Labeling | None = None,
                 ctx: LegendreContext | None = None) -> None:
     if args.format == "json":
-        payload = graph_to_json(g)
-        payload.update(extra or {})
-        _emit(_dumps(payload), args.out)
+        _emit(graph_json_pieces(g, extra), args.out)
     elif args.format == "dot":
         vlabels = list(labeling.assign) if labeling else None
         elabels = None
@@ -177,9 +179,9 @@ def _emit_graph(g: Graph, args, extra: dict | None = None, labeling: Labeling | 
                 (u, v): edge_label(labeling.assign[u] + labeling.assign[v], ctx)
                 for u, v in g.edges
             }
-        _emit(graph_to_dot(g, vlabels, elabels), args.out)
+        _emit([graph_to_dot(g, vlabels, elabels)], args.out)
     else:
-        _emit(_graph_table(g, extra), args.out)
+        _emit([_graph_table(g, extra)], args.out)
 
 
 def _budget_from_args(args) -> Budget:
@@ -241,12 +243,12 @@ def _cmd_verify(args) -> int:
     tally = induced_tally(lab, ctx)
     report = tally_report(tally)
     if args.format == "json":
-        _emit(_dumps(report), args.out)
+        _emit([_dumps(report)], args.out)
     elif args.format == "dot":
         _emit_graph(g, args, labeling=lab, ctx=ctx)
     else:
         _emit(
-            f"e0: {report['e0']}\ne1: {report['e1']}\ncordial: {report['cordial']}\n",
+            [f"e0: {report['e0']}\ne1: {report['e1']}\ncordial: {report['cordial']}\n"],
             args.out,
         )
     return EXIT_OK
@@ -256,9 +258,9 @@ def _cmd_legendre(args) -> int:
     ctx = LegendreContext(args.p)
     sym = legendre_symbol(args.a, ctx)
     if args.format == "json":
-        _emit(_dumps({"a": args.a, "p": args.p, "symbol": sym}), args.out)
+        _emit([_dumps({"a": args.a, "p": args.p, "symbol": sym})], args.out)
     else:
-        _emit(str(sym), args.out)
+        _emit([str(sym)], args.out)
     return EXIT_OK
 
 
@@ -282,10 +284,10 @@ def _cmd_search(args) -> int:
     result = search_labeling(spec)
     payload = result.to_json()
     if args.format == "json":
-        _emit(_dumps(payload), args.out)
+        _emit([_dumps(payload)], args.out)
     else:
         lines = [f"{key}: {payload[key]}" for key in sorted(payload)]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     if result.outcome == "none":
         return EXIT_SEARCH_NONE
     if result.outcome == "exhausted":
@@ -379,23 +381,30 @@ def _cmd_construct(args) -> int:
 
     # run_recipe raised unless the verifier's tally equals the prediction
     graph, lab, predicted = run_recipe(recipe)
-    bundle = {
-        "theorem": recipe.theorem,
-        "p": recipe.p,
-        "graph": graph_to_json(graph),
-        "labeling": labeling_to_json(lab, recipe.p),
-        "predicted": {"e0": predicted.e0, "e1": predicted.e1},
-        "verified": tally_report(predicted),
-    }
     if args.format == "json":
-        _emit(_dumps(bundle), args.out)
+        # the bundle {"theorem", "p", "graph", "labeling", "predicted", "verified"}
+        head = f'{{"theorem": {_dumps(recipe.theorem)}, "p": {_dumps(recipe.p)}, "graph": '
+        tail = (
+            f', "predicted": {_dumps({"e0": predicted.e0, "e1": predicted.e1})}'
+            f', "verified": {_dumps(tally_report(predicted))}}}'
+        )
+        pieces = chain(
+            [head],
+            graph_json_pieces(graph),
+            [', "labeling": '],
+            labeling_json_pieces(lab, recipe.p),
+            [tail],
+        )
+        _emit(pieces, args.out)
     elif args.format == "dot":
         _emit_graph(graph, args, labeling=lab, ctx=LegendreContext(recipe.p))
     else:
         _emit(
-            f"theorem: {recipe.theorem}\np: {recipe.p}\norder: {graph.order}\n"
-            f"size: {graph.size}\npredicted: ({predicted.e0}, {predicted.e1})\n"
-            f"verified: ({predicted.e0}, {predicted.e1})\ncordial: {predicted.is_cordial}\n",
+            [
+                f"theorem: {recipe.theorem}\np: {recipe.p}\norder: {graph.order}\n"
+                f"size: {graph.size}\npredicted: ({predicted.e0}, {predicted.e1})\n"
+                f"verified: ({predicted.e0}, {predicted.e1})\ncordial: {predicted.is_cordial}\n"
+            ],
             args.out,
         )
     return EXIT_OK

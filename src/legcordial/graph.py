@@ -17,10 +17,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 1_000_000  # total-vertex cap shared by every graph builder
-MAX_SIZE = 2_000_000  # total-edge cap: about 256 MB at ~128 B per stored edge
+# Total-edge cap. Measured peak RSS near it (Python 3.11): construct of
+# C5 x C200000 (2 M edges) about 415 MB, of C9 x P50000 (1.8 M) about 312 MB;
+# verify of the 2 M-edge graph from files about 543 MB, as it reads the whole
+# document. README "Limits" has the table.
+MAX_SIZE = 2_000_000
+JSON_CHUNK = 1024  # edges or labels per piece written by the JSON writers
 
 Edge = tuple[int, int]
 
@@ -41,9 +46,16 @@ class Graph:
         run = _canonical_run(order, edges)
         self.order = order
         self.edges: tuple[Edge, ...] = run if run is not None else _canonicalize(order, edges)
-        if names is not None and len(names) != order:
-            raise ValueError("names must have one entry per vertex")
-        self.names = tuple(names) if names is not None else None
+        if names is not None:
+            if not isinstance(names, (list, tuple)):
+                raise TypeError(f"names must be a list of strings, got {type(names).__name__}")
+            if not set(map(type, names)) <= {str}:  # one pass in C when all are strings
+                bad = next(x for x in names if type(x) is not str)
+                raise TypeError(f"vertex name must be a string, got {bad!r}")
+            if len(names) != order:
+                raise ValueError("names must have one entry per vertex")
+            names = tuple(names)
+        self.names = names
 
     @property
     def size(self) -> int:
@@ -281,6 +293,7 @@ def has_odd_cycle(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 def graph_to_json(g: Graph) -> dict:
+    """The graph as a dict; the CLI writes it with graph_json_pieces instead."""
     obj: dict = {"order": g.order, "edges": [[u, v] for u, v in g.edges]}
     if g.names is not None:
         obj["names"] = list(g.names)
@@ -304,8 +317,30 @@ def graph_from_json(obj: dict) -> Graph:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
 
 
+def graph_json_pieces(g: Graph, extra: dict | None = None) -> Iterator[str]:
+    """The text of json.dumps(graph_to_json(g) | extra), in pieces.
+
+    Edges are read straight from g.edges, JSON_CHUNK to a piece, so neither
+    a list per edge nor a string for the whole document is built: near
+    MAX_SIZE each of those would take more memory than the edge tuple itself.
+    Endpoints and the order are exact ints, which f-strings write as json
+    does; names and the values of ``extra`` go through json.
+    """
+    edges = g.edges
+    yield f'{{"order": {g.order}, "edges": ['
+    for i in range(0, len(edges), JSON_CHUNK):
+        piece = ", ".join([f"[{u}, {v}]" for u, v in edges[i : i + JSON_CHUNK]])
+        yield ", " + piece if i else piece
+    tail = "]"
+    if g.names is not None:
+        tail += f', "names": {json.dumps(g.names)}'
+    for key, value in (extra or {}).items():
+        tail += f", {json.dumps(key)}: {json.dumps(value)}"
+    yield tail + "}"
+
+
 def graph_dumps(g: Graph) -> str:
-    return json.dumps(graph_to_json(g))
+    return "".join(graph_json_pieces(g))
 
 
 def graph_loads(text: str) -> Graph:

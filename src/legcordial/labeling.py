@@ -14,9 +14,11 @@ admits connected graphs.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from typing import Iterator
 
-from .graph import Edge, Graph, exact_int, exact_ints, is_connected
+from .graph import JSON_CHUNK, Edge, Graph, exact_int, exact_ints, is_connected
 from .numtheory import LegendreContext
 
 
@@ -108,7 +110,20 @@ def identity_labeling(g: Graph) -> Labeling:
 
 
 def labeling_to_json(lab: Labeling, p: int) -> dict:
+    """The labeling as a dict; the CLI writes it with labeling_json_pieces instead."""
     return {"p": p, "assign": list(lab.assign)}
+
+
+def labeling_json_pieces(lab: Labeling, p: int) -> Iterator[str]:
+    """The text of json.dumps(labeling_to_json(lab, p)), in pieces of at most
+    JSON_CHUNK labels read straight from lab.assign (exact ints, which str()
+    writes as json does)."""
+    assign = lab.assign
+    yield f'{{"p": {json.dumps(p)}, "assign": ['
+    for i in range(0, len(assign), JSON_CHUNK):
+        piece = ", ".join(map(str, assign[i : i + JSON_CHUNK]))
+        yield ", " + piece if i else piece
+    yield "]}"
 
 
 def labeling_from_json(obj: dict, graph: Graph) -> tuple[Labeling, int | None]:

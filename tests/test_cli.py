@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from legcordial.cli import main
-from legcordial.graph import graph_from_json, make_complete, make_cycle
+from legcordial.constructors import normalize_theorem
+from legcordial.graph import graph_from_json, graph_to_json, is_connected, make_complete, make_cycle
+from legcordial.labeling import labeling_to_json, tally_report
 
 
 def run(capsys, *argv):
@@ -221,10 +223,13 @@ def test_construct_recipe_file(tmp_path, capsys):
         {"order": 3, "edges": [[1, 2], [0, "1"]]},
         {"order": 3, "edges": [[1, 2], [0, 1.0]]},
         {"order": 3, "edges": [[1, 2], [0, True]]},
+        {"order": 3, "edges": [[0, 1], [1, 2]], "names": "abc"},
+        {"order": 3, "edges": [[0, 1], [1, 2]], "names": [1, None, 3]},
     ],
     ids=[
         "null-endpoint", "int-edges", "null-edges", "int-names", "null-order",
         "float-order", "str-endpoint", "float-endpoint", "bool-endpoint",
+        "str-names", "non-str-names",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "search"])
@@ -238,6 +243,17 @@ def test_malformed_graph_file_is_usage_error(tmp_path, capsys, obj, command):
     error = json.loads(line)["error"]
     assert (error["code"], error["type"]) == (2, "usage-error")
     assert error["message"].startswith("malformed graph JSON: ")
+
+
+@pytest.mark.parametrize("names", ["abc", [1, None, 3]], ids=["str", "non-str"])
+def test_graph_file_with_bad_names_prints_no_dot(tmp_path, capsys, names):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"order": 3, "edges": [[0, 1], [1, 2]], "names": names}))
+    code, out, err = run(
+        capsys, "verify", "--g", str(path), "--labeling", "1,2,3", "--p", "3", "--format", "dot"
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"].startswith("malformed graph JSON: ")
 
 
 @pytest.mark.parametrize("obj", [{"p": 3}, [1, 2], {"theorem": 3, "p": 3}, "cart"])
@@ -546,6 +562,98 @@ def test_json_output_is_one_line(capsys, argv, expected):
     assert code == 0 and err == ""
     (line,) = out.splitlines()
     assert json.loads(line) == expected
+
+
+CONSTRUCTS = [
+    ("corona-path", "--g", "path:2", "--p", "3"),
+    ("kp-tensor", "--g", "path:3", "--p", "3"),
+    ("join", "--g1", "path:3", "--g2", "complete:1", "--lab-g1", "2,1,3", "--lab-g2", "1", "--p", "3"),
+    ("corona", "--g1", "path:2", "--g2", "edges:3:0-1", "--p", "3", "--auto"),
+    ("lex", "--g1", "cycle:3", "--g2", H7_SPEC, "--lab-g2", "1,2,3,4,5,6,7", "--p", "7"),
+    ("cart", "--g1", "cycle:5", "--lab-g1", "2,1,3,5,4", "--g2", "cycle:400", "--p", "5"),
+    ("tensor", "--g1", "path:3", "--lab-g1", "2,1,3", "--g2", "cycle:401", "--p", "3"),
+    ("strong", "--g1", "cycle:9", "--lab-g1", "1,2,3,4,5,8,6,7,9", "--g2", "path:4", "--p", "3"),
+]
+
+
+def _stdout_and_file_text(capsys, tmp_path, argv) -> tuple[str, str]:
+    """The JSON output of argv on stdout, and what --out writes; both must exit 0."""
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    path = tmp_path / "out.json"
+    code, _, err = run(capsys, *argv, "--format", "json", "--out", str(path))
+    assert code == 0 and err == ""
+    return out, path.read_text()
+
+
+@pytest.mark.parametrize("argv", CONSTRUCTS, ids=[a[0] for a in CONSTRUCTS])
+def test_construct_json_is_the_dumps_of_the_bundle(capsys, tmp_path, monkeypatch, argv):
+    from legcordial import cli
+
+    built = []
+    real_run_recipe = cli.run_recipe
+
+    def recording_run_recipe(recipe):
+        built.append((recipe, real_run_recipe(recipe)))
+        return built[-1][1]
+
+    monkeypatch.setattr(cli, "run_recipe", recording_run_recipe)
+    out, written = _stdout_and_file_text(capsys, tmp_path, ("construct", *argv))
+    recipe, (graph, lab, predicted) = built[0]
+    assert recipe.theorem == normalize_theorem(argv[0])
+    expected = cli._dumps({
+        "theorem": recipe.theorem,
+        "p": recipe.p,
+        "graph": graph_to_json(graph),
+        "labeling": labeling_to_json(lab, recipe.p),
+        "predicted": {"e0": predicted.e0, "e1": predicted.e1},
+        "verified": tally_report(predicted),
+    })
+    assert (out, written) == (expected + "\n", expected)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "path:1"),
+        ("gen", "path:1026"),
+        ("op", "tensor", "path:2", "path:2"),
+        ("op", "cart", "cycle:5", "path:300"),
+        ("op", "corona", "cycle:3", "complete:2"),
+    ],
+)
+def test_gen_and_op_json_is_the_dumps_of_the_graph(capsys, tmp_path, argv):
+    from legcordial import cli
+
+    out, written = _stdout_and_file_text(capsys, tmp_path, argv)
+    if argv[0] == "gen":
+        payload = graph_to_json(cli.parse_family(argv[1]))
+    else:
+        g = cli._OPS[argv[1]](cli.parse_family(argv[2]), cli.parse_family(argv[3]))
+        payload = graph_to_json(g)
+        payload.update(convention=cli._OP_CONVENTIONS[argv[1]], connected=is_connected(g))
+        if not is_connected(g):
+            payload["warnings"] = ["result is disconnected"]
+    expected = cli._dumps(payload)
+    assert (out, written) == (expected + "\n", expected)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("corona-path", "--g", "path:2", "--p", "3"),  # fails when the file is closed
+        ("cart", "--g1", "cycle:5", "--lab-g1", "2,1,3,5,4", "--g2", "cycle:400", "--p", "5"),
+    ],
+    ids=["small", "streamed"],
+)
+def test_construct_to_a_full_device_is_one_io_error(capsys, argv):
+    code, out, err = run(capsys, "construct", *argv, "--out", "/dev/full")
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["code"], error["type"]) == (1, "io-error")
+    assert error["message"].startswith("cannot write '/dev/full': ")
 
 
 def test_verify_output_bytes(capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from legcordial import graph
 
 from legcordial.graph import (
+    JSON_CHUNK,
     MAX_ORDER,
     MAX_SIZE,
     Graph,
@@ -19,6 +21,7 @@ from legcordial.graph import (
     exact_ints,
     graph_dumps,
     graph_from_json,
+    graph_json_pieces,
     graph_loads,
     graph_to_dot,
     graph_to_json,
@@ -139,6 +142,46 @@ def test_json_round_trip():
     assert graph_from_json(obj) == g
     with pytest.raises(ValueError):
         graph_from_json({"edges": []})
+
+
+def test_names_must_be_strings_one_per_vertex():
+    assert Graph(3, [(0, 1)], names=("a", "b", "c")).names == ("a", "b", "c")
+    assert Graph(3, [(0, 1)], names=["a", "b", "c"]).names == ("a", "b", "c")
+    # a string is a sequence of one-character strings, but not a list of names
+    with pytest.raises(TypeError, match="names must be a list of strings, got str"):
+        Graph(3, [(0, 1), (1, 2)], names="abc")
+    with pytest.raises(TypeError, match="vertex name must be a string, got None"):
+        Graph(3, [(0, 1), (1, 2)], names=["a", None, "c"])
+    with pytest.raises(TypeError, match="vertex name must be a string, got 1"):
+        Graph(3, [(0, 1), (1, 2)], names=[1, None, 3])
+    with pytest.raises(TypeError, match="got dict"):
+        Graph(2, [], names={"a": 0, "b": 1})
+    with pytest.raises(ValueError, match="one entry per vertex"):
+        Graph(2, [], names=["a", "b", "c"])
+    for names in ("abc", [1, None, 3]):
+        with pytest.raises(ValueError, match="malformed graph JSON: "):
+            graph_from_json({"order": 3, "edges": [[0, 1], [1, 2]], "names": names})
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(1),
+        make_path(JSON_CHUNK + 1),  # exactly one chunk of edges
+        make_path(JSON_CHUNK + 2),  # one chunk plus one
+        make_cycle(2 * JSON_CHUNK),
+        Graph(3, [(0, 1), (1, 2)], names=['say "hi"', "Zürich \u2713 \\", ""]),
+    ],
+    ids=["no-edges", "one-chunk", "chunk-plus-one", "two-chunks", "quoted-names"],
+)
+def test_json_pieces_are_the_dumps_text(g):
+    pieces = list(graph_json_pieces(g))
+    assert "".join(pieces) == json.dumps(graph_to_json(g)) == graph_dumps(g)
+    # the opening, one piece per chunk of at most JSON_CHUNK edges, the closing
+    chunks = [json.loads("[" + piece.removeprefix(", ") + "]") for piece in pieces[1:-1]]
+    assert list(map(len, chunks)) == [min(JSON_CHUNK, g.size - i) for i in range(0, g.size, JSON_CHUNK)]
+    extra = {"convention": "(i, j)", "connected": False, "warnings": ["result is disconnected"]}
+    assert "".join(graph_json_pieces(g, extra)) == json.dumps({**graph_to_json(g), **extra})
 
 
 def test_dot_export():

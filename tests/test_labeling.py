@@ -1,8 +1,11 @@
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legcordial.graph import Graph, make_complete, make_cycle, make_path
+from legcordial.graph import JSON_CHUNK, Graph, make_complete, make_cycle, make_path
 from legcordial.labeling import (
     AdmissionError,
     Labeling,
@@ -11,6 +14,7 @@ from legcordial.labeling import (
     induced_tally,
     is_cordial,
     labeling_from_json,
+    labeling_json_pieces,
     labeling_to_json,
     rho_eta,
     tally_report,
@@ -128,6 +132,20 @@ def test_labeling_json_round_trip():
     assert lab2 == lab and p == 3
     with pytest.raises(ValueError):
         labeling_from_json({"p": 3}, g)
+
+
+@pytest.mark.parametrize(
+    "n,p",
+    [(1, 3), (JSON_CHUNK, 5), (JSON_CHUNK + 1, 7), (2 * JSON_CHUNK + 3, 9973)],
+    ids=["one-label", "one-chunk", "chunk-plus-one", "three-chunks"],
+)
+def test_labeling_json_pieces_are_the_dumps_text(n, p):
+    lab = Labeling(make_path(n), tuple(random.Random(n).sample(range(1, n + 1), n)))
+    pieces = list(labeling_json_pieces(lab, p))
+    assert "".join(pieces) == json.dumps(labeling_to_json(lab, p))
+    # the opening, one piece per chunk of at most JSON_CHUNK labels, the closing
+    chunks = [json.loads("[" + piece.removeprefix(", ") + "]") for piece in pieces[1:-1]]
+    assert list(map(len, chunks)) == [min(JSON_CHUNK, n - i) for i in range(0, n, JSON_CHUNK)]
 
 
 def test_tally_report():
