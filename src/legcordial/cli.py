@@ -1,10 +1,15 @@
 """Command-line surface: generate graphs, apply operations, run constructive
 labelings, verify labelings, and search for them.
 
+construct reads flags or a --recipe file; in both, --auto searches for base
+labelings only when every one the theorem needs is missing.
+
 Exit codes: 0 success, 1 I/O error, 2 usage error, 3 hypothesis violation,
-4 search found nothing, 5 budget exhausted. Every failure also emits one
-structured JSON object on stderr, and machine-readable stdout (json / dot)
-never interleaves with the human-readable table format.
+4 search found nothing, 5 budget exhausted. search reports none (4) and
+exhausted (5) in its result on stdout with no stderr object, construct --auto
+as search-none / budget-exhausted error objects; every other failure emits one
+structured JSON object on stderr. Machine-readable stdout (json / dot) never
+interleaves with the human-readable table format.
 """
 
 from __future__ import annotations
@@ -135,13 +140,20 @@ def load_graph_arg(spec: str) -> Graph:
     prefix = spec.partition(":")[0].strip().lower()
     if prefix in ("path", "cycle", "complete", "star", "edges"):
         return parse_family(spec)
+    return graph_from_json(_read_json(spec, "cannot read graph file {!r}", "bad JSON in {!r}"))
+
+
+def _read_json(path: str, unreadable: str, bad_json: str | None = None):
+    """The JSON value in the file at path. The io-error otherwise opens with
+    unreadable, or with bad_json when the text is not JSON or nests too deep;
+    a {!r} in either stands for the path."""
     try:
-        with open(spec) as fh:
-            return graph_from_json(json.load(fh))
+        with open(path) as fh:
+            return json.load(fh)
     except OSError as exc:
-        raise _CliFailure(EXIT_IO, "io-error", f"cannot read graph file {spec!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise _CliFailure(EXIT_IO, "io-error", f"bad JSON in {spec!r}: {exc}")
+        raise _CliFailure(EXIT_IO, "io-error", f"{unreadable.format(path)}: {exc}")
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise _CliFailure(EXIT_IO, "io-error", f"{(bad_json or unreadable).format(path)}: {exc}")
 
 
 def _emit(pieces: Iterable[str], out_path: str | None) -> None:
@@ -222,12 +234,7 @@ def _parse_inline_labels(text: str) -> tuple[int, ...]:
 
 def _load_labeling_arg(spec: str, graph: Graph) -> tuple[Labeling, int | None]:
     if os.path.exists(spec):
-        try:
-            with open(spec) as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _CliFailure(EXIT_IO, "io-error", f"cannot read labeling {spec!r}: {exc}")
-        return labeling_from_json(obj, graph)
+        return labeling_from_json(_read_json(spec, "cannot read labeling {!r}"), graph)
     return Labeling(graph, _parse_inline_labels(spec)), None
 
 
@@ -329,55 +336,52 @@ def _recipe_from_json(obj: dict) -> ConstructionRecipe:
     )
 
 
-def _cmd_construct(args) -> int:
+def _recipe_from_args(args) -> ConstructionRecipe:
+    """The recipe in the --recipe file, or the one the flags spell out."""
     if args.recipe:
-        try:
-            with open(args.recipe) as fh:
-                recipe = _recipe_from_json(json.load(fh))
-        except OSError as exc:
-            raise _CliFailure(EXIT_IO, "io-error", f"cannot read recipe: {exc}")
-        except json.JSONDecodeError as exc:
-            raise _CliFailure(EXIT_IO, "io-error", f"bad recipe JSON: {exc}")
-    else:
-        theorem = normalize_theorem(args.theorem)
-        if theorem not in BALANCE_THEOREMS:
-            spec = args.g or args.g1 or args.g2
-            if spec is None:
-                raise ValueError(f"construction {theorem} needs --g")
-            g = load_graph_arg(spec)
-            recipe = ConstructionRecipe(theorem, args.p, g, g)  # run_recipe picks its slot
-        else:
-            if args.g1 is None or args.g2 is None:
-                raise ValueError(f"construction {theorem} needs --g1 and --g2")
-            g1 = load_graph_arg(args.g1)
-            g2 = load_graph_arg(args.g2)
-            lab1 = _parse_inline_labels(args.lab_g1) if args.lab_g1 else None
-            lab2 = _parse_inline_labels(args.lab_g2) if args.lab_g2 else None
-            needs_search = any(
-                labeled and lab is None
-                for labeled, lab in zip(BASE_LABELINGS[theorem], (lab1, lab2))
-            )
-            if needs_search:
-                if not args.auto:
-                    raise ValueError(
-                        f"construction {theorem} needs base labelings; pass them or use --auto"
-                    )
-                found = find_base_labelings(
-                    theorem, g1, g2, args.p, budget=_budget_from_args(args)
-                )
-                if found.outcome == "none":
-                    raise _CliFailure(
-                        EXIT_SEARCH_NONE,
-                        "search-none",
-                        f"no base labelings satisfy the {theorem} hypothesis",
-                    )
-                if found.outcome == "exhausted":
-                    raise _CliFailure(
-                        EXIT_BUDGET, "budget-exhausted", "base-labeling search ran out of budget"
-                    )
-                recipe = found.recipe
-            else:
-                recipe = ConstructionRecipe(theorem, args.p, g1, g2, lab1, lab2)
+        return _recipe_from_json(_read_json(args.recipe, "cannot read recipe", "bad recipe JSON"))
+    if args.theorem is None:
+        raise ValueError("construct needs a theorem name or --recipe")
+    if args.p is None:
+        raise ValueError("construct needs --p")
+    theorem = normalize_theorem(args.theorem)
+    if theorem not in BALANCE_THEOREMS:
+        spec = args.g or args.g1 or args.g2
+        if spec is None:
+            raise ValueError(f"construction {theorem} needs --g")
+        g = load_graph_arg(spec)
+        return ConstructionRecipe(theorem, args.p, g, g)  # run_recipe picks its slot
+    if args.g1 is None or args.g2 is None:
+        raise ValueError(f"construction {theorem} needs --g1 and --g2")
+    g1, g2 = load_graph_arg(args.g1), load_graph_arg(args.g2)  # both before the labels
+    labs = (_parse_inline_labels(text) if text else None for text in (args.lab_g1, args.lab_g2))
+    return ConstructionRecipe(theorem, args.p, g1, g2, *labs)
+
+
+def _with_base_labelings(recipe: ConstructionRecipe, args) -> ConstructionRecipe:
+    """The recipe; with --auto and every needed base labeling missing, the one search finds."""
+    theorem, labs = recipe.theorem, (recipe.lab_g1, recipe.lab_g2)
+    given = [lab is not None for lab, needed in zip(labs, BASE_LABELINGS[theorem]) if needed]
+    if all(given) or recipe.g1 is None or recipe.g2 is None:
+        return recipe  # run_recipe names a missing factor graph
+    if not args.auto:
+        raise ValueError(f"construction {theorem} needs base labelings; pass them or use --auto")
+    if any(given):
+        raise ValueError(
+            f"construction {theorem} --auto searches for both base labelings; pass both"
+            " --lab-g1 and --lab-g2 (lab_g1 and lab_g2 in a recipe) or neither"
+        )
+    found = find_base_labelings(theorem, recipe.g1, recipe.g2, recipe.p, _budget_from_args(args))
+    if found.outcome == "none":
+        raise _CliFailure(EXIT_SEARCH_NONE, "search-none",
+                          f"no base labelings satisfy the {theorem} hypothesis")
+    if found.outcome == "exhausted":
+        raise _CliFailure(EXIT_BUDGET, "budget-exhausted", "base-labeling search ran out of budget")
+    return found.recipe
+
+
+def _cmd_construct(args) -> int:
+    recipe = _with_base_labelings(_recipe_from_args(args), args)
 
     # run_recipe raised unless the verifier's tally equals the prediction
     graph, lab, predicted = run_recipe(recipe)
@@ -502,11 +506,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "construct" and not args.recipe:
-        if args.theorem is None:
-            return _fail(EXIT_USAGE, "usage-error", "construct needs a theorem name or --recipe")
-        if args.p is None:
-            return _fail(EXIT_USAGE, "usage-error", "construct needs --p")
     try:
         return args.handler(args)
     except _CliFailure as exc:

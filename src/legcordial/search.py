@@ -674,9 +674,7 @@ def _probe_pair(
         # need other_coef * d_other in [lo - scan_coef*d_scan, hi - scan_coef*d_scan]
         d_lo = max(-(-(form.lo - scan_coef * d_scan) // other_coef), -q)  # ceil
         d_hi = min((form.hi - scan_coef * d_scan) // other_coef, q)  # floor
-        # d_other has the parity of q, as -q and q do
-        d_lo += (d_lo - q) % 2
-        d_hi -= (d_hi - q) % 2
+        d_lo, d_hi = _parity_window(other, d_lo, d_hi)
         if d_lo > d_hi:
             continue
         lab_scan = probes.find(scan, d_scan, d_scan)

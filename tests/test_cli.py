@@ -538,6 +538,75 @@ def test_construct_with_only_the_needed_labels_skips_search(capsys, monkeypatch,
     assert json.loads(out)["verified"] == tally
 
 
+def _recipe_argv(tmp_path, obj) -> tuple[str, ...]:
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(obj))
+    return ("construct", "--recipe", str(path))
+
+
+JOIN_C5_P4 = {"theorem": "join", "p": 5, "g1": "cycle:5", "g2": "path:4"}
+
+
+def test_construct_recipe_auto_writes_the_flag_bytes(tmp_path, capsys):
+    flags = run(capsys, "construct", "join", "--g1", "cycle:5", "--g2", "path:4", "--p", "5", "--auto")
+    recipe = run(capsys, *_recipe_argv(tmp_path, JOIN_C5_P4), "--auto")
+    assert recipe == flags
+    code, out, err = flags
+    assert code == 0 and err == ""
+    assert json.loads(out)["verified"] == {"e0": 14, "e1": 14, "cordial": True}
+
+
+@pytest.mark.parametrize("form", ["flags", "recipe"])
+def test_construct_auto_with_part_of_the_needed_labels_is_usage_error(tmp_path, capsys, form):
+    if form == "flags":
+        argv = ("construct", "join", "--g1", "cycle:5", "--g2", "path:4", "--p", "5",
+                "--lab-g1", "5,4,3,2,1")
+    else:
+        argv = _recipe_argv(tmp_path, {**JOIN_C5_P4, "lab_g1": [5, 4, 3, 2, 1]})
+    message = _one_usage_error(*run(capsys, *argv, "--auto"))
+    assert "--lab-g1" in message and "--lab-g2" in message
+
+
+@pytest.mark.parametrize("form", ["flags", "recipe"])
+def test_construct_auto_ignores_a_label_the_theorem_does_not_use(tmp_path, capsys, form):
+    # the cartesian theorem labels g1 only, so a g2 labeling leaves the search to run
+    if form == "flags":
+        argv = ("construct", "cart", "--g1", "cycle:5", "--g2", "cycle:4", "--p", "5",
+                "--lab-g2", "1,2,3,4")
+    else:
+        argv = _recipe_argv(tmp_path, {"theorem": "cart", "p": 5, "g1": "cycle:5",
+                                       "g2": "cycle:4", "lab_g2": [1, 2, 3, 4]})
+    code, out, err = run(capsys, *argv, "--auto")
+    assert code == 0 and err == ""
+    assert json.loads(out)["verified"] == {"e0": 20, "e1": 20, "cordial": True}
+
+
+def test_construct_recipe_without_a_factor_is_usage_error_with_auto(tmp_path, capsys):
+    argv = _recipe_argv(tmp_path, {"theorem": "join", "p": 5, "g1": "cycle:5"})
+    assert _one_usage_error(*run(capsys, *argv, "--auto")) == "recipe for join needs both factor graphs"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "--g", "{}", "--labeling", "1,2,3", "--p", "3"), "bad JSON in '{}': "),
+        (("search", "--g", "{}", "--p", "3"), "bad JSON in '{}': "),
+        (("verify", "--g", "cycle:3", "--labeling", "{}", "--p", "3"), "cannot read labeling '{}': "),
+        (("construct", "--recipe", "{}"), "bad recipe JSON: "),
+    ],
+    ids=["graph-verify", "graph-search", "labeling", "recipe"],
+)
+def test_deeply_nested_json_file_is_one_io_error(tmp_path, capsys, argv, message):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["code"], error["type"]) == (1, "io-error")
+    assert error["message"].startswith(message.format(path))
+
+
 @pytest.mark.parametrize(
     "argv,expected",
     [
