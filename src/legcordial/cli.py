@@ -10,12 +10,16 @@ exhausted (5) in its result on stdout with no stderr object, construct --auto
 as search-none / budget-exhausted error objects; every other failure emits one
 structured JSON object on stderr. Machine-readable stdout (json / dot) never
 interleaves with the human-readable table format.
+
+main pauses Python's cyclic garbage collector while a command runs and turns
+it back on after, unless the caller had it off; library functions leave it be.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -145,14 +149,15 @@ def load_graph_arg(spec: str) -> Graph:
 
 def _read_json(path: str, unreadable: str, bad_json: str | None = None):
     """The JSON value in the file at path. The io-error otherwise opens with
-    unreadable, or with bad_json when the text is not JSON or nests too deep;
+    unreadable, or with bad_json when the bytes are not UTF-8 or the text is
+    not JSON or nests too deep;
     a {!r} in either stands for the path."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
         raise _CliFailure(EXIT_IO, "io-error", f"{unreadable.format(path)}: {exc}")
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise _CliFailure(EXIT_IO, "io-error", f"{(bad_json or unreadable).format(path)}: {exc}")
 
 
@@ -506,6 +511,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    # A command's data are JSON trees, lists and tuples of ints: acyclic, so
+    # reference counting frees them, and the cyclic collector would only walk
+    # them again and again (README "Limits" has what that costs a verify). The
+    # search engine breaks its one closure cycle itself; any cyclic garbage
+    # left is collected once the collector is back on. A caller who had it
+    # off keeps it off.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except _CliFailure as exc:
@@ -518,6 +531,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_USAGE, "usage-error", str(exc))
     except OSError as exc:
         return _fail(EXIT_IO, "io-error", str(exc))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

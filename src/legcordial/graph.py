@@ -21,9 +21,11 @@ from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 1_000_000  # total-vertex cap shared by every graph builder
 # Total-edge cap. Measured peak RSS near it (Python 3.11): construct of
-# C5 x C200000 (2 M edges) about 415 MB, of C9 x P50000 (1.8 M) about 312 MB;
-# verify of the 2 M-edge graph from files about 543 MB, as it reads the whole
-# document. README "Limits" has the table.
+# C5 x C200000 (2 M edges) about 411 MB, of C9 x P50000 (1.8 M) about 308 MB;
+# verify of the 2 M-edge graph from files about 539 MB, as it reads the whole
+# document. The CLI pauses the cyclic collector while a command runs, which
+# nearly halves that verify's time and leaves its peak as it was. README
+# "Limits" has the table.
 MAX_SIZE = 2_000_000
 JSON_CHUNK = 1024  # edges or labels per piece written by the JSON writers
 

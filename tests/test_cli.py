@@ -1,10 +1,16 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from legcordial.cli import main
 from legcordial.constructors import normalize_theorem
@@ -586,7 +592,9 @@ def test_construct_recipe_without_a_factor_is_usage_error_with_auto(tmp_path, ca
     assert _one_usage_error(*run(capsys, *argv, "--auto")) == "recipe for join needs both factor graphs"
 
 
-@pytest.mark.parametrize(
+# Each JSON file argument, with the start of the io-error message it gets
+# when the file cannot be parsed; {} stands for the file.
+JSON_FILE_ARGS = pytest.mark.parametrize(
     "argv,message",
     [
         (("verify", "--g", "{}", "--labeling", "1,2,3", "--p", "3"), "bad JSON in '{}': "),
@@ -596,15 +604,29 @@ def test_construct_recipe_without_a_factor_is_usage_error_with_auto(tmp_path, ca
     ],
     ids=["graph-verify", "graph-search", "labeling", "recipe"],
 )
-def test_deeply_nested_json_file_is_one_io_error(tmp_path, capsys, argv, message):
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 100_000)
+
+
+def _one_io_error_on(capsys, argv, message, path):
     code, out, err = run(capsys, *(arg.format(path) for arg in argv))
     assert code == 1 and out == ""
     (line,) = err.splitlines()
     error = json.loads(line)["error"]
     assert (error["code"], error["type"]) == (1, "io-error")
     assert error["message"].startswith(message.format(path))
+
+
+@JSON_FILE_ARGS
+def test_deeply_nested_json_file_is_one_io_error(tmp_path, capsys, argv, message):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    _one_io_error_on(capsys, argv, message, path)
+
+
+@JSON_FILE_ARGS
+def test_json_file_that_is_not_utf8_is_one_io_error(tmp_path, capsys, argv, message):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    _one_io_error_on(capsys, argv, message, path)
 
 
 @pytest.mark.parametrize(
@@ -759,3 +781,262 @@ def test_oversized_graphs_are_refused_before_allocation(argv):
     error = json.loads(line)["error"]
     assert (error["code"], error["type"]) == (2, "usage-error")
     assert "exceeds the supported bound 2000000" in error["message"]
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """Turn the cyclic collector on or off for the block, then restore its state."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_state(request):
+    """The collector's state on entry to main."""
+    with collector(request.param):
+        yield request.param
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("verify", "--g", "cycle:3", "--labeling", "1,2,3", "--p", "3"), 0),
+        (("op", "cart", "no-such-file.json", "path:2"), 1),
+        (("gen", "cycle:2"), 2),
+        (("construct", "corona-path", "--g", "cycle:3", "--p", "7"), 3),
+        (("search", "--g", "complete:4", "--p", "3", "--mode", "prove-none"), 4),
+        (("search", "--g", "complete:4", "--p", "3", "--mode", "prove-none", "--budget-nodes", "3"), 5),
+    ],
+    ids=["ok", "io", "usage", "hypothesis", "none", "exhausted"],
+)
+def test_main_leaves_the_collector_as_it_found_it(capsys, gc_state, argv, code):
+    assert run(capsys, *argv)[0] == code
+    assert gc.isenabled() is gc_state
+
+
+def test_main_leaves_the_collector_as_it_found_it_on_a_parser_exit(capsys, gc_state):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--g", "cycle:5", "--p", "x"])
+    assert exc.value.code == 2
+    assert gc.isenabled() is gc_state
+
+
+def test_main_leaves_the_collector_as_it_found_it_when_a_handler_raises(
+    capsys, monkeypatch, gc_state
+):
+    from legcordial import cli
+
+    seen = []
+
+    def broken(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setattr(cli, "_cmd_gen", broken)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # binds the patched handler
+    with pytest.raises(RuntimeError, match="handler bug"):
+        main(["gen", "path:3"])
+    assert seen == [False]
+    assert gc.isenabled() is gc_state
+
+
+def test_construct_and_verify_start_no_collection(tmp_path, capsys):
+    # Parsing and writing 3125 edges allocates far more containers than the
+    # young-generation threshold, so a running collector would start inside
+    # the handlers. Collections outside them (in parse_args, or once main has
+    # turned the collector back on) depend on what ran before and are not
+    # counted.
+    from legcordial import cli
+
+    handlers = {cli._cmd_construct.__code__, cli._cmd_verify.__code__}
+    started = []
+
+    def on_gc(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in handlers:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            started.append(info["generation"])
+
+    bundle_file = tmp_path / "cart.json"
+    graph_file, labeling_file = tmp_path / "g.json", tmp_path / "lab.json"
+    construct = ("construct", "cart", "--g1", "cycle:5", "--g2", "cycle:625", "--p", "5",
+                 "--lab-g1", "2,1,3,5,4", "--out", str(bundle_file))
+    verify = ("verify", "--g", str(graph_file), "--labeling", str(labeling_file))
+    with collector(True):
+        gc.callbacks.append(on_gc)
+        try:
+            assert run(capsys, *construct) == (0, "", "")
+            bundle = json.loads(bundle_file.read_text())
+            graph_file.write_text(json.dumps(bundle["graph"]))
+            labeling_file.write_text(json.dumps(bundle["labeling"]))
+            code, out, err = run(capsys, *verify)
+        finally:
+            gc.callbacks.remove(on_gc)
+    assert started == []
+    assert bundle_file.read_text() == json.dumps(bundle)
+    assert (code, out, err) == (0, json.dumps(bundle["verified"]) + "\n", "")
+
+
+# ---------------------------------------------------------------------------
+# The failure contract, over argv drawn from a grammar of the CLI
+# ---------------------------------------------------------------------------
+
+# Each value is drawn as a pair of strategies: one that the command accepts,
+# and one that also draws values of the wrong kind. A clean command line
+# takes every value from the first, so that exits 0, 3, 4 and 5 are reached
+# as often as the usage and I/O errors of a noisy one.
+PRIME = st.sampled_from(["3", "5", "7", "11"])
+NUMBER = (PRIME, st.one_of(
+    PRIME,
+    st.integers(-2, 13).map(str),
+    st.sampled_from(["True", "1.5", "-0.0", "nan", "inf", "1e3", "", " 7", "0x10",
+                     str(10**30), str(2**63)]),
+))
+# complete graphs twice, so that a search that finds none (exit 4) is drawn
+VALID_FAMILY = st.builds("{}:{}".format,
+                         st.sampled_from(["path", "cycle", "complete", "star", "complete"]),
+                         st.integers(1, 8))
+ANY_FAMILY = st.one_of(
+    VALID_FAMILY,
+    st.builds("{}:{}".format,
+              st.sampled_from(["path", "cycle", "complete", "star", " Cycle", "wheel"]), NUMBER[1]),
+    st.sampled_from(["edges:0-1,1-2", "edges:4:0-1,2-3", "edges:0-0", "edges:a-b", "edges:-1-2",
+                     "edges:0-1,,", "edges:3:0-9", "edges:", "cycle", ":", "path:3:4"]),
+    st.text(max_size=6),
+)
+# JSON that is nearly a graph, labeling or recipe, or of the wrong type anywhere
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**64) | st.floats() | st.text(max_size=4)
+    | ANY_FAMILY,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["order", "edges", "names", "p", "assign", "theorem", "g1", "g2",
+                         "lab_g1", "lab_g2"]), inner, max_size=5),
+    max_leaves=10,
+)
+NEAR_DOCUMENT = st.one_of(
+    st.fixed_dictionaries({"order": st.integers(0, 8) | JSON_VALUE,
+                           "edges": st.lists(st.lists(st.integers(-1, 8), min_size=2, max_size=2),
+                                             max_size=8) | JSON_VALUE}),
+    st.fixed_dictionaries({"p": st.sampled_from([3, 5, 7, 4]) | JSON_VALUE,
+                           "assign": st.lists(st.integers(0, 8), max_size=8) | JSON_VALUE}),
+    st.fixed_dictionaries({"theorem": st.sampled_from(["join", "cart", "corona-path"]) | JSON_VALUE,
+                           "p": st.sampled_from([3, 5]) | JSON_VALUE},
+                          optional={"g1": ANY_FAMILY | JSON_VALUE, "g2": ANY_FAMILY | JSON_VALUE,
+                                    "lab_g1": JSON_VALUE, "lab_g2": JSON_VALUE}),
+)
+CONTENT = st.one_of(
+    st.binary(max_size=12),
+    st.builds(lambda opener, depth, closed: opener * depth + "]" * depth * closed,
+              st.sampled_from(["[", '{"a": ', '[{"order": ']), st.sampled_from([1, 900, 100_000]),
+              st.booleans()).map(str.encode),
+    st.one_of(JSON_VALUE, NEAR_DOCUMENT).map(lambda value: json.dumps(value).encode()),
+)
+
+
+class _File(bytes):
+    """An argv token that stands for a file holding these bytes."""
+
+
+class _Out(str):
+    """An argv token that stands for this path under the run's directory."""
+
+
+def _choices(valid, invalid):
+    return st.sampled_from(valid), st.sampled_from(valid + invalid)
+
+
+FILE = CONTENT.map(_File)
+GRAPH = (VALID_FAMILY, st.one_of(ANY_FAMILY, FILE))
+PERMUTATION = st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, n + 1)))
+LABELS = (PERMUTATION.map(lambda labels: ",".join(map(str, labels))),
+          st.one_of(st.lists(NUMBER[1], max_size=6).map(",".join), FILE))
+COMMON = {
+    "--out": tuple(strategy.map(_Out) for strategy in
+                   _choices(["out.json"], [".", "missing/out.json"])),
+    "--format": _choices(["json", "dot", "table"], ["yaml"]),
+}
+BUDGET = {"--budget-seconds": _choices(["0.5", "inf"], ["0", "-1", "nan", "x"])}
+OBJECTIVE = st.one_of(st.just("cordial"), st.builds("{}:{}".format,
+                                                    st.sampled_from(["diff", "diffwin"]),
+                                                    st.integers(-3, 3)))
+THEOREM = _choices(["join", "corona", "lex", "cart", "tensor", "strong", "corona-path", "kp_tensor"],
+                   ["sum"])
+RECIPE = st.fixed_dictionaries(
+    {"theorem": THEOREM[0], "p": PRIME.map(int), "g1": VALID_FAMILY, "g2": VALID_FAMILY},
+    optional={"lab_g1": PERMUTATION.map(list), "lab_g2": PERMUTATION.map(list)},
+).map(lambda recipe: _File(json.dumps(recipe).encode()))
+COMMANDS = {
+    "gen": ([(VALID_FAMILY, ANY_FAMILY)], COMMON),
+    "op": ([_choices(["join", "corona", "lex", "cart", "tensor", "strong"], ["sum"]),
+            GRAPH, GRAPH], COMMON),
+    "construct": ([THEOREM], {"--p": NUMBER, "--g": GRAPH, "--g1": GRAPH, "--g2": GRAPH,
+                              "--lab-g1": LABELS, "--lab-g2": LABELS,
+                              "--auto": (st.none(), st.none()),
+                              "--recipe": (RECIPE, st.one_of(RECIPE, FILE)), **COMMON, **BUDGET}),
+    "verify": ([], {"--g": GRAPH, "--labeling": LABELS, "--p": NUMBER, **COMMON}),
+    "search": ([], {"--g": GRAPH, "--p": NUMBER,
+                    "--objective": (OBJECTIVE, st.one_of(OBJECTIVE, st.just("best"), st.builds(
+                        "{}:{}".format, st.sampled_from(["diff", "diffwin"]), NUMBER[1]))),
+                    "--mode": _choices(["find-first", "count-all", "prove-none"], ["all"]),
+                    **COMMON, **BUDGET}),
+    "legendre": ([NUMBER, NUMBER], COMMON),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A command line: each positional and flag may be missing, and a noisy one
+    may hold a value of the wrong kind or a stray token."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    positionals, flags = COMMANDS[command]
+    noisy = draw(st.booleans())
+    argv = [command]
+    for value in positionals:
+        if draw(st.integers(0, 9)):
+            argv.append(draw(value[noisy]))
+    for flag in draw(st.permutations(sorted(flags))):
+        if draw(st.integers(0, 2)) or flag in ("--g", "--p", "--labeling"):
+            value = draw(flags[flag][noisy])
+            argv += [flag] if value is None else [flag, value]
+    if command in ("construct", "search"):
+        argv += ["--budget-nodes", draw(st.integers(-1, 300).map(str))]
+    if noisy and not draw(st.integers(0, 4)):
+        argv.append(draw(st.sampled_from(["--jobs", "2", "-h", "--p", "--auto"])))
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(argv=cli_argv(), collecting=st.booleans())
+def test_every_failure_is_one_json_object_with_its_exit_code(argv, collecting):
+    """The exit code is one of 0-5, no exception escapes main, and each failure
+    writes one JSON error object carrying its code; search's exit 4 and 5 write
+    none. The collector is left as it was found."""
+    with tempfile.TemporaryDirectory() as tmp:
+        args = []
+        for i, token in enumerate(argv):
+            if isinstance(token, _File):
+                args.append(os.path.join(tmp, f"in{i}.json"))
+                Path(args[-1]).write_bytes(token)
+            else:
+                args.append(os.path.join(tmp, token) if isinstance(token, _Out) else token)
+        err = io.StringIO()
+        with (collector(collecting), contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            try:
+                code = main(args)
+            except SystemExit as exc:  # argparse: a usage error, or -h
+                code = exc.code
+            assert gc.isenabled() is collecting
+    err = err.getvalue()
+    assert code in range(6)
+    if code == 0 or (argv[0] == "search" and code in (4, 5)):
+        assert err == ""
+    else:
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["code"] == code
