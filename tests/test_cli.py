@@ -752,6 +752,17 @@ def test_verify_output_bytes(capsys):
     assert out == '{"e0": 2, "e1": 1, "cordial": true}\n'
 
 
+# Exact stdout, stderr and exit code of table and dot output for every
+# theorem, and of failures no other case reaches. The file is a record of
+# past output: a change that needs it rewritten changes the CLI's bytes.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
+def test_output_bytes_match_the_golden_record(capsys, case):
+    assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
