@@ -49,22 +49,18 @@ def main():
     p3 = make_path(3)
     lab_p3 = Labeling(p3, (2, 1, 3))
     k1 = make_complete(1)
-    report("join", *construct_join(p3, lab_p3, k1, Labeling(k1, (1,)), 3), 3)
+    report("join", *construct_join(lab_p3, Labeling(k1, (1,)), 3), 3)
 
     p2 = make_path(2)
     edge3 = Graph(3, [(0, 1)])
-    report(
-        "corona",
-        *construct_corona(p2, Labeling(p2, (1, 2)), edge3, Labeling(edge3, (1, 3, 2)), 3),
-        3,
-    )
+    report("corona", *construct_corona(Labeling(p2, (1, 2)), Labeling(edge3, (1, 3, 2)), 3), 3)
 
     # the lexicographic balance needs p >= 7: with mp = 7 labels there must be
     # m^2 p = 7 more residue edges than the rest, and only p = 7 has enough
     # residue-summing label pairs
     report(
         "lexicographic",
-        *construct_lexicographic(make_cycle(3), H7, Labeling(H7, tuple(range(1, 8))), 7),
+        *construct_lexicographic(make_cycle(3), Labeling(H7, tuple(range(1, 8))), 7),
         7,
     )
 
@@ -74,13 +70,13 @@ def main():
         f"  (base labeling of C5: rho - eta = "
         f"{rho_eta(lab_c5, LegendreContext(5)).rho_minus_eta})"
     )
-    report("cartesian", *construct_cartesian(c5, lab_c5, make_cycle(4), 5), 5)
+    report("cartesian", *construct_cartesian(lab_c5, make_cycle(4), 5), 5)
 
-    report("tensor", *construct_tensor(p3, lab_p3, make_cycle(3), 3), 3)
+    report("tensor", *construct_tensor(lab_p3, make_cycle(3), 3), 3)
 
     c9 = make_cycle(9)
     res = search_labeling(SearchSpec(c9, 3, objective=DiffWindow.exact(1)))
-    report("strong", *construct_strong(c9, Labeling(c9, res.labeling), make_path(4), 3), 3)
+    report("strong", *construct_strong(Labeling(c9, res.labeling), make_path(4), 3), 3)
 
 
 if __name__ == "__main__":

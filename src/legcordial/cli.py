@@ -108,41 +108,47 @@ class _CliFailure(Exception):
         super().__init__(message)
 
 
+def _edges_family(rest: str) -> Graph:
+    """[N:]u-v,...: N defaults to one more than the largest endpoint."""
+    head, sep, tail = rest.partition(":")
+    order = int(head) if sep else None
+    body = tail if sep else rest
+    edges = []
+    for part in body.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        u, _, v = part.partition("-")
+        edges.append((int(u), int(v)))
+    if order is None:
+        order = max((max(e) for e in edges), default=0) + 1
+    return Graph(order, edges)
+
+
+# family kind -> maker of its graph from the text after "kind:"
+_FAMILIES = {
+    "path": lambda rest: make_path(int(rest)),
+    "cycle": lambda rest: make_cycle(int(rest)),
+    "complete": lambda rest: make_complete(int(rest)),
+    "star": lambda rest: make_star(int(rest)),
+    "edges": _edges_family,
+}
+
+
 def parse_family(spec: str) -> Graph:
     """Inline family specs: path:N cycle:N complete:N star:N edges:[N:]u-v,..."""
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(f"family spec needs 'kind:args', got {spec!r}")
     kind = kind.strip().lower()
-    if kind in ("path", "cycle", "complete", "star"):
-        n = int(rest)
-        return {
-            "path": make_path,
-            "cycle": make_cycle,
-            "complete": make_complete,
-            "star": make_star,
-        }[kind](n)
-    if kind == "edges":
-        head, sep2, tail = rest.partition(":")
-        order = int(head) if sep2 else None
-        body = tail if sep2 else rest
-        edges = []
-        for part in body.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            u, _, v = part.partition("-")
-            edges.append((int(u), int(v)))
-        if order is None:
-            order = max((max(e) for e in edges), default=0) + 1
-        return Graph(order, edges)
-    raise ValueError(f"unknown family kind {kind!r}")
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown family kind {kind!r}")
+    return _FAMILIES[kind](rest)
 
 
 def load_graph_arg(spec: str) -> Graph:
     """A graph argument is an inline family spec or a path to graph JSON."""
-    prefix = spec.partition(":")[0].strip().lower()
-    if prefix in ("path", "cycle", "complete", "star", "edges"):
+    if spec.partition(":")[0].strip().lower() in _FAMILIES:
         return parse_family(spec)
     return graph_from_json(_read_json(spec, "cannot read graph file {!r}", "bad JSON in {!r}"))
 

@@ -28,6 +28,11 @@ factors carry a base labeling, and recipe dispatch, the CLI's --auto trigger
 and find_base_labelings read it. A new theorem is one entry there plus a
 construct_<name> function (- written as _) and, if labeled, a balance_form case.
 
+A constructor takes each factor once, then p: a factor that BASE_LABELINGS
+labels is passed as its Labeling, which carries the graph, and any other
+factor as its Graph; construct_join(lab_g1, lab_g2, p), for example, or
+construct_lexicographic(g1, lab_g2, p).
+
 For the strong construction the tree requirement is read off the second
 factor (its size must be its order minus one); the first factor's size is
 unconstrained. The tensor and lexicographic block offsets are the full
@@ -234,28 +239,22 @@ def balance_form(theorem: str, g1: Graph, g2: Graph, p: int) -> BalanceForm:
 
 
 def _base_tallies(
-    theorem: str,
-    g1: Graph,
-    lab_g1: Labeling | None,
-    g2: Graph,
-    lab_g2: Labeling | None,
-    p: int,
+    theorem: str, f1: Graph | Labeling, f2: Graph | Labeling, p: int
 ) -> tuple[LegendreContext, dict, EdgeTally | None, EdgeTally | None]:
     """Shared preamble of the balance constructions.
 
-    Checks the structural gates, that each base labeling BASE_LABELINGS asks
-    for belongs to its factor, and the balance hypothesis; returns the
-    context, the form's params and each labeled factor's tally (e1 = |rho|,
-    e0 = |eta|), None for a factor without a base labeling.
+    A factor that BASE_LABELINGS labels comes as its Labeling, any other as
+    its Graph. Checks the structural gates and the balance hypothesis;
+    returns the context, the form's params and each labeled factor's tally
+    (e1 = |rho|, e0 = |eta|), None for a factor without a base labeling.
     """
+    labeled1, labeled2 = BASE_LABELINGS[theorem]
+    g1 = f1.graph if labeled1 else f1
+    g2 = f2.graph if labeled2 else f2
     form = balance_form(theorem, g1, g2, p)
     ctx = LegendreContext(p)
-    labeled1, labeled2 = BASE_LABELINGS[theorem]
-    for lab, g, which, labeled in ((lab_g1, g1, "g1", labeled1), (lab_g2, g2, "g2", labeled2)):
-        if labeled and lab.graph != g:
-            raise ValueError(f"base labeling {which} does not belong to its factor graph")
-    t1 = induced_tally(lab_g1, ctx) if labeled1 else None
-    t2 = induced_tally(lab_g2, ctx) if labeled2 else None
+    t1 = induced_tally(f1, ctx) if labeled1 else None
+    t2 = induced_tally(f2, ctx) if labeled2 else None
     d1 = t1.difference if labeled1 else 0
     d2 = t2.difference if labeled2 else 0
     lhs = form.coef1 * d1 + form.coef2 * d2
@@ -382,57 +381,51 @@ def construct_kp_tensor(g: Graph, p: int) -> tuple[Graph, Labeling, PredictedTal
 # Constructions driven by base labelings
 # ---------------------------------------------------------------------------
 
-def construct_join(
-    g1: Graph, lab_g1: Labeling, g2: Graph, lab_g2: Labeling, p: int
-) -> tuple[Graph, Labeling, PredictedTally]:
+def construct_join(lab_g1: Labeling, lab_g2: Labeling, p: int) -> tuple[Graph, Labeling, PredictedTally]:
     """Join of a labeled graph of order n*p with any labeled graph.
 
     Keeps g1's labels and shifts g2's by n*p; every cross edge block then
     sweeps a complete residue system. Predicted counts:
     e0 = |eta1| + |eta2| + nm(p-1)/2 + nm,  e1 = |rho1| + |rho2| + nm(p-1)/2.
     """
-    ctx, params, t1, t2 = _base_tallies("join", g1, lab_g1, g2, lab_g2, p)
+    ctx, params, t1, t2 = _base_tallies("join", lab_g1, lab_g2, p)
     n, m = params["n"], params["m"]
-    composite = join_product(g1, g2)
-    assign = list(lab_g1.assign) + [x + g1.order for x in lab_g2.assign]
+    composite = join_product(lab_g1.graph, lab_g2.graph)
+    assign = list(lab_g1.assign) + [x + n * p for x in lab_g2.assign]
     base = n * m * (p - 1) // 2
     e0 = t1.e0 + t2.e0 + base + n * m
     e1 = t1.e1 + t2.e1 + base
     return _finalize(composite, assign, ctx, e0, e1)
 
 
-def construct_corona(
-    g1: Graph, lab_g1: Labeling, g2: Graph, lab_g2: Labeling, p: int
-) -> tuple[Graph, Labeling, PredictedTally]:
+def construct_corona(lab_g1: Labeling, lab_g2: Labeling, p: int) -> tuple[Graph, Labeling, PredictedTally]:
     """Corona of a labeled connected graph with n copies of a labeled graph of order m*p.
 
     Copy i reuses g2's labels shifted by m*p*(i-1); hosts take g1's labels
     shifted past every copy. Predicted counts:
     e0 = |eta1| + n|eta2| + nm(p-1)/2 + nm,  e1 = |rho1| + n|rho2| + nm(p-1)/2.
     """
-    ctx, params, t1, t2 = _base_tallies("corona", g1, lab_g1, g2, lab_g2, p)
+    ctx, params, t1, t2 = _base_tallies("corona", lab_g1, lab_g2, p)
     n, m = params["n"], params["m"]
-    composite = corona_product(g1, g2)
+    composite = corona_product(lab_g1.graph, lab_g2.graph)
     # host i comes last, at corona_host_index(i, n, |V(g2)|) = n*|V(g2)| + i
-    assign = _block_layout(lab_g2, n) + [x + n * g2.order for x in lab_g1.assign]
+    assign = _block_layout(lab_g2, n) + [x + n * m * p for x in lab_g1.assign]
     base = n * m * (p - 1) // 2
     e0 = t1.e0 + n * t2.e0 + base + n * m
     e1 = t1.e1 + n * t2.e1 + base
     return _finalize(composite, assign, ctx, e0, e1)
 
 
-def construct_lexicographic(
-    g1: Graph, g2: Graph, lab_g2: Labeling, p: int
-) -> tuple[Graph, Labeling, PredictedTally]:
+def construct_lexicographic(g1: Graph, lab_g2: Labeling, p: int) -> tuple[Graph, Labeling, PredictedTally]:
     """Lexicographic product of a unicyclic graph with a labeled graph of order m*p.
 
     Block i repeats g2's labels shifted by m*p*i. Predicted counts:
     e0 = n|eta2| + n m^2 p (p-1)/2 + n m^2 p,  e1 = n|rho2| + n m^2 p (p-1)/2;
     the hypothesis d2 = m^2 p makes the difference exactly 0.
     """
-    ctx, params, _, t2 = _base_tallies("lexicographic", g1, None, g2, lab_g2, p)
+    ctx, params, _, t2 = _base_tallies("lexicographic", g1, lab_g2, p)
     n, m = params["n"], params["m"]
-    composite = lexicographic_product(g1, g2)
+    composite = lexicographic_product(g1, lab_g2.graph)
     assign = _block_layout(lab_g2, n)
     base = n * m * m * p * (p - 1) // 2
     e0 = n * t2.e0 + base + n * m * m * p
@@ -440,9 +433,7 @@ def construct_lexicographic(
     return _finalize(composite, assign, ctx, e0, e1)
 
 
-def construct_cartesian(
-    g1: Graph, lab_g1: Labeling, g2: Graph, p: int
-) -> tuple[Graph, Labeling, PredictedTally]:
+def construct_cartesian(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeling, PredictedTally]:
     """Cartesian product of a labeled graph of order m*p with a graph of size k*order.
 
     Column j repeats g1's labels shifted by m*p*j; edges inside a column keep
@@ -450,9 +441,9 @@ def construct_cartesian(
     complete residue system per block. Predicted counts:
     e0 = n|eta1| + nmk(p-1)/2 + nmk,  e1 = n|rho1| + nmk(p-1)/2.
     """
-    ctx, params, t1, _ = _base_tallies("cartesian", g1, lab_g1, g2, None, p)
+    ctx, params, t1, _ = _base_tallies("cartesian", lab_g1, g2, p)
     n, m, k = params["n"], params["m"], params["k"]
-    composite = cartesian_product(g1, g2)
+    composite = cartesian_product(lab_g1.graph, g2)
     assign = _column_layout(lab_g1, n)
     base = n * m * k * (p - 1) // 2
     e0 = n * t1.e0 + base + n * m * k
@@ -460,17 +451,15 @@ def construct_cartesian(
     return _finalize(composite, assign, ctx, e0, e1)
 
 
-def construct_tensor(
-    g1: Graph, lab_g1: Labeling, g2: Graph, p: int
-) -> tuple[Graph, Labeling, PredictedTally]:
+def construct_tensor(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeling, PredictedTally]:
     """Tensor product of a balanced-labeled graph of order n*p with a connected graph.
 
     Each copy j repeats g1's labels shifted by n*p*j, so both composite edges
     spawned by a factor-edge pair inherit g1's induced label. Predicted
     counts: e0 = 2|eta1|q and e1 = 2|rho1|q with q the size of g2.
     """
-    ctx, _, t1, _ = _base_tallies("tensor", g1, lab_g1, g2, None, p)
-    composite = tensor_product(g1, g2)
+    ctx, _, t1, _ = _base_tallies("tensor", lab_g1, g2, p)
+    composite = tensor_product(lab_g1.graph, g2)
     assign = _column_layout(lab_g1, g2.order)
     q = g2.size
     e0 = 2 * t1.e0 * q
@@ -478,9 +467,7 @@ def construct_tensor(
     return _finalize(composite, assign, ctx, e0, e1)
 
 
-def construct_strong(
-    g1: Graph, lab_g1: Labeling, g2: Graph, p: int
-) -> tuple[Graph, Labeling, PredictedTally]:
+def construct_strong(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeling, PredictedTally]:
     """Strong product of a labeled graph of order 3p with a tree.
 
     Combines the cartesian and tensor accountings on the same indexing:
@@ -488,9 +475,9 @@ def construct_strong(
     e1 = n|rho1| + 3(p-1)/2 (n-1) + 2|rho1|(n-1);
     with d1 = 1 the difference is exactly 1 for every tree order n.
     """
-    ctx, params, t1, _ = _base_tallies("strong", g1, lab_g1, g2, None, p)
+    ctx, params, t1, _ = _base_tallies("strong", lab_g1, g2, p)
     n = params["n"]
-    composite = strong_product(g1, g2)
+    composite = strong_product(lab_g1.graph, g2)
     assign = _column_layout(lab_g1, n)  # g1's order is 3p
     rho1, eta1 = t1.e1, t1.e0
     cart_base = 3 * (p - 1) // 2 * (n - 1)
@@ -518,14 +505,12 @@ def run_recipe(recipe: ConstructionRecipe) -> tuple[Graph, Labeling, PredictedTa
         return construct_kp_tensor(g, p)
     if recipe.g1 is None or recipe.g2 is None:
         raise ValueError(f"recipe for {theorem} needs both factor graphs")
-    # constructor arguments: g1, [lab_g1], g2, [lab_g2], p
+    # one constructor argument per factor: its Labeling if labeled, else its Graph
     args = []
     slots = ((recipe.g1, recipe.lab_g1, "lab_g1"), (recipe.g2, recipe.lab_g2, "lab_g2"))
     for (g, assign, which), labeled in zip(slots, BASE_LABELINGS[theorem]):
-        args.append(g)
-        if labeled:
-            if assign is None:
-                raise ValueError(f"recipe for {theorem} needs {which}")
-            args.append(Labeling(g, tuple(assign)))
+        if labeled and assign is None:
+            raise ValueError(f"recipe for {theorem} needs {which}")
+        args.append(Labeling(g, tuple(assign)) if labeled else g)
     # looked up by name at call time, so a module-level wrapper sees the call
     return globals()["construct_" + theorem.replace("-", "_")](*args, p)

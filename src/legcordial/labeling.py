@@ -40,9 +40,6 @@ class Labeling:
         if len(assign) != n or len(set(assign)) != n or min(assign) != 1 or max(assign) != n:
             raise ValueError(f"assign must be a permutation of 1..{n}")
 
-    def label(self, v: int) -> int:
-        return self.assign[v]
-
 
 @dataclass(frozen=True)
 class EdgeTally:

@@ -48,7 +48,7 @@ class LegendreContext:
 
     symbols[r] is the Legendre symbol of r for r in 0..p-1: 0 for r = 0,
     +1 for quadratic residues, -1 for nonresidues. Instances are immutable
-    after construction and safe to share across workers.
+    after construction.
     """
 
     __slots__ = ("p", "symbols")

@@ -23,11 +23,6 @@ def pair_index(i: int, j: int, order2: int) -> int:
     return i * order2 + j
 
 
-def index_pair(k: int, order2: int) -> tuple[int, int]:
-    """Inverse of pair_index."""
-    return divmod(k, order2)
-
-
 def corona_copy_index(host: int, j: int, copy_order: int) -> int:
     """Composite index of vertex j inside the host-th copy of the satellite graph."""
     return host * copy_order + j

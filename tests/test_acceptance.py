@@ -281,16 +281,14 @@ def test_criterion_7_cross_check():
         p3 = make_path(3)
         lab_p3 = Labeling(p3, (2, 1, 3))
         k1 = make_complete(1)
-        instances.append((construct_join(p3, lab_p3, k1, Labeling(k1, (1,)), 3), 3))
+        instances.append((construct_join(lab_p3, Labeling(k1, (1,)), 3), 3))
         p2 = make_path(2)
-        instances.append(
-            (construct_corona(p2, Labeling(p2, (1, 2)), EDGE3, Labeling(EDGE3, (1, 3, 2)), 3), 3)
-        )
-        instances.append((construct_cartesian(p3, lab_p3, k1, 3), 3))
-        instances.append((construct_tensor(p3, lab_p3, make_cycle(3), 3), 3))
+        instances.append((construct_corona(Labeling(p2, (1, 2)), Labeling(EDGE3, (1, 3, 2)), 3), 3))
+        instances.append((construct_cartesian(lab_p3, k1, 3), 3))
+        instances.append((construct_tensor(lab_p3, make_cycle(3), 3), 3))
         c9 = make_cycle(9)
         res = search_labeling(SearchSpec(c9, 3, objective=DiffWindow.exact(1)))
-        instances.append((construct_strong(c9, Labeling(c9, res.labeling), k1, 3), 3))
+        instances.append((construct_strong(Labeling(c9, res.labeling), k1, 3), 3))
         c6 = make_cycle(6)
         out = find_base_labelings("join", c6, k1, 3)
         instances.append((run_recipe(out.recipe), 3))
@@ -393,21 +391,21 @@ def test_criterion_8_block_offset_invariance():
             kind = idx % 6
             if kind == 0:
                 lab1 = rng.choice(join_pool)
-                return "join", *construct_join(c6, Labeling(c6, lab1), k1, Labeling(k1, (1,)), 3), c6, k1, (lab1, (1,)), 3
+                return "join", *construct_join(Labeling(c6, lab1), Labeling(k1, (1,)), 3), c6, k1, (lab1, (1,)), 3
             if kind == 1:
                 lab2 = rng.choice(corona_pool)
-                return "corona", *construct_corona(p2, Labeling(p2, (1, 2)), EDGE3, Labeling(EDGE3, lab2), 3), p2, EDGE3, ((1, 2), lab2), 3
+                return "corona", *construct_corona(Labeling(p2, (1, 2)), Labeling(EDGE3, lab2), 3), p2, EDGE3, ((1, 2), lab2), 3
             if kind == 2:
                 lab2 = rng.choice(lex_pool)
-                return "lexicographic", *construct_lexicographic(c3, H7, Labeling(H7, lab2), 7), c3, H7, (None, lab2), 7
+                return "lexicographic", *construct_lexicographic(c3, Labeling(H7, lab2), 7), c3, H7, (None, lab2), 7
             if kind == 3:
                 lab1 = rng.choice(cart_pool)
-                return "cartesian", *construct_cartesian(c5, Labeling(c5, lab1), c4, 5), c5, c4, (lab1, None), 5
+                return "cartesian", *construct_cartesian(Labeling(c5, lab1), c4, 5), c5, c4, (lab1, None), 5
             if kind == 4:
                 lab1 = rng.choice(tensor_pool)
-                return "tensor", *construct_tensor(p5g, Labeling(p5g, lab1), c3, 5), p5g, c3, (lab1, None), 5
+                return "tensor", *construct_tensor(Labeling(p5g, lab1), c3, 5), p5g, c3, (lab1, None), 5
             lab1 = strong_base()
-            return "strong", *construct_strong(c9, Labeling(c9, lab1), make_path(4), 3), c9, make_path(4), (lab1, None), 3
+            return "strong", *construct_strong(Labeling(c9, lab1), make_path(4), 3), c9, make_path(4), (lab1, None), 3
 
         for idx in range(100):
             theorem, graph, lab, pred, g1, g2, (base1, base2), p = build(idx)
