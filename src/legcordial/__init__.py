@@ -51,7 +51,6 @@ from .constructors import (
     ConstructionRecipe,
     ConnectivityViolation,
     HypothesisViolation,
-    PredictedTally,
     balance_form,
     construct_cartesian,
     construct_corona,

@@ -60,6 +60,7 @@ from .numtheory import LegendreContext, legendre_symbol
 from .products import cartesian, corona, join, lexicographic, strong, tensor
 from .search import (
     DEFAULT_NODE_BUDGET,
+    MODES,
     Budget,
     DiffWindow,
     SearchSpec,
@@ -77,22 +78,14 @@ EXIT_BUDGET = 5
 ENV_BUDGET_NODES = "LEGCORDIAL_BUDGET_NODES"
 ENV_BUDGET_SECONDS = "LEGCORDIAL_BUDGET_SECONDS"
 
+# op name -> (operation, the vertex indexing its output reports)
 _OPS = {
-    "join": join,
-    "corona": corona,
-    "lex": lexicographic,
-    "cart": cartesian,
-    "tensor": tensor,
-    "strong": strong,
-}
-
-_OP_CONVENTIONS = {
-    "join": "g1 vertices first, then g2 at offset |V(g1)|",
-    "corona": "copies of g2 blocked per host vertex, host vertices last",
-    "lex": "(i, j) -> i*|V(g2)| + j",
-    "cart": "(i, j) -> i*|V(g2)| + j",
-    "tensor": "(i, j) -> i*|V(g2)| + j",
-    "strong": "(i, j) -> i*|V(g2)| + j",
+    "join": (join, "g1 vertices first, then g2 at offset |V(g1)|"),
+    "corona": (corona, "copies of g2 blocked per host vertex, host vertices last"),
+    "lex": (lexicographic, "(i, j) -> i*|V(g2)| + j"),
+    "cart": (cartesian, "(i, j) -> i*|V(g2)| + j"),
+    "tensor": (tensor, "(i, j) -> i*|V(g2)| + j"),
+    "strong": (strong, "(i, j) -> i*|V(g2)| + j"),
 }
 
 
@@ -207,14 +200,21 @@ def _emit_graph(g: Graph, args, extra: dict | None = None, labeling: Labeling | 
         _emit([_graph_table(g, extra)], args.out)
 
 
+def _env_budget(name: str, parse, kind: str, unset):
+    """The budget in environment variable name, or unset when it is unset or empty."""
+    text = os.environ.get(name)
+    try:
+        return parse(text) if text else unset
+    except ValueError:
+        raise ValueError(f"{name} must be {kind}, got {text!r}") from None
+
+
 def _budget_from_args(args) -> Budget:
-    nodes = args.budget_nodes
+    nodes, seconds = args.budget_nodes, args.budget_seconds
     if nodes is None:
-        nodes = int(os.environ.get(ENV_BUDGET_NODES, DEFAULT_NODE_BUDGET))
-    seconds = args.budget_seconds
+        nodes = _env_budget(ENV_BUDGET_NODES, int, "an integer", DEFAULT_NODE_BUDGET)
     if seconds is None:
-        env = os.environ.get(ENV_BUDGET_SECONDS)
-        seconds = float(env) if env else None
+        seconds = _env_budget(ENV_BUDGET_SECONDS, float, "a number", None)
     return Budget(max_nodes=nodes, max_seconds=seconds)
 
 
@@ -231,8 +231,9 @@ def _cmd_gen(args) -> int:
 def _cmd_op(args) -> int:
     g1 = load_graph_arg(args.g1)
     g2 = load_graph_arg(args.g2)
-    result = _OPS[args.op](g1, g2)
-    extra = {"convention": _OP_CONVENTIONS[args.op], "connected": is_connected(result)}
+    op, convention = _OPS[args.op]
+    result = op(g1, g2)
+    extra = {"convention": convention, "connected": is_connected(result)}
     if not extra["connected"]:
         extra["warnings"] = ["result is disconnected"]
     _emit_graph(result, args, extra)
@@ -490,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--g", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--objective", default="cordial", help="cordial | diff:D | diffwin:D")
-    sp.add_argument("--mode", choices=("find-first", "count-all", "prove-none"), default="find-first")
+    sp.add_argument("--mode", choices=MODES, default="find-first")
     add_common(sp)
     add_budget(sp)
     sp.set_defaults(handler=_cmd_search)

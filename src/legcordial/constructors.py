@@ -35,10 +35,10 @@ construct_lexicographic(g1, lab_g2, p).
 
 For the strong construction the tree requirement is read off the second
 factor (its size must be its order minus one); the first factor's size is
-unconstrained. The tensor and lexicographic block offsets are the full
-order of the repeated factor (n*p per copy, resp. m*p per block): both are
-multiples of p, so every congruence the counting argument needs is
-preserved while the assignment stays bijective for all factor orders.
+unconstrained. Each shift is the full order of the repeated factor (a
+multiple of p), so every congruence the counting argument needs is
+preserved while the assignment stays bijective for all factor orders;
+products.pair_labels lays the shifted copies out.
 """
 
 from __future__ import annotations
@@ -63,11 +63,10 @@ from .numtheory import LegendreContext, check_prime
 from .products import (
     cartesian as cartesian_product,
     corona as corona_product,
-    corona_copy_index,
-    corona_host_index,
     join as join_product,
     lexicographic as lexicographic_product,
     pair_index,
+    pair_labels,
     strong as strong_product,
     tensor as tensor_product,
 )
@@ -127,10 +126,6 @@ class ConnectivityViolation(HypothesisViolation):
 
 class ConstructionError(RuntimeError):
     """The verifier disagreed with the closed-form prediction."""
-
-
-class PredictedTally(EdgeTally):
-    """Closed-form (e0, e1); a constructor returns it only once the verifier agrees."""
 
 
 @dataclass(frozen=True)
@@ -269,7 +264,7 @@ def _base_tallies(
 
 def _finalize(
     composite: Graph, assign: list[int], ctx: LegendreContext, e0: int, e1: int
-) -> tuple[Graph, Labeling, PredictedTally]:
+) -> tuple[Graph, Labeling, EdgeTally]:
     lab = Labeling(composite, tuple(assign))  # rejects non-bijections
     tally = induced_tally(lab, ctx)
     if (tally.e0, tally.e1) != (e0, e1):
@@ -278,29 +273,14 @@ def _finalize(
         )
     if abs(e0 - e1) > 1:
         raise ConstructionError(f"prediction ({e0},{e1}) is not cordial")
-    return composite, lab, PredictedTally(e0, e1)
-
-
-def _column_layout(lab: Labeling, columns: int) -> list[int]:
-    """Vertex (a, j) of a product-set composite, at pair_index(a, j, columns) =
-    a * columns + j, takes lab(a) + n*j with n = lab's order: column j
-    repeats the labeling shifted by n*j."""
-    n = lab.graph.order
-    return [x + n * j for x in lab.assign for j in range(columns)]
-
-
-def _block_layout(lab: Labeling, blocks: int) -> list[int]:
-    """Block i, the indices s*i .. s*i + s - 1 with s = lab's order (pair_index
-    and corona_copy_index both place it so), repeats the labeling shifted by s*i."""
-    s = lab.graph.order
-    return [x + s * i for i in range(blocks) for x in lab.assign]
+    return composite, lab, EdgeTally(e0, e1)
 
 
 # ---------------------------------------------------------------------------
 # Constructions without base labelings
 # ---------------------------------------------------------------------------
 
-def construct_corona_path(g: Graph, p: int) -> tuple[Graph, Labeling, PredictedTally]:
+def construct_corona_path(g: Graph, p: int) -> tuple[Graph, Labeling, EdgeTally]:
     """Corona of a sparse connected graph with the path on p-1 vertices.
 
     Hosts take labels (p+1)/2 + p*(i-1); within copy i the path vertices get
@@ -325,23 +305,18 @@ def construct_corona_path(g: Graph, p: int) -> tuple[Graph, Labeling, PredictedT
             lhs=q,
             rhs=(n - 1, n + 1),
         )
-    copy_order = p - 1
-    composite = corona_product(g, make_path(copy_order))
-    assign = [0] * composite.order
+    composite = corona_product(g, make_path(p - 1))
     half_up = (p + 1) // 2
     half_dn = (p - 1) // 2
-    for i in range(n):  # copy index, 0-based
-        block = p * i
-        for j in range(1, p):  # path position, 1-based
-            lab = j + half_up if j <= half_dn else j - half_dn
-            assign[corona_copy_index(i, j - 1, copy_order)] = lab + block
-        assign[corona_host_index(i, n, copy_order)] = half_up + block
+    path = [j + half_up if j <= half_dn else j - half_dn for j in range(1, p)]
+    blocks = range(0, n * p, p)
+    assign = pair_labels(blocks, path) + [half_up + b for b in blocks]
     e0 = n * (p - 3) // 2 + n * (p - 1) // 2 + n
     e1 = n * (p - 1) // 2 + n * (p - 3) // 2 + q
     return _finalize(composite, assign, ctx, e0, e1)
 
 
-def construct_kp_tensor(g: Graph, p: int) -> tuple[Graph, Labeling, PredictedTally]:
+def construct_kp_tensor(g: Graph, p: int) -> tuple[Graph, Labeling, EdgeTally]:
     """Tensor product of the complete graph on p vertices with a bipartite graph.
 
     Vertices over side 1 are labeled ascending within their block, side-2
@@ -381,7 +356,7 @@ def construct_kp_tensor(g: Graph, p: int) -> tuple[Graph, Labeling, PredictedTal
 # Constructions driven by base labelings
 # ---------------------------------------------------------------------------
 
-def construct_join(lab_g1: Labeling, lab_g2: Labeling, p: int) -> tuple[Graph, Labeling, PredictedTally]:
+def construct_join(lab_g1: Labeling, lab_g2: Labeling, p: int) -> tuple[Graph, Labeling, EdgeTally]:
     """Join of a labeled graph of order n*p with any labeled graph.
 
     Keeps g1's labels and shifts g2's by n*p; every cross edge block then
@@ -398,7 +373,7 @@ def construct_join(lab_g1: Labeling, lab_g2: Labeling, p: int) -> tuple[Graph, L
     return _finalize(composite, assign, ctx, e0, e1)
 
 
-def construct_corona(lab_g1: Labeling, lab_g2: Labeling, p: int) -> tuple[Graph, Labeling, PredictedTally]:
+def construct_corona(lab_g1: Labeling, lab_g2: Labeling, p: int) -> tuple[Graph, Labeling, EdgeTally]:
     """Corona of a labeled connected graph with n copies of a labeled graph of order m*p.
 
     Copy i reuses g2's labels shifted by m*p*(i-1); hosts take g1's labels
@@ -408,15 +383,15 @@ def construct_corona(lab_g1: Labeling, lab_g2: Labeling, p: int) -> tuple[Graph,
     ctx, params, t1, t2 = _base_tallies("corona", lab_g1, lab_g2, p)
     n, m = params["n"], params["m"]
     composite = corona_product(lab_g1.graph, lab_g2.graph)
-    # host i comes last, at corona_host_index(i, n, |V(g2)|) = n*|V(g2)| + i
-    assign = _block_layout(lab_g2, n) + [x + n * m * p for x in lab_g1.assign]
+    assign = pair_labels(range(0, n * m * p, m * p), lab_g2.assign)
+    assign += [x + n * m * p for x in lab_g1.assign]
     base = n * m * (p - 1) // 2
     e0 = t1.e0 + n * t2.e0 + base + n * m
     e1 = t1.e1 + n * t2.e1 + base
     return _finalize(composite, assign, ctx, e0, e1)
 
 
-def construct_lexicographic(g1: Graph, lab_g2: Labeling, p: int) -> tuple[Graph, Labeling, PredictedTally]:
+def construct_lexicographic(g1: Graph, lab_g2: Labeling, p: int) -> tuple[Graph, Labeling, EdgeTally]:
     """Lexicographic product of a unicyclic graph with a labeled graph of order m*p.
 
     Block i repeats g2's labels shifted by m*p*i. Predicted counts:
@@ -426,14 +401,14 @@ def construct_lexicographic(g1: Graph, lab_g2: Labeling, p: int) -> tuple[Graph,
     ctx, params, _, t2 = _base_tallies("lexicographic", g1, lab_g2, p)
     n, m = params["n"], params["m"]
     composite = lexicographic_product(g1, lab_g2.graph)
-    assign = _block_layout(lab_g2, n)
+    assign = pair_labels(range(0, n * m * p, m * p), lab_g2.assign)
     base = n * m * m * p * (p - 1) // 2
     e0 = n * t2.e0 + base + n * m * m * p
     e1 = n * t2.e1 + base
     return _finalize(composite, assign, ctx, e0, e1)
 
 
-def construct_cartesian(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeling, PredictedTally]:
+def construct_cartesian(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeling, EdgeTally]:
     """Cartesian product of a labeled graph of order m*p with a graph of size k*order.
 
     Column j repeats g1's labels shifted by m*p*j; edges inside a column keep
@@ -444,30 +419,31 @@ def construct_cartesian(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Lab
     ctx, params, t1, _ = _base_tallies("cartesian", lab_g1, g2, p)
     n, m, k = params["n"], params["m"], params["k"]
     composite = cartesian_product(lab_g1.graph, g2)
-    assign = _column_layout(lab_g1, n)
+    assign = pair_labels(lab_g1.assign, range(0, n * m * p, m * p))
     base = n * m * k * (p - 1) // 2
     e0 = n * t1.e0 + base + n * m * k
     e1 = n * t1.e1 + base
     return _finalize(composite, assign, ctx, e0, e1)
 
 
-def construct_tensor(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeling, PredictedTally]:
+def construct_tensor(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeling, EdgeTally]:
     """Tensor product of a balanced-labeled graph of order n*p with a connected graph.
 
     Each copy j repeats g1's labels shifted by n*p*j, so both composite edges
     spawned by a factor-edge pair inherit g1's induced label. Predicted
     counts: e0 = 2|eta1|q and e1 = 2|rho1|q with q the size of g2.
     """
-    ctx, _, t1, _ = _base_tallies("tensor", lab_g1, g2, p)
+    ctx, params, t1, _ = _base_tallies("tensor", lab_g1, g2, p)
+    n, m = params["n"], params["m"]
     composite = tensor_product(lab_g1.graph, g2)
-    assign = _column_layout(lab_g1, g2.order)
+    assign = pair_labels(lab_g1.assign, range(0, m * n * p, n * p))
     q = g2.size
     e0 = 2 * t1.e0 * q
     e1 = 2 * t1.e1 * q
     return _finalize(composite, assign, ctx, e0, e1)
 
 
-def construct_strong(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeling, PredictedTally]:
+def construct_strong(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeling, EdgeTally]:
     """Strong product of a labeled graph of order 3p with a tree.
 
     Combines the cartesian and tensor accountings on the same indexing:
@@ -478,7 +454,7 @@ def construct_strong(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeli
     ctx, params, t1, _ = _base_tallies("strong", lab_g1, g2, p)
     n = params["n"]
     composite = strong_product(lab_g1.graph, g2)
-    assign = _column_layout(lab_g1, n)  # g1's order is 3p
+    assign = pair_labels(lab_g1.assign, range(0, n * 3 * p, 3 * p))
     rho1, eta1 = t1.e1, t1.e0
     cart_base = 3 * (p - 1) // 2 * (n - 1)
     e0 = n * eta1 + cart_base + 3 * (n - 1) + 2 * eta1 * (n - 1)
@@ -490,7 +466,7 @@ def construct_strong(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeli
 # Recipe plumbing
 # ---------------------------------------------------------------------------
 
-def run_recipe(recipe: ConstructionRecipe) -> tuple[Graph, Labeling, PredictedTally]:
+def run_recipe(recipe: ConstructionRecipe) -> tuple[Graph, Labeling, EdgeTally]:
     """Execute a recipe through the matching constructor."""
     theorem = normalize_theorem(recipe.theorem)
     p = recipe.p

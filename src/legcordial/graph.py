@@ -349,6 +349,11 @@ def graph_loads(text: str) -> Graph:
     return graph_from_json(json.loads(text))
 
 
+def _dot_quoted(text: str) -> str:
+    """text as the inside of a DOT double-quoted string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
 def graph_to_dot(
     g: Graph,
     vertex_labels: Sequence[int] | None = None,
@@ -358,11 +363,11 @@ def graph_to_dot(
 
     When edge_labels maps canonical edges to 0/1, edges are colored by the
     induced label (1 = royalblue, 0 = crimson) so a verification report can
-    be eyeballed.
+    be eyeballed. Vertex names are escaped (backslash, quote, newline).
     """
     lines = ["graph G {"]
     for v in range(g.order):
-        name = g.names[v] if g.names is not None else f"v{v + 1}"
+        name = _dot_quoted(g.names[v]) if g.names is not None else f"v{v + 1}"
         if vertex_labels is not None:
             lines.append(f'  {v} [label="{name}:{vertex_labels[v]}"];')
         else:

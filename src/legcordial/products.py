@@ -10,10 +10,19 @@ Vertex indexing is fixed so that labelings can be assigned positionally:
   (i+1) * g2.order - 1 and the g1.order host vertices come last, so hosts
   end up with the top label block in the corona constructions.
 
+Label layout: a construction labels a pair-indexed composite (a product, or
+a corona's copies) by outer sum. pair_labels(first, second) gives pair
+(i, j) -- in a corona, vertex j of copy i -- the label first[i] + second[j].
+With first a base labeling and second the column shifts, each column
+repeats the labeling shifted; with first the block shifts and second a base
+labeling, each block does. The shifts are multiples of p.
+
 All six operations are pure functions over immutable inputs.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .graph import Edge, Graph, _trusted_graph, check_shape
 
@@ -21,6 +30,12 @@ from .graph import Edge, Graph, _trusted_graph, check_shape
 def pair_index(i: int, j: int, order2: int) -> int:
     """Composite index of factor pair (i, j) when the second factor has order2 vertices."""
     return i * order2 + j
+
+
+def pair_labels(first: Sequence[int], second: Sequence[int]) -> list[int]:
+    """Labels in composite index order: pair (i, j), at pair_index(i, j,
+    len(second)) or corona_copy_index(i, j, len(second)), gets first[i] + second[j]."""
+    return [a + b for a in first for b in second]
 
 
 def corona_copy_index(host: int, j: int, copy_order: int) -> int:

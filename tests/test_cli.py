@@ -262,6 +262,20 @@ def test_graph_file_with_bad_names_prints_no_dot(tmp_path, capsys, names):
     assert json.loads(err)["error"]["message"].startswith("malformed graph JSON: ")
 
 
+def test_dot_escapes_vertex_names(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"order": 3, "edges": [[0, 1], [1, 2]], "names": ['a"b', "c\\", "d\ne"]}))
+    code, out, err = run(
+        capsys, "verify", "--g", str(path), "--labeling", "1,2,3", "--p", "3", "--format", "dot"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:4] == [
+        '  0 [label="a\\"b:1"];',
+        '  1 [label="c\\\\:2"];',
+        '  2 [label="d\\ne:3"];',
+    ]
+
+
 @pytest.mark.parametrize("obj", [{"p": 3}, [1, 2], {"theorem": 3, "p": 3}, "cart"])
 def test_construct_malformed_recipe_is_usage_error(tmp_path, capsys, obj):
     recipe = tmp_path / "recipe.json"
@@ -375,6 +389,24 @@ def test_search_nan_budget_from_environment_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("LEGCORDIAL_BUDGET_SECONDS", "nan")
     got = run(capsys, "search", "--g", "cycle:6", "--p", "5")
     assert _one_usage_error(*got) == "time budget must be positive"
+
+
+@pytest.mark.parametrize("name", ["LEGCORDIAL_BUDGET_NODES", "LEGCORDIAL_BUDGET_SECONDS"])
+def test_empty_budget_variable_counts_as_unset(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "")
+    code, out, err = run(capsys, "search", "--g", "cycle:6", "--p", "5")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outcome"] == "found"
+
+
+@pytest.mark.parametrize(
+    "name,kind",
+    [("LEGCORDIAL_BUDGET_NODES", "an integer"), ("LEGCORDIAL_BUDGET_SECONDS", "a number")],
+)
+def test_unparsable_budget_variable_is_usage_error_naming_it(capsys, monkeypatch, name, kind):
+    monkeypatch.setenv(name, "abc")
+    got = run(capsys, "search", "--g", "cycle:6", "--p", "5")
+    assert _one_usage_error(*got) == f"{name} must be {kind}, got 'abc'"
 
 
 def test_construct_auto_over_the_search_ceiling_is_usage_error(capsys):
@@ -720,9 +752,10 @@ def test_gen_and_op_json_is_the_dumps_of_the_graph(capsys, tmp_path, argv):
     if argv[0] == "gen":
         payload = graph_to_json(cli.parse_family(argv[1]))
     else:
-        g = cli._OPS[argv[1]](cli.parse_family(argv[2]), cli.parse_family(argv[3]))
+        op, convention = cli._OPS[argv[1]]
+        g = op(cli.parse_family(argv[2]), cli.parse_family(argv[3]))
         payload = graph_to_json(g)
-        payload.update(convention=cli._OP_CONVENTIONS[argv[1]], connected=is_connected(g))
+        payload.update(convention=convention, connected=is_connected(g))
         if not is_connected(g):
             payload["warnings"] = ["result is disconnected"]
     expected = cli._dumps(payload)

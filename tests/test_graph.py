@@ -190,6 +190,8 @@ def test_dot_export():
     assert "0 -- 1" in text and "royalblue" in text and "crimson" in text
     plain = graph_to_dot(g)
     assert plain.startswith("graph G {") and "0 -- 1;" in plain
+    named = graph_to_dot(Graph(2, [(0, 1)], names=["x", "y z"]), vertex_labels=[2, 1])
+    assert named.splitlines()[1:3] == ['  0 [label="x:2"];', '  1 [label="y z:1"];']
 
 
 def test_adjacency():

@@ -15,6 +15,15 @@ from legcordial.graph import (
     make_path,
     make_star,
 )
+from legcordial.constructors import (
+    construct_cartesian,
+    construct_corona,
+    construct_corona_path,
+    construct_lexicographic,
+    construct_strong,
+    construct_tensor,
+)
+from legcordial.labeling import Labeling
 from legcordial.products import (
     cartesian,
     corona,
@@ -23,6 +32,7 @@ from legcordial.products import (
     join,
     lexicographic,
     pair_index,
+    pair_labels,
     strong,
     tensor,
 )
@@ -177,6 +187,93 @@ def test_pair_index_round_trip(n1, n2):
     for i in range(n1):
         for j in range(n2):
             assert divmod(pair_index(i, j, n2), n2) == (i, j)
+
+
+def test_pair_labels_is_the_outer_sum_in_pair_index_order():
+    for n1 in range(6):
+        for n2 in range(6):
+            first = [7 * i + 3 for i in range(n1)]
+            second = [11 * j - 5 for j in range(n2)]
+            labels = pair_labels(first, second)
+            assert len(labels) == n1 * n2
+            for i in range(n1):
+                for j in range(n2):
+                    assert labels[pair_index(i, j, n2)] == first[i] + second[j]
+
+
+def _columns(base, columns):
+    """Vertex (a, j) takes base[a] shifted by j * len(base)."""
+    out = [0] * (len(base) * columns)
+    for a, x in enumerate(base):
+        for j in range(columns):
+            out[pair_index(a, j, columns)] = x + j * len(base)
+    return out
+
+
+def _blocks(blocks, base):
+    """Vertex j of block i takes base[j] shifted by i * len(base)."""
+    out = [0] * (blocks * len(base))
+    for i in range(blocks):
+        for j, x in enumerate(base):
+            out[pair_index(i, j, len(base))] = x + i * len(base)
+    return out
+
+
+def _corona_labels(host_labels, copy_labels, shift):
+    """Copy i takes copy_labels shifted by i * shift; host i takes host_labels[i]."""
+    n, s = len(host_labels), len(copy_labels)
+    out = [0] * (n * s + n)
+    for i in range(n):
+        for j, x in enumerate(copy_labels):
+            out[corona_copy_index(i, j, s)] = x + i * shift
+        out[corona_host_index(i, n, s)] = host_labels[i]
+    return out
+
+
+H7 = Graph(7, [(0, 6), (1, 5), (2, 4), (1, 6), (2, 5), (3, 6), (4, 5)])
+C5_LAB = (2, 1, 3, 5, 4)  # rho - eta = 1 at p = 5
+P3_LAB = (2, 1, 3)  # rho - eta = 0 at p = 3
+C9_LAB = (1, 2, 3, 4, 5, 8, 6, 7, 9)  # rho - eta = 1 at p = 3
+SATELLITE = (1, 3, 2)  # rho - eta = 1 at p = 3 on the one-edge graph of order 3
+
+# theorem -> (its construction, the labeling written out index by index), one
+# instance per outer-sum construction with more than one block or column
+LAYOUT_CASES = {
+    "cartesian": (
+        lambda: construct_cartesian(Labeling(make_cycle(5), C5_LAB), make_cycle(4), 5),
+        _columns(C5_LAB, 4),
+    ),
+    "tensor": (
+        lambda: construct_tensor(Labeling(make_path(3), P3_LAB), make_cycle(3), 3),
+        _columns(P3_LAB, 3),
+    ),
+    "strong": (
+        lambda: construct_strong(Labeling(make_cycle(9), C9_LAB), make_path(4), 3),
+        _columns(C9_LAB, 4),
+    ),
+    "lexicographic": (
+        lambda: construct_lexicographic(make_cycle(3), Labeling(H7, tuple(range(1, 8))), 7),
+        _blocks(3, tuple(range(1, 8))),
+    ),
+    "corona": (
+        lambda: construct_corona(
+            Labeling(make_path(2), (1, 2)), Labeling(Graph(3, [(0, 1)]), SATELLITE), 3
+        ),
+        _corona_labels([1 + 6, 2 + 6], SATELLITE, 3),
+    ),
+    # p = 5: each copy of P4 is labeled 4, 5, 1, 2 and its host 3, shifted by 5 per copy
+    "corona-path": (
+        lambda: construct_corona_path(make_cycle(4), 5),
+        _corona_labels([3 + 5 * i for i in range(4)], (4, 5, 1, 2), 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(LAYOUT_CASES))
+def test_each_construction_lays_out_its_labels_by_pair_index(theorem):
+    build, expected = LAYOUT_CASES[theorem]
+    _, lab, _ = build()
+    assert list(lab.assign) == expected
 
 
 def test_vertex_maps_are_bijections():
