@@ -362,7 +362,7 @@ def _recipe_from_args(args) -> ConstructionRecipe:
         if spec is None:
             raise ValueError(f"construction {theorem} needs --g")
         g = load_graph_arg(spec)
-        return ConstructionRecipe(theorem, args.p, g, g)  # run_recipe picks its slot
+        return ConstructionRecipe(theorem, args.p, g, None)
     if args.g1 is None or args.g2 is None:
         raise ValueError(f"construction {theorem} needs --g1 and --g2")
     g1, g2 = load_graph_arg(args.g1), load_graph_arg(args.g2)  # both before the labels
@@ -444,11 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_common(sp, formats=("json", "dot", "table")):
         sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument(
-            "--format", choices=("json", "dot", "table"), default="json", help="output format"
-        )
+        sp.add_argument("--format", choices=formats, default="json", help="output format")
 
     def add_budget(sp):
         sp.add_argument("--budget-nodes", type=int, default=None)
@@ -492,14 +490,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--objective", default="cordial", help="cordial | diff:D | diffwin:D")
     sp.add_argument("--mode", choices=MODES, default="find-first")
-    add_common(sp)
+    add_common(sp, ("json", "table"))
     add_budget(sp)
     sp.set_defaults(handler=_cmd_search)
 
     sp = sub.add_parser("legendre", help="Legendre symbol (a/p)")
     sp.add_argument("a", type=int)
     sp.add_argument("p", type=int)
-    add_common(sp)
+    add_common(sp, ("json", "table"))
     sp.set_defaults(handler=_cmd_legendre)
 
     return parser

@@ -469,24 +469,20 @@ def construct_strong(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeli
 def run_recipe(recipe: ConstructionRecipe) -> tuple[Graph, Labeling, EdgeTally]:
     """Execute a recipe through the matching constructor."""
     theorem = normalize_theorem(recipe.theorem)
-    p = recipe.p
-    if theorem == "corona-path":
-        if recipe.g1 is None:
-            raise ValueError("corona-path recipe needs g1")
-        return construct_corona_path(recipe.g1, p)
-    if theorem == "kp-tensor":
-        g = recipe.g2 if recipe.g2 is not None else recipe.g1
+    if not any(BASE_LABELINGS[theorem]):  # one factor: g1, else g2
+        g = recipe.g1 if recipe.g1 is not None else recipe.g2
         if g is None:
-            raise ValueError("kp-tensor recipe needs the bipartite factor")
-        return construct_kp_tensor(g, p)
-    if recipe.g1 is None or recipe.g2 is None:
+            raise ValueError(f"recipe for {theorem} needs a factor graph, g1 or g2")
+        args = [g]
+    elif recipe.g1 is None or recipe.g2 is None:
         raise ValueError(f"recipe for {theorem} needs both factor graphs")
-    # one constructor argument per factor: its Labeling if labeled, else its Graph
-    args = []
-    slots = ((recipe.g1, recipe.lab_g1, "lab_g1"), (recipe.g2, recipe.lab_g2, "lab_g2"))
-    for (g, assign, which), labeled in zip(slots, BASE_LABELINGS[theorem]):
-        if labeled and assign is None:
-            raise ValueError(f"recipe for {theorem} needs {which}")
-        args.append(Labeling(g, tuple(assign)) if labeled else g)
+    else:
+        # one constructor argument per factor: its Labeling if labeled, else its Graph
+        args = []
+        slots = ((recipe.g1, recipe.lab_g1, "lab_g1"), (recipe.g2, recipe.lab_g2, "lab_g2"))
+        for (g, assign, which), labeled in zip(slots, BASE_LABELINGS[theorem]):
+            if labeled and assign is None:
+                raise ValueError(f"recipe for {theorem} needs {which}")
+            args.append(Labeling(g, tuple(assign)) if labeled else g)
     # looked up by name at call time, so a module-level wrapper sees the call
-    return globals()["construct_" + theorem.replace("-", "_")](*args, p)
+    return globals()["construct_" + theorem.replace("-", "_")](*args, recipe.p)

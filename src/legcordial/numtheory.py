@@ -48,7 +48,7 @@ class LegendreContext:
 
     symbols[r] is the Legendre symbol of r for r in 0..p-1: 0 for r = 0,
     +1 for quadratic residues, -1 for nonresidues. Instances are immutable
-    after construction.
+    after construction and compare by identity.
     """
 
     __slots__ = ("p", "symbols")
@@ -64,12 +64,6 @@ class LegendreContext:
 
     def __repr__(self) -> str:
         return f"LegendreContext(p={self.p})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LegendreContext) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("LegendreContext", self.p))
 
 
 def legendre_symbol(a: int, ctx: LegendreContext) -> int:

@@ -63,13 +63,17 @@ only class representatives under residue classes, and only labels above the
 bound of the chain or the twin run and below the position's ceiling; the
 last position's one label is a node when it is above its bound) so runs are
 reproducible; the reported node count never exceeds the node budget. An
-optional wall-clock limit is a secondary kill switch. A budget-exhausted run is a distinct
-outcome, never conflated with a completed proof of non-existence.
+optional wall-clock limit is a secondary kill switch; it starts when the
+call starts, so it covers engine set-up in every entry point, though the
+stabilizer chain's own set-up does not poll it (CHAIN_CALL_CAP bounds that).
+A budget-exhausted run is a distinct outcome, never conflated with a
+completed proof of non-existence.
 
-`achievable_differences` and `find_base_labelings` are sequences of
-find-first window runs (probes) that share one budget. A window prunes only
-subtrees with no leaf inside it, so the probe [d, d] finds the first
-labeling in search order with difference d.
+Each entry point drives one _Probes, which holds the budget:
+`search_labeling` makes one run, and `achievable_differences` and
+`find_base_labelings` a sequence of find-first window runs (probes). A
+window prunes only subtrees with no leaf inside it, so the probe [d, d]
+finds the first labeling in search order with difference d.
 """
 
 from __future__ import annotations
@@ -343,7 +347,7 @@ def _chain_cuts_more(
 
 class _Engine:
     """Shared backtracking core; one instance per (graph, prime, whole_tree).
-    The prime is checked by its callers, SearchSpec and _Probes."""
+    _Probes, which builds every engine, checks the prime."""
 
     def __init__(self, graph: Graph, p: int, whole_tree: bool = False):
         """``whole_tree``: the runs will visit the whole pruned tree
@@ -534,10 +538,6 @@ class _Engine:
         return tuple(assign)
 
 
-def _deadline(budget: Budget) -> float | None:
-    return None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-
-
 def search_labeling(spec: SearchSpec) -> SearchResult:
     """Run the oracle described by ``spec``; see the module docstring for semantics.
 
@@ -547,30 +547,25 @@ def search_labeling(spec: SearchSpec) -> SearchResult:
     find-first semantics where a completed "none" is the certificate; a
     witness, if one exists, is reported as "found".
     """
-    lo, hi = _parity_window(spec.graph, spec.objective.lo, spec.objective.hi)
-    count_all = spec.mode == "count-all"
-    if lo > hi:
-        return SearchResult("none", 0, count=0 if count_all else None, complete=True)
-    engine = _Engine(spec.graph, spec.p, spec.mode != "find-first")
-    nodes, count, witness, exhausted = engine.run(
-        lo, hi, not count_all, spec.budget.max_nodes, _deadline(spec.budget)
-    )
-    if exhausted:
-        return SearchResult("exhausted", nodes)
-    if count_all:
-        outcome = "found" if count > 0 else "none"
-        return SearchResult(outcome, nodes, labeling=witness, count=count, complete=True)
-    if witness is not None:
-        return SearchResult("found", nodes, labeling=witness)
-    return SearchResult("none", nodes, complete=True)
+    probes = _Probes(spec.p, spec.budget)
+    count, witness = probes.run(spec.graph, spec.objective.lo, spec.objective.hi, spec.mode)
+    if not probes.complete:
+        return SearchResult("exhausted", probes.nodes)
+    outcome = "none" if witness is None else "found"
+    if spec.mode == "count-all":
+        return SearchResult(outcome, probes.nodes, witness, count, complete=True)
+    return SearchResult(outcome, probes.nodes, witness, complete=witness is None)
 
 
 class _Probes:
-    """Find-first window runs that share one node budget and one deadline.
+    """Window runs that share one node budget and one deadline. The deadline
+    starts when the _Probes is built, so it covers building the engines,
+    though the stabilizer chain's set-up does not poll it.
 
-    Each graph's engine is built at its first run that needs one and kept.
-    Once a run exhausts the budget, or no node or time is left for the next
-    one, ``complete`` is False and every later run finds nothing at no cost.
+    An engine is built at the first run that needs it and kept, by graph
+    and by whether the runs visit the whole tree. Once a run exhausts the
+    budget, or no node or time is left for the next one, ``complete`` is
+    False and every later run finds nothing at no cost.
     """
 
     def __init__(self, p: int, budget: Budget | None):
@@ -578,31 +573,38 @@ class _Probes:
         budget = budget or Budget()
         self.p = p
         self.max_nodes = budget.max_nodes
-        self.deadline = _deadline(budget)
+        self.deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
         self.nodes = 0
         self.complete = True
-        self.engines: dict[int, _Engine] = {}  # by id() of the graph
+        # by id() of the graph and whether the runs visit the whole tree
+        self.engines: dict[tuple[int, bool], _Engine] = {}
 
-    def find(self, graph: Graph, lo: int, hi: int) -> tuple[int, ...] | None:
-        """The first labeling of ``graph`` in search order with d in [lo, hi], or None."""
+    def run(
+        self, graph: Graph, lo: int, hi: int, mode: str = "find-first"
+    ) -> tuple[int, tuple[int, ...] | None]:
+        """(count, first witness in search order or None) of the labelings
+        of ``graph`` with d in [lo, hi]. ``mode`` is one of MODES; only
+        count-all goes on past the witness, so only its count is the number
+        of such labelings."""
         if self.nodes >= self.max_nodes or (
             self.deadline is not None and time.monotonic() >= self.deadline
         ):
             self.complete = False
         if not self.complete:
-            return None
+            return 0, None
         _check_ceiling(graph)  # also when the window below is empty
         lo, hi = _parity_window(graph, lo, hi)
         if lo > hi:
-            return None
-        if id(graph) not in self.engines:
-            self.engines[id(graph)] = _Engine(graph, self.p)
-        nodes, _, witness, exhausted = self.engines[id(graph)].run(
-            lo, hi, True, self.max_nodes - self.nodes, self.deadline
+            return 0, None
+        key = (id(graph), mode != "find-first")
+        if key not in self.engines:
+            self.engines[key] = _Engine(graph, self.p, key[1])
+        nodes, count, witness, exhausted = self.engines[key].run(
+            lo, hi, mode != "count-all", self.max_nodes - self.nodes, self.deadline
         )
         self.nodes += nodes
         self.complete = not exhausted
-        return witness
+        return count, witness
 
 
 def achievable_differences(
@@ -616,7 +618,7 @@ def achievable_differences(
     """
     probes = _Probes(p, budget)
     q = graph.size
-    found = {d: probes.find(graph, d, d) for d in range(-q, q + 1, 2)}
+    found = {d: probes.run(graph, d, d)[1] for d in range(-q, q + 1, 2)}
     witnesses = {d: lab for d, lab in found.items() if lab is not None}
     return witnesses, probes.complete, probes.nodes
 
@@ -648,7 +650,7 @@ def find_base_labelings(
     if labeled1 and labeled2:
         labs = _probe_pair(probes, form, g1, g2)
     else:  # the hypothesis constrains one factor
-        lab = probes.find(g1 if labeled1 else g2, form.lo, form.hi)
+        lab = probes.run(g1 if labeled1 else g2, form.lo, form.hi)[1]
         labs = None if lab is None else (lab, None) if labeled1 else (None, lab)
     if labs is None:
         return RecipeSearchResult("none" if probes.complete else "exhausted", None, probes.nodes)
@@ -677,8 +679,8 @@ def _probe_pair(
         d_lo, d_hi = _parity_window(other, d_lo, d_hi)
         if d_lo > d_hi:
             continue
-        lab_scan = probes.find(scan, d_scan, d_scan)
-        lab_other = None if lab_scan is None else probes.find(other, d_lo, d_hi)
+        lab_scan = probes.run(scan, d_scan, d_scan)[1]
+        lab_other = None if lab_scan is None else probes.run(other, d_lo, d_hi)[1]
         if lab_other is not None:
             return (lab_scan, lab_other) if scan_is_g1 else (lab_other, lab_scan)
     return None

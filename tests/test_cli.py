@@ -12,8 +12,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from legcordial.cli import main
-from legcordial.constructors import normalize_theorem
+from legcordial.cli import main, parse_family
+from legcordial.constructors import (
+    ConnectivityViolation,
+    HypothesisViolation,
+    balance_form,
+    construct_corona_path,
+    construct_kp_tensor,
+    normalize_theorem,
+)
 from legcordial.graph import graph_from_json, graph_to_json, is_connected, make_complete, make_cycle
 from legcordial.labeling import labeling_to_json, tally_report
 
@@ -422,6 +429,8 @@ def test_construct_auto_over_the_search_ceiling_is_usage_error(capsys):
         ("search", "--g", "complete:4", "--p", "3", "--mode", "prove-none", "--jobs", "2"),
         ("construct", "corona-path", "--g", "cycle:3", "--p", "3", "--jobs", "2"),
         ("search", "--g", "cycle:5", "--p", "x"),
+        ("search", "--g", "cycle:5", "--p", "5", "--format", "dot"),  # no graph to draw
+        ("legendre", "2", "5", "--format", "dot"),
     ],
 )
 def test_usage_errors_are_one_json_object(capsys, argv):
@@ -622,6 +631,74 @@ def test_construct_auto_ignores_a_label_the_theorem_does_not_use(tmp_path, capsy
 def test_construct_recipe_without_a_factor_is_usage_error_with_auto(tmp_path, capsys):
     argv = _recipe_argv(tmp_path, {"theorem": "join", "p": 5, "g1": "cycle:5"})
     assert _one_usage_error(*run(capsys, *argv, "--auto")) == "recipe for join needs both factor graphs"
+
+
+@pytest.mark.parametrize(
+    "theorem,graphs,order",
+    [
+        ("kp-tensor", {"g1": "path:2", "g2": "path:3"}, 6),  # K3 x P2: g1 is read
+        ("corona-path", {"g2": "path:2"}, 6),  # no g1: g2 is read
+    ],
+)
+def test_single_factor_flags_and_recipe_give_the_same_bytes(tmp_path, capsys, theorem, graphs, order):
+    flags = [arg for key, spec in graphs.items() for arg in ("--" + key, spec)]
+    by_flags = run(capsys, "construct", theorem, "--p", "3", *flags)
+    by_recipe = run(capsys, *_recipe_argv(tmp_path, {"theorem": theorem, "p": 3, **graphs}))
+    assert by_recipe == by_flags
+    code, out, err = by_flags
+    assert code == 0 and err == ""
+    assert json.loads(out)["graph"]["order"] == order
+
+
+def test_single_factor_recipe_without_a_graph_is_usage_error(tmp_path, capsys):
+    argv = _recipe_argv(tmp_path, {"theorem": "kp-tensor", "p": 3})
+    message = _one_usage_error(*run(capsys, *argv))
+    assert message == "recipe for kp-tensor needs a factor graph, g1 or g2"
+
+
+# Hypothesis gates that no other test reaches: (construct argv, the API call
+# that raises, its class, its message). Every gate runs before a label is read.
+DISCONNECTED = "edges:4:0-1,2-3"
+UNREACHED_GATES = [
+    (("lex", "--g1", DISCONNECTED, "--g2", "cycle:3", "--lab-g2", "1,2,3", "--p", "3"),
+     lambda: balance_form("lexicographic", parse_family(DISCONNECTED), make_cycle(3), 3),
+     ConnectivityViolation, "g1 must be connected"),
+    (("cart", "--g1", "cycle:5", "--lab-g1", "1,2,3,4,5", "--g2", DISCONNECTED, "--p", "5"),
+     lambda: balance_form("cartesian", make_cycle(5), parse_family(DISCONNECTED), 5),
+     ConnectivityViolation, "both factors must be connected"),
+    (("tensor", "--g1", DISCONNECTED, "--lab-g1", "1,2,3,4", "--g2", "cycle:3", "--p", "3"),
+     lambda: balance_form("tensor", parse_family(DISCONNECTED), make_cycle(3), 3),
+     ConnectivityViolation, "both factors must be connected"),
+    (("strong", "--g1", "cycle:9", "--lab-g1", "1,2,3,4,5,6,7,8,9", "--g2", DISCONNECTED,
+      "--p", "3"),
+     lambda: balance_form("strong", make_cycle(9), parse_family(DISCONNECTED), 3),
+     ConnectivityViolation, "both factors must be connected"),
+    (("tensor", "--g1", "cycle:3", "--lab-g1", "1,2,3", "--g2", "path:1", "--p", "3"),
+     lambda: balance_form("tensor", make_cycle(3), parse_family("path:1"), 3),
+     ConnectivityViolation, "a one-vertex factor gives an edgeless, disconnected product"),
+    (("corona-path", "--g", "path:1", "--p", "3"),
+     lambda: construct_corona_path(parse_family("path:1"), 3),
+     HypothesisViolation, "base graph must have order >= 2 (got 1, required >= 2)"),
+    (("kp-tensor", "--g", "path:1", "--p", "3"),
+     lambda: construct_kp_tensor(parse_family("path:1"), 3),
+     HypothesisViolation, "factor graph must have order >= 2 (got 1, required >= 2)"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,call,kind,message", UNREACHED_GATES,
+    ids=["lex-g1", "cart", "tensor", "strong", "tensor-one-vertex", "corona-path", "kp-tensor"],
+)
+def test_unreached_hypothesis_gates(capsys, argv, call, kind, message):
+    with pytest.raises(HypothesisViolation) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (kind, message)
+    code, out, err = run(capsys, "construct", *argv)
+    assert code == 3 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == {
+        "code": 3, "type": "hypothesis-violation", "message": message
+    }
 
 
 # Each JSON file argument, with the start of the io-error message it gets
@@ -999,11 +1076,9 @@ GRAPH = (VALID_FAMILY, st.one_of(ANY_FAMILY, FILE))
 PERMUTATION = st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, n + 1)))
 LABELS = (PERMUTATION.map(lambda labels: ",".join(map(str, labels))),
           st.one_of(st.lists(NUMBER[1], max_size=6).map(",".join), FILE))
-COMMON = {
-    "--out": tuple(strategy.map(_Out) for strategy in
-                   _choices(["out.json"], [".", "missing/out.json"])),
-    "--format": _choices(["json", "dot", "table"], ["yaml"]),
-}
+OUT = tuple(strategy.map(_Out) for strategy in _choices(["out.json"], [".", "missing/out.json"]))
+COMMON = {"--out": OUT, "--format": _choices(["json", "dot", "table"], ["yaml"])}
+NO_DOT = {"--out": OUT, "--format": _choices(["json", "table"], ["yaml", "dot"])}  # no graph out
 BUDGET = {"--budget-seconds": _choices(["0.5", "inf"], ["0", "-1", "nan", "x"])}
 OBJECTIVE = st.one_of(st.just("cordial"), st.builds("{}:{}".format,
                                                     st.sampled_from(["diff", "diffwin"]),
@@ -1027,8 +1102,8 @@ COMMANDS = {
                     "--objective": (OBJECTIVE, st.one_of(OBJECTIVE, st.just("best"), st.builds(
                         "{}:{}".format, st.sampled_from(["diff", "diffwin"]), NUMBER[1]))),
                     "--mode": _choices(["find-first", "count-all", "prove-none"], ["all"]),
-                    **COMMON, **BUDGET}),
-    "legendre": ([NUMBER, NUMBER], COMMON),
+                    **NO_DOT, **BUDGET}),
+    "legendre": ([NUMBER, NUMBER], NO_DOT),
 }
 
 

@@ -761,9 +761,9 @@ def test_fbl_builds_each_engine_once_and_lists_no_leaves(monkeypatch):
     built = []
     engine = search._Engine
 
-    def counted(graph, p):
+    def counted(graph, *args):
         built.append(graph.order)
-        return engine(graph, p)
+        return engine(graph, *args)
 
     monkeypatch.setattr(search, "achievable_differences", no_scan)
     monkeypatch.setattr(search, "_Engine", counted)
@@ -795,6 +795,22 @@ def test_probes_share_one_deadline(monkeypatch):
     monkeypatch.setattr(search, "time", _Clock())
     out = find_base_labelings("join", make_cycle(7), make_cycle(9), 7, Budget(max_seconds=2.5))
     assert (out.outcome, out.recipe) == ("exhausted", None)
+
+
+def test_time_budget_covers_engine_set_up(monkeypatch):
+    # The deadline is set at t=1 to 6 and the run starts at t=2; set-up then
+    # moves the clock to t=12, so the first node's poll (t=13) ends the run.
+    clock = _Clock()
+    engine = search._Engine
+
+    def slow(*args):
+        clock.now += 10.0
+        return engine(*args)
+
+    monkeypatch.setattr(search, "time", clock)
+    monkeypatch.setattr(search, "_Engine", slow)
+    res = search_labeling(SearchSpec(make_cycle(5), 5, budget=Budget(max_seconds=5)))
+    assert (res.outcome, res.nodes, res.labeling, res.complete) == ("exhausted", 0, None, False)
 
 
 def test_fbl_budget_exhaustion():
