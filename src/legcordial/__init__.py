@@ -10,7 +10,6 @@ oracle for small instances, plus a CLI (``legcordial --help``).
 """
 
 from .graph import (
-    Bipartition,
     Graph,
     adjacency,
     bipartition,

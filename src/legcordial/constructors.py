@@ -23,6 +23,12 @@ The eight constructions and their hypotheses:
                  |V(g1)| = n*p; d1 = 0 exactly.
   strong         both connected, |V(g1)| = 3*p, g2 a tree; d1 = 1 exactly.
 
+The six balance predictions share one counting step, the residue sweep
+(_swept): each labeled factor edge is repeated a times with its induced
+label, and the other edges come in blocks of p label sums that run through
+every residue mod p, each block giving (p+1)/2 zeros and (p-1)/2 ones.
+corona-path and kp-tensor keep their own closed forms.
+
 BASE_LABELINGS is the one place a theorem is registered: it says which
 factors carry a base labeling, and recipe dispatch, the CLI's --auto trigger
 and find_base_labelings read it. A new theorem is one entry there plus a
@@ -59,13 +65,12 @@ from .labeling import (
     Labeling,
     induced_tally,
 )
-from .numtheory import LegendreContext, check_prime
+from .numtheory import LegendreContext, check_prime, two_symbol_rule
 from .products import (
     cartesian as cartesian_product,
     corona as corona_product,
     join as join_product,
     lexicographic as lexicographic_product,
-    pair_index,
     pair_labels,
     strong as strong_product,
     tensor as tensor_product,
@@ -262,18 +267,29 @@ def _base_tallies(
     return ctx, form.params, t1, t2
 
 
+def _swept(p: int, blocks: int, *weighted: tuple[EdgeTally, int]) -> EdgeTally:
+    """The residue-sweep prediction (see the module docstring): a times each
+    (tally, a) in ``weighted``, plus ``blocks`` blocks of p sums."""
+    e0 = blocks * (p + 1) // 2
+    e1 = blocks * (p - 1) // 2
+    for t, a in weighted:
+        e0 += a * t.e0
+        e1 += a * t.e1
+    return EdgeTally(e0, e1)
+
+
 def _finalize(
-    composite: Graph, assign: list[int], ctx: LegendreContext, e0: int, e1: int
+    composite: Graph, assign: list[int], ctx: LegendreContext, predicted: EdgeTally
 ) -> tuple[Graph, Labeling, EdgeTally]:
     lab = Labeling(composite, tuple(assign))  # rejects non-bijections
     tally = induced_tally(lab, ctx)
-    if (tally.e0, tally.e1) != (e0, e1):
+    if tally != predicted:
         raise ConstructionError(
-            f"verifier tally ({tally.e0},{tally.e1}) != predicted ({e0},{e1})"
+            f"verifier tally ({tally.e0},{tally.e1}) != predicted ({predicted.e0},{predicted.e1})"
         )
-    if abs(e0 - e1) > 1:
-        raise ConstructionError(f"prediction ({e0},{e1}) is not cordial")
-    return composite, lab, EdgeTally(e0, e1)
+    if not predicted.is_cordial:
+        raise ConstructionError(f"prediction ({predicted.e0},{predicted.e1}) is not cordial")
+    return composite, lab, predicted
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +306,7 @@ def construct_corona_path(g: Graph, p: int) -> tuple[Graph, Labeling, EdgeTally]
     e0 = n(p-3)/2 + n(p-1)/2 + n and e1 = n(p-1)/2 + n(p-3)/2 + q.
     """
     ctx = LegendreContext(p)
-    if p % 8 not in (3, 5):
+    if two_symbol_rule(p) != -1:
         raise HypothesisViolation(
             "requires (2/p) = -1, i.e. p = +-3 (mod 8)", lhs=p % 8, rhs="3 or 5"
         )
@@ -313,7 +329,7 @@ def construct_corona_path(g: Graph, p: int) -> tuple[Graph, Labeling, EdgeTally]
     assign = pair_labels(blocks, path) + [half_up + b for b in blocks]
     e0 = n * (p - 3) // 2 + n * (p - 1) // 2 + n
     e1 = n * (p - 1) // 2 + n * (p - 3) // 2 + q
-    return _finalize(composite, assign, ctx, e0, e1)
+    return _finalize(composite, assign, ctx, EdgeTally(e0, e1))
 
 
 def construct_kp_tensor(g: Graph, p: int) -> tuple[Graph, Labeling, EdgeTally]:
@@ -331,25 +347,16 @@ def construct_kp_tensor(g: Graph, p: int) -> tuple[Graph, Labeling, EdgeTally]:
         raise HypothesisViolation(
             "factor graph must have order >= 2", lhs=g.order, rhs=">= 2"
         )
-    sides = bipartition(g)
-    if sides is None:
+    side = bipartition(g)
+    if side is None:
         raise HypothesisViolation("factor graph must be bipartite (no odd cycle)")
-    side1 = sorted(sides.side(1))
-    side2 = sorted(sides.side(2))
+    # each vertex's block: side 1 in vertex order, then side 2 (the sort is stable)
+    block = {u: b for b, u in enumerate(sorted(range(g.order), key=side.__getitem__))}
+    columns = {1: range(1, p + 1), 2: [*range(p - 1, 0, -1), p]}
     composite = tensor_product(make_complete(p), g)
-    assign = [0] * composite.order
-    n_g = g.order
-    r1 = len(side1)
-    for s1, u in enumerate(side1):  # 0-based block index
-        for t in range(1, p + 1):
-            assign[pair_index(t - 1, u, n_g)] = t + p * s1
-    for s2, u in enumerate(side2):
-        block = p * (s2 + r1)
-        for t in range(1, p):
-            assign[pair_index(t - 1, u, n_g)] = p - t + block
-        assign[pair_index(p - 1, u, n_g)] = p + block
+    assign = [columns[side[u]][t] + p * block[u] for t in range(p) for u in range(g.order)]
     half = g.size * p * (p - 1) // 2
-    return _finalize(composite, assign, ctx, half, half)
+    return _finalize(composite, assign, ctx, EdgeTally(half, half))
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +374,7 @@ def construct_join(lab_g1: Labeling, lab_g2: Labeling, p: int) -> tuple[Graph, L
     n, m = params["n"], params["m"]
     composite = join_product(lab_g1.graph, lab_g2.graph)
     assign = list(lab_g1.assign) + [x + n * p for x in lab_g2.assign]
-    base = n * m * (p - 1) // 2
-    e0 = t1.e0 + t2.e0 + base + n * m
-    e1 = t1.e1 + t2.e1 + base
-    return _finalize(composite, assign, ctx, e0, e1)
+    return _finalize(composite, assign, ctx, _swept(p, n * m, (t1, 1), (t2, 1)))
 
 
 def construct_corona(lab_g1: Labeling, lab_g2: Labeling, p: int) -> tuple[Graph, Labeling, EdgeTally]:
@@ -385,10 +389,7 @@ def construct_corona(lab_g1: Labeling, lab_g2: Labeling, p: int) -> tuple[Graph,
     composite = corona_product(lab_g1.graph, lab_g2.graph)
     assign = pair_labels(range(0, n * m * p, m * p), lab_g2.assign)
     assign += [x + n * m * p for x in lab_g1.assign]
-    base = n * m * (p - 1) // 2
-    e0 = t1.e0 + n * t2.e0 + base + n * m
-    e1 = t1.e1 + n * t2.e1 + base
-    return _finalize(composite, assign, ctx, e0, e1)
+    return _finalize(composite, assign, ctx, _swept(p, n * m, (t1, 1), (t2, n)))
 
 
 def construct_lexicographic(g1: Graph, lab_g2: Labeling, p: int) -> tuple[Graph, Labeling, EdgeTally]:
@@ -402,10 +403,7 @@ def construct_lexicographic(g1: Graph, lab_g2: Labeling, p: int) -> tuple[Graph,
     n, m = params["n"], params["m"]
     composite = lexicographic_product(g1, lab_g2.graph)
     assign = pair_labels(range(0, n * m * p, m * p), lab_g2.assign)
-    base = n * m * m * p * (p - 1) // 2
-    e0 = n * t2.e0 + base + n * m * m * p
-    e1 = n * t2.e1 + base
-    return _finalize(composite, assign, ctx, e0, e1)
+    return _finalize(composite, assign, ctx, _swept(p, n * m * m * p, (t2, n)))
 
 
 def construct_cartesian(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeling, EdgeTally]:
@@ -420,10 +418,7 @@ def construct_cartesian(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Lab
     n, m, k = params["n"], params["m"], params["k"]
     composite = cartesian_product(lab_g1.graph, g2)
     assign = pair_labels(lab_g1.assign, range(0, n * m * p, m * p))
-    base = n * m * k * (p - 1) // 2
-    e0 = n * t1.e0 + base + n * m * k
-    e1 = n * t1.e1 + base
-    return _finalize(composite, assign, ctx, e0, e1)
+    return _finalize(composite, assign, ctx, _swept(p, n * m * k, (t1, n)))
 
 
 def construct_tensor(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeling, EdgeTally]:
@@ -437,10 +432,7 @@ def construct_tensor(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeli
     n, m = params["n"], params["m"]
     composite = tensor_product(lab_g1.graph, g2)
     assign = pair_labels(lab_g1.assign, range(0, m * n * p, n * p))
-    q = g2.size
-    e0 = 2 * t1.e0 * q
-    e1 = 2 * t1.e1 * q
-    return _finalize(composite, assign, ctx, e0, e1)
+    return _finalize(composite, assign, ctx, _swept(p, 0, (t1, 2 * g2.size)))
 
 
 def construct_strong(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeling, EdgeTally]:
@@ -455,11 +447,7 @@ def construct_strong(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeli
     n = params["n"]
     composite = strong_product(lab_g1.graph, g2)
     assign = pair_labels(lab_g1.assign, range(0, n * 3 * p, 3 * p))
-    rho1, eta1 = t1.e1, t1.e0
-    cart_base = 3 * (p - 1) // 2 * (n - 1)
-    e0 = n * eta1 + cart_base + 3 * (n - 1) + 2 * eta1 * (n - 1)
-    e1 = n * rho1 + cart_base + 2 * rho1 * (n - 1)
-    return _finalize(composite, assign, ctx, e0, e1)
+    return _finalize(composite, assign, ctx, _swept(p, 3 * (n - 1), (t1, 3 * n - 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ bipartite factors) but the labeling definition only admits connected ones.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -240,25 +239,14 @@ def is_connected(g: Graph) -> bool:
     return all(seen)
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """2-coloring of the vertices; side_of[v] is 1 or 2.
+def bipartition(g: Graph) -> tuple[int, ...] | None:
+    """A 2-coloring of g, side 1 or 2 per vertex, or None iff g has an odd cycle.
 
-    Every edge joins side 1 to side 2. For order >= 2 both sides are
-    non-empty; the one-vertex graph is bipartite only in the degenerate
-    sense that it has no edge to violate the coloring.
+    Each component is colored from its lowest vertex, which gets side 1;
+    every edge joins side 1 to side 2.
     """
-
-    side_of: tuple[int, ...]
-
-    def side(self, k: int) -> frozenset[int]:
-        return frozenset(v for v, s in enumerate(self.side_of) if s == k)
-
-
-def _two_color(g: Graph) -> list[int] | None:
-    # 0 = uncolored; colors 1/2; works per component.
     adj = adjacency(g)
-    color = [0] * g.order
+    color = [0] * g.order  # 0 = not yet colored
     for start in range(g.order):
         if color[start]:
             continue
@@ -274,20 +262,12 @@ def _two_color(g: Graph) -> list[int] | None:
                     elif color[w] == color[u]:
                         return None
             queue = nxt
-    return color
-
-
-def bipartition(g: Graph) -> Bipartition | None:
-    """A valid 2-coloring of a connected graph, or None iff g has an odd cycle."""
-    if not is_connected(g):
-        raise ValueError("bipartition is defined for connected graphs")
-    color = _two_color(g)
-    return None if color is None else Bipartition(tuple(color))
+    return tuple(color)
 
 
 def has_odd_cycle(g: Graph) -> bool:
     """True iff some component of g is not 2-colorable."""
-    return _two_color(g) is None
+    return bipartition(g) is None
 
 
 # ---------------------------------------------------------------------------

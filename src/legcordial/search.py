@@ -347,7 +347,8 @@ def _chain_cuts_more(
 
 class _Engine:
     """Shared backtracking core; one instance per (graph, prime, whole_tree).
-    _Probes, which builds every engine, checks the prime."""
+    Each entry point checks the prime before _Probes builds an engine:
+    SearchSpec, balance_form or achievable_differences itself."""
 
     def __init__(self, graph: Graph, p: int, whole_tree: bool = False):
         """``whole_tree``: the runs will visit the whole pruned tree
@@ -569,7 +570,6 @@ class _Probes:
     """
 
     def __init__(self, p: int, budget: Budget | None):
-        check_prime(p)
         budget = budget or Budget()
         self.p = p
         self.max_nodes = budget.max_nodes
@@ -616,6 +616,7 @@ def achievable_differences(
     engine. Returns (witnesses, complete, nodes). complete is False when the
     budget ran out, in which case the map may be partial.
     """
+    check_prime(p)
     probes = _Probes(p, budget)
     q = graph.size
     found = {d: probes.run(graph, d, d)[1] for d in range(-q, q + 1, 2)}

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -191,6 +192,43 @@ def test_construct_auto_search_none_exit_4(capsys):
     )
     assert code == 4
     assert json.loads(err)["error"]["type"] == "search-none"
+
+
+@pytest.mark.parametrize("g2, code", [("path:13", 4), ("cycle:13", 2)])
+def test_construct_auto_ceiling_only_for_a_probed_factor(capsys, g2, code):
+    # C3's probes all fail against P13, which is never probed; C13 is
+    code, _, err = run(
+        capsys, "construct", "join", "--g1", "cycle:3", "--g2", g2, "--p", "3", "--auto"
+    )
+    assert json.loads(err)["error"]["code"] == code
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_cli_lines():
+    text = README.read_text()
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return block.splitlines()
+
+
+def test_readme_cli_block_is_found():
+    assert len(_readme_cli_lines()) == 11
+
+
+def _command(line):
+    return line.partition("  #")[0].strip()
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines(), ids=_command)
+def test_readme_cli_examples_run(capsys, line):
+    argv = shlex.split(_command(line))
+    assert argv[0] == "legcordial"
+    code, out, _ = run(capsys, *argv[1:])
+    assert code == (4 if "prove-none" in argv else 0)
+    comment = line.partition("  #")[2].strip()
+    if comment.startswith("{"):  # the output, shown as it is printed
+        assert out == comment + "\n"
 
 
 def test_construct_with_explicit_labels(capsys):

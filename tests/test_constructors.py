@@ -1,10 +1,15 @@
+import dataclasses
+import re
+
 import pytest
 
+from legcordial import constructors
 from legcordial.constructors import (
     BALANCE_THEOREMS,
     BASE_LABELINGS,
     THEOREMS,
     ConnectivityViolation,
+    ConstructionError,
     ConstructionRecipe,
     HypothesisViolation,
     balance_form,
@@ -28,6 +33,7 @@ from legcordial.graph import (
 )
 from legcordial.labeling import (
     AdmissionError,
+    EdgeTally,
     Labeling,
     identity_labeling,
     rho_eta,
@@ -394,3 +400,47 @@ def test_a_coefficient_is_zero_exactly_for_an_unlabeled_factor(theorem):
     # right only because that factor's coefficient is 0
     form = balance_form(theorem, *VALID_FACTORS[theorem])
     assert (form.coef1 != 0, form.coef2 != 0) == BASE_LABELINGS[theorem]
+
+
+# ---------------------------------------------------------------------------
+# the verifier's check on every prediction
+# ---------------------------------------------------------------------------
+
+def test_a_wrong_balance_prediction_raises(monkeypatch):
+    swept = constructors._swept
+
+    def off_by_one(*args):
+        t = swept(*args)
+        return EdgeTally(t.e0 + 1, t.e1)
+
+    monkeypatch.setattr(constructors, "_swept", off_by_one)
+    lab1 = Labeling(make_path(3), (2, 1, 3))
+    with pytest.raises(ConstructionError, match=re.escape("verifier tally (3,2) != predicted (4,2)")):
+        construct_join(lab1, identity_labeling(make_complete(1)), 3)
+
+
+def test_a_wrong_single_factor_prediction_raises(monkeypatch):
+    tally = constructors.induced_tally
+
+    def off_by_one(lab, ctx):
+        t = tally(lab, ctx)
+        return EdgeTally(t.e0 + 1, t.e1)
+
+    monkeypatch.setattr(constructors, "induced_tally", off_by_one)
+    with pytest.raises(ConstructionError, match=re.escape("verifier tally (4,3) != predicted (3,3)")):
+        construct_kp_tensor(make_path(2), 3)
+
+
+def test_a_true_prediction_that_is_not_cordial_raises(monkeypatch):
+    # with the balance window opened up, C3 labeled 1,2,3 (d = -1) joined with
+    # K1 at p=3 has d1 + d2 = -1, outside [0, 2]: the count (4,2) is right
+    # and not cordial
+    form = constructors.balance_form
+
+    def open_window(*args):
+        return dataclasses.replace(form(*args), lo=-100, hi=100)
+
+    monkeypatch.setattr(constructors, "balance_form", open_window)
+    lab1 = identity_labeling(make_cycle(3))
+    with pytest.raises(ConstructionError, match=re.escape("prediction (4,2) is not cordial")):
+        construct_join(lab1, identity_labeling(make_complete(1)), 3)

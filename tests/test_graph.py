@@ -108,14 +108,12 @@ def test_connectivity():
 
 
 def test_bipartition():
-    sides = bipartition(make_cycle(4))
-    assert sides is not None
-    assert {sides.side(1), sides.side(2)} == {frozenset({0, 2}), frozenset({1, 3})}
+    assert bipartition(make_cycle(4)) == (1, 2, 1, 2)
     assert bipartition(make_cycle(3)) is None
-    sides = bipartition(make_path(3))
-    assert {sides.side(1), sides.side(2)} == {frozenset({0, 2}), frozenset({1})}
-    with pytest.raises(ValueError):
-        bipartition(Graph(4, [(0, 1), (2, 3)]))
+    assert bipartition(make_path(3)) == (1, 2, 1)
+    # disconnected: each component is colored from its lowest vertex
+    assert bipartition(Graph(5, [(0, 3), (1, 2), (2, 4)])) == (1, 1, 2, 2, 1)
+    assert bipartition(Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)])) is None
 
 
 def test_has_odd_cycle():

@@ -12,7 +12,7 @@ from legcordial.graph import Graph, make_complete, make_cycle, make_path, make_s
 from legcordial.labeling import Labeling, edge_label, rho_eta
 from legcordial.numtheory import LegendreContext
 from legcordial.products import cartesian, join
-from legcordial import search
+from legcordial import constructors, search
 from legcordial.search import (
     MODES,
     Budget,
@@ -844,6 +844,35 @@ def test_invalid_primes_are_refused():
                 SearchSpec(make_cycle(6), p, window)
         with pytest.raises(ValueError, match=msg):
             achievable_differences(make_cycle(6), p)
+
+
+def test_each_entry_point_checks_the_prime_once(monkeypatch):
+    calls = []
+    for module in (search, constructors):
+        check = module.check_prime
+        monkeypatch.setattr(module, "check_prime", lambda p, check=check: calls.append(p) or check(p))
+    runs = [
+        lambda: search_labeling(SearchSpec(make_cycle(6), 7)),
+        lambda: search_labeling(SearchSpec(make_cycle(6), 7, mode="count-all")),
+        lambda: achievable_differences(make_cycle(6), 5),
+        lambda: find_base_labelings("join", make_path(3), make_complete(1), 3),
+        lambda: find_base_labelings("cartesian", make_cycle(5), make_cycle(4), 5),
+    ]
+    for run in runs:
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
+def test_find_base_checks_the_ceiling_only_for_a_probed_factor():
+    # C3 has d = -1 under every labeling at p=3. Against P13 (even d) the
+    # window [12, 14] needs d1 in {1, 3}: both probes of C3 fail, so P13 is
+    # never probed and "none" is certified. Against C13 (odd d) d1 = -1 fits,
+    # so C13 is probed and refused.
+    out = find_base_labelings("join", make_cycle(3), make_path(13), 3)
+    assert (out.outcome, out.nodes) == ("none", 5)
+    with pytest.raises(ValueError, match="exceeds the search ceiling 12"):
+        find_base_labelings("join", make_cycle(3), make_cycle(13), 3)
 
 
 def test_window_bounds_must_be_ints():
