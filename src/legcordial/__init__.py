@@ -29,7 +29,6 @@ from .labeling import (
     Labeling,
     RhoEta,
     edge_label,
-    identity_labeling,
     induced_tally,
     is_cordial,
     rho_eta,
@@ -40,7 +39,6 @@ from .numtheory import (
     is_odd_prime,
     legendre_symbol,
     odd_primes_below,
-    quadratic_nonresidues,
     quadratic_residues,
     two_symbol_rule,
 )

@@ -44,6 +44,10 @@ class Graph:
     ):
         if not 1 <= exact_int(order, "graph order") <= MAX_ORDER:
             raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)  # an iterator can be read only once
+        # the raw pairs, repeats included, so no more than MAX_SIZE are canonicalized
+        check_shape(order, len(edges))
         run = _canonical_run(order, edges)
         self.order = order
         self.edges: tuple[Edge, ...] = run if run is not None else _canonicalize(order, edges)
@@ -76,7 +80,7 @@ class Graph:
         return f"Graph(order={self.order}, size={self.size})"
 
 
-def _canonical_run(order: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...] | None:
+def _canonical_run(order: int, edges: Sequence[Sequence[int]]) -> tuple[Edge, ...] | None:
     """``edges`` as a tuple of pairs when they are already canonical, else None.
 
     Canonical is how Graph stores edges and graph_to_json writes them: a
@@ -84,8 +88,6 @@ def _canonical_run(order: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ..
     0 <= u < v < order, strictly increasing. One pass, which stops at the
     first pair that is not; the caller then takes the checked path.
     """
-    if not isinstance(edges, (list, tuple)):
-        return None  # an iterator can be read only once, by the checked path
     pu = pv = 0  # the previous pair; pu = 0 also refuses a negative first u
     try:
         for u, v in edges:
@@ -102,11 +104,10 @@ def _canonical_run(order: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ..
     return tuple(map(tuple, edges))
 
 
-def _canonicalize(order: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
+def _canonicalize(order: int, edges: Sequence[Sequence[int]]) -> tuple[Edge, ...]:
     """The checked path: refuse endpoints that are not exact ints (TypeError,
     as exact_int words it), self-loops and out-of-range endpoints, then
     orient each pair (min, max), drop repeats and sort."""
-    edges = list(edges)  # an iterator can be read only once
     if not set(map(type, chain.from_iterable(edges))) <= {int}:  # one pass in C when all are ints
         for x in chain.from_iterable(edges):
             exact_int(x, "graph endpoint")

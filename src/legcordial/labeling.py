@@ -101,11 +101,6 @@ def rho_eta(lab: Labeling, ctx: LegendreContext) -> RhoEta:
     return RhoEta(rho=frozenset(rho), eta=frozenset(eta))
 
 
-def identity_labeling(g: Graph) -> Labeling:
-    """Vertex i gets label i + 1."""
-    return Labeling(g, tuple(range(1, g.order + 1)))
-
-
 def labeling_to_json(lab: Labeling, p: int) -> dict:
     """The labeling as a dict; the CLI writes it with labeling_json_pieces instead."""
     return {"p": p, "assign": list(lab.assign)}

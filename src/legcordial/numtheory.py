@@ -85,11 +85,6 @@ def quadratic_residues(ctx: LegendreContext) -> frozenset[int]:
     return frozenset(r for r in range(1, ctx.p) if ctx.symbols[r] == 1)
 
 
-def quadratic_nonresidues(ctx: LegendreContext) -> frozenset[int]:
-    """The (p-1)/2 quadratic nonresidues of p in {1, ..., p-1}."""
-    return frozenset(r for r in range(1, ctx.p) if ctx.symbols[r] == -1)
-
-
 def two_symbol_rule(p: int) -> int:
     """(2/p) from p mod 8: -1 when p = +-3 (mod 8), +1 when p = +-1 (mod 8)."""
     if not is_odd_prime(p):

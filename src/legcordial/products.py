@@ -27,20 +27,10 @@ from typing import Sequence
 from .graph import Edge, Graph, _trusted_graph, check_shape
 
 
-def pair_index(i: int, j: int, order2: int) -> int:
-    """Composite index of factor pair (i, j) when the second factor has order2 vertices."""
-    return i * order2 + j
-
-
 def pair_labels(first: Sequence[int], second: Sequence[int]) -> list[int]:
-    """Labels in composite index order: pair (i, j), at pair_index(i, j,
-    len(second)) or corona_copy_index(i, j, len(second)), gets first[i] + second[j]."""
+    """Labels in composite index order: pair (i, j) -- in a corona, vertex j
+    of copy i -- sits at index i * len(second) + j and gets first[i] + second[j]."""
     return [a + b for a in first for b in second]
-
-
-def corona_copy_index(host: int, j: int, copy_order: int) -> int:
-    """Composite index of vertex j inside the host-th copy of the satellite graph."""
-    return host * copy_order + j
 
 
 def corona_host_index(host: int, n_hosts: int, copy_order: int) -> int:
@@ -74,7 +64,7 @@ def corona(g1: Graph, g2: Graph) -> Graph:
     return _trusted_graph(n * s + n, edges)
 
 
-# The edge builders below inline pair_index(i, j, n2) = i * n2 + j per row.
+# The edge builders below write pair (i, j) at index i * n2 + j, row by row.
 
 def _copy_edges(n1: int, g2: Graph) -> list[Edge]:
     """g2's edges inside each of the n1 rows (i, *)."""

@@ -37,7 +37,8 @@ the largest a whose orbit holds b; every unused label is a candidate. The
 first witness in search order is lex-least, so it survives. Count-all
 weighs every leaf by |Aut(G)| = prod |O_a|. The chain holds every twin
 swap, so runs are not used with it. Its set-up stops after CHAIN_CALL_CAP
-automorphism-extension steps, and the engine then goes without it.
+automorphism-extension steps, or at the deadline, and the engine then goes
+without it.
 
 The chain is used whenever p >= n. At p < n it replaces residue classes
 and twin runs only in count-all and prove-none, which visit the whole
@@ -64,10 +65,9 @@ bound of the chain or the twin run and below the position's ceiling; the
 last position's one label is a node when it is above its bound) so runs are
 reproducible; the reported node count never exceeds the node budget. An
 optional wall-clock limit is a secondary kill switch; it starts when the
-call starts, so it covers engine set-up in every entry point, though the
-stabilizer chain's own set-up does not poll it (CHAIN_CALL_CAP bounds that).
-A budget-exhausted run is a distinct outcome, never conflated with a
-completed proof of non-existence.
+call starts, so it covers engine set-up in every entry point, the
+stabilizer chain's included. A budget-exhausted run is a distinct outcome,
+never conflated with a completed proof of non-existence.
 
 Each entry point drives one _Probes, which holds the budget:
 `search_labeling` makes one run, and `achievable_differences` and
@@ -99,6 +99,7 @@ DEFAULT_NODE_BUDGET = 2_000_000
 # _map_extension calls allowed in one _stabilizer_chain run; at the cap the
 # engine drops the chain and searches without it
 CHAIN_CALL_CAP = 10_000
+CHAIN_POLL = 256  # _map_extension calls between two reads of the clock
 
 MODES = ("find-first", "count-all", "prove-none")
 
@@ -198,7 +199,8 @@ class _ChainCapped(Exception):
 
 
 def _map_extension(
-    pn: list[int], deg: list[int], img: list[int], dom: int, used: int, left: list[int]
+    pn: list[int], deg: list[int], img: list[int], dom: int, used: int, left: list[int],
+    deadline: float | None,
 ) -> list[int] | None:
     """Extend a partial map of positions to an automorphism, or return None.
 
@@ -206,11 +208,14 @@ def _map_extension(
     mask of those images, and the mapped pairs already agree on adjacency.
     The next position mapped is the unmapped one with the most mapped
     neighbours, so a dead end shows early. ``left[0]`` is the number of
-    calls still allowed; past it, _ChainCapped is raised.
+    calls still allowed; past it, or once the clock, read every CHAIN_POLL
+    calls, has passed ``deadline``, _ChainCapped is raised.
     """
     if not left[0]:
         raise _ChainCapped
     left[0] -= 1
+    if deadline is not None and not left[0] % CHAIN_POLL and time.monotonic() > deadline:
+        raise _ChainCapped
     n = len(pn)
     if dom == (1 << n) - 1:
         return img
@@ -229,7 +234,7 @@ def _map_extension(
     for w in range(n):
         if not used >> w & 1 and deg[w] == du and pn[w] & used == want:
             img[u] = w
-            if _map_extension(pn, deg, img, dom | 1 << u, used | 1 << w, left):
+            if _map_extension(pn, deg, img, dom | 1 << u, used | 1 << w, left, deadline):
                 return img
     return None
 
@@ -250,7 +255,9 @@ def _invariant(pn: list[int], deg: list[int], k: int) -> int:
     return total
 
 
-def _stabilizer_chain(pn: list[int], deg: list[int]) -> tuple[list[int], list[int]] | None:
+def _stabilizer_chain(
+    pn: list[int], deg: list[int], deadline: float | None = None
+) -> tuple[list[int], list[int]] | None:
     """Stabilizer-chain orbits of Aut(G), acting on search positions.
 
     ``pn[k]`` is position k's neighbourhood bitmask and ``deg[k]`` its
@@ -260,7 +267,7 @@ def _stabilizer_chain(pn: list[int], deg: list[int]) -> tuple[list[int], list[in
     is |O_a|, so |Aut(G)| = prod sizes. Levels run from the last position
     down, so every automorphism found so far fixes 0..a-1 and closes O_a
     without a search. Returns None once CHAIN_CALL_CAP calls of
-    _map_extension have not sufficed.
+    _map_extension have not sufficed, or once ``deadline`` has passed.
     """
     n = len(pn)
     if 2 * sum(deg) > n * (n - 1):
@@ -297,7 +304,9 @@ def _stabilizer_chain(pn: list[int], deg: list[int]) -> tuple[list[int], list[in
                 img = list(range(a)) + [-1] * (n - a)
                 img[a] = b
                 try:
-                    g = _map_extension(pn, deg, img, fixed | 1 << a, fixed | 1 << b, left)
+                    g = _map_extension(
+                        pn, deg, img, fixed | 1 << a, fixed | 1 << b, left, deadline
+                    )
                 except _ChainCapped:
                     return None
                 if g is None:
@@ -317,7 +326,7 @@ def _stabilizer_chain(pn: list[int], deg: list[int]) -> tuple[list[int], list[in
 
 
 def _chain_cuts_more(
-    pn: list[int], deg: list[int], p: int, run: list[int]
+    pn: list[int], deg: list[int], p: int, run: list[int], deadline: float | None
 ) -> tuple[list[int], list[int]] | None:
     """The stabilizer chain at p < n when it cuts more than residue classes
     and twin runs do, else None.
@@ -339,7 +348,7 @@ def _chain_cuts_more(
     cells = Counter(zip(deg, [_invariant(pn, deg, k) for k in range(n)]))
     if math.prod(map(math.factorial, cells.values())) <= cut:
         return None
-    chain = _stabilizer_chain(pn, deg)
+    chain = _stabilizer_chain(pn, deg, deadline)
     if chain is None or math.prod(chain[1]) <= cut:
         return None
     return chain
@@ -350,10 +359,13 @@ class _Engine:
     Each entry point checks the prime before _Probes builds an engine:
     SearchSpec, balance_form or achievable_differences itself."""
 
-    def __init__(self, graph: Graph, p: int, whole_tree: bool = False):
+    def __init__(
+        self, graph: Graph, p: int, whole_tree: bool = False, deadline: float | None = None
+    ):
         """``whole_tree``: the runs will visit the whole pruned tree
         (count-all, prove-none), so at p < n the stabilizer chain may pay
-        for its set-up (see _chain_cuts_more)."""
+        for its set-up (see _chain_cuts_more). Past ``deadline`` the chain's
+        set-up stops and the engine goes without it."""
         n = graph.order
         deg = [0] * n
         for u, v in graph.edges:
@@ -382,8 +394,9 @@ class _Engine:
         # q: the step between labels of one class in run; n + 1 puts each
         # label in a class of its own.
         if p >= n:
-            # The chain holds every twin swap. At its cap, the plain search.
-            chain = _stabilizer_chain(pn, dp) or ([-1] * n, [1] * n)
+            # The chain holds every twin swap. At its cap or the deadline,
+            # the plain search.
+            chain = _stabilizer_chain(pn, dp, deadline) or ([-1] * n, [1] * n)
         else:
             # Twins u, v (N(u) - {v} = N(v) - {u}) at consecutive positions
             # form a run, and labels increase along it.
@@ -391,7 +404,7 @@ class _Engine:
             for k in range(1, n):
                 if dp[k] == dp[k - 1] and pn[k] & ~(1 << (k - 1)) == pn[k - 1] & ~(1 << k):
                     above[k], run[k] = k - 1, run[k - 1] + 1
-            chain = _chain_cuts_more(pn, dp, p, run) if whole_tree else None
+            chain = _chain_cuts_more(pn, dp, p, run, deadline) if whole_tree else None
         if chain is not None:
             # Labels are distinct, so Aut(G) acts freely and every leaf
             # stands for |Aut(G)| labelings.
@@ -560,8 +573,7 @@ def search_labeling(spec: SearchSpec) -> SearchResult:
 
 class _Probes:
     """Window runs that share one node budget and one deadline. The deadline
-    starts when the _Probes is built, so it covers building the engines,
-    though the stabilizer chain's set-up does not poll it.
+    starts when the _Probes is built, so it covers building the engines.
 
     An engine is built at the first run that needs it and kept, by graph
     and by whether the runs visit the whole tree. Once a run exhausts the
@@ -598,7 +610,7 @@ class _Probes:
             return 0, None
         key = (id(graph), mode != "find-first")
         if key not in self.engines:
-            self.engines[key] = _Engine(graph, self.p, key[1])
+            self.engines[key] = _Engine(graph, self.p, key[1], self.deadline)
         nodes, count, witness, exhausted = self.engines[key].run(
             lo, hi, mode != "count-all", self.max_nodes - self.nodes, self.deadline
         )

@@ -88,6 +88,28 @@ def test_op_missing_file_is_io_error(capsys):
     assert json.loads(err)["error"]["type"] == "io-error"
 
 
+def test_graph_file_over_max_size_is_refused(tmp_path, capsys, monkeypatch):
+    from legcordial import graph
+
+    monkeypatch.setattr(graph, "MAX_SIZE", 5)
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps({"order": 10, "edges": [[i, i + 1] for i in range(9)]}))
+    labeling_file = tmp_path / "labeling.json"
+    labeling_file.write_text(json.dumps({"p": 3, "assign": list(range(1, 11))}))
+    for argv in (
+        ("verify", "--g", str(graph_file), "--labeling", str(labeling_file)),
+        ("search", "--g", str(graph_file), "--p", "3"),
+        ("gen", "path:10"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "type": "usage-error",
+            "code": 2,
+            "message": "graph size 9 exceeds the supported bound 5",
+        }
+
+
 def test_verify_of_a_construct_bundle_takes_the_linear_pass(tmp_path, capsys, monkeypatch):
     from legcordial import graph
 

@@ -35,7 +35,6 @@ from legcordial.labeling import (
     AdmissionError,
     EdgeTally,
     Labeling,
-    identity_labeling,
     rho_eta,
 )
 from legcordial.numtheory import LegendreContext
@@ -139,7 +138,7 @@ def test_join_accepts_balanced_p3_base():
     g1 = make_path(3)
     lab1 = Labeling(g1, (2, 1, 3))  # rho=1, eta=1
     g2 = make_complete(1)
-    g, lab, pred = construct_join(lab1, identity_labeling(g2), 3)
+    g, lab, pred = construct_join(lab1, Labeling(g2, (1,)), 3)
     assert (pred.e0, pred.e1) == (3, 2)
     verify(g, lab, pred, 3)
 
@@ -148,7 +147,7 @@ def test_join_rejects_unbalanced_base():
     g1 = make_cycle(3)  # every labeling gives rho - eta = -1
     g2 = make_complete(1)
     with pytest.raises(HypothesisViolation) as err:
-        construct_join(identity_labeling(g1), identity_labeling(g2), 3)
+        construct_join(Labeling(g1, (1, 2, 3)), Labeling(g2, (1,)), 3)
     assert err.value.lhs == -1
     assert err.value.rhs == (0, 2)
 
@@ -157,7 +156,7 @@ def test_join_rejects_wrong_order():
     g1 = make_path(4)  # order not a multiple of 3
     g2 = make_complete(1)
     with pytest.raises(HypothesisViolation, match="multiple of p"):
-        construct_join(identity_labeling(g1), identity_labeling(g2), 3)
+        construct_join(Labeling(g1, (1, 2, 3, 4)), Labeling(g2, (1,)), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +174,7 @@ def test_corona_accepted_instance():
     g1 = make_path(2)
     g2 = Graph(3, [(0, 1)])
     lab2 = Labeling(g2, (1, 3, 2))  # edge sum 4 is a residue: rho - eta = 1
-    g, lab, pred = construct_corona(identity_labeling(g1), lab2, 3)
+    g, lab, pred = construct_corona(Labeling(g1, (1, 2)), lab2, 3)
     assert (pred.e0, pred.e1) == (5, 4)
     verify(g, lab, pred, 3)
 
@@ -183,14 +182,14 @@ def test_corona_accepted_instance():
 def test_corona_rejects_wrong_satellite_order():
     g1, g2 = make_path(2), make_path(4)
     with pytest.raises(HypothesisViolation, match="multiple of p"):
-        construct_corona(identity_labeling(g1), identity_labeling(g2), 3)
+        construct_corona(Labeling(g1, (1, 2)), Labeling(g2, (1, 2, 3, 4)), 3)
 
 
 def test_corona_rejects_disconnected_host():
     g1 = Graph(4, [(0, 1), (2, 3)])
     g2 = make_path(3)
     with pytest.raises(ConnectivityViolation):
-        construct_corona(identity_labeling(g1), identity_labeling(g2), 3)
+        construct_corona(Labeling(g1, (1, 2, 3, 4)), Labeling(g2, (1, 2, 3)), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +201,7 @@ H7 = Graph(7, [(0, 6), (1, 5), (2, 4), (1, 6), (2, 5), (3, 6), (4, 5)])
 
 def test_lexicographic_accepted_p7():
     # every edge sum of the identity labeling reduces to a residue mod 7
-    lab2 = identity_labeling(H7)
+    lab2 = Labeling(H7, tuple(range(1, 8)))
     assert rho_eta(lab2, LegendreContext(7)).rho_minus_eta == 7
     g, lab, pred = construct_lexicographic(make_cycle(3), lab2, 7)
     assert g.order == 21 and g.size == 168
@@ -218,7 +217,7 @@ def test_lexicographic_rejects_non_unicyclic():
 def test_lexicographic_rejects_unbalanced():
     g2 = make_cycle(3)
     with pytest.raises(HypothesisViolation):
-        construct_lexicographic(make_cycle(3), identity_labeling(g2), 3)
+        construct_lexicographic(make_cycle(3), Labeling(g2, (1, 2, 3)), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +273,7 @@ def test_tensor_p3_c3():
 def test_tensor_rejects_unbalanced_c3():
     g1 = make_cycle(3)
     with pytest.raises(HypothesisViolation):
-        construct_tensor(identity_labeling(g1), make_cycle(3), 3)
+        construct_tensor(Labeling(g1, (1, 2, 3)), make_cycle(3), 3)
 
 
 def test_tensor_rejects_bipartite_pair():
@@ -416,7 +415,7 @@ def test_a_wrong_balance_prediction_raises(monkeypatch):
     monkeypatch.setattr(constructors, "_swept", off_by_one)
     lab1 = Labeling(make_path(3), (2, 1, 3))
     with pytest.raises(ConstructionError, match=re.escape("verifier tally (3,2) != predicted (4,2)")):
-        construct_join(lab1, identity_labeling(make_complete(1)), 3)
+        construct_join(lab1, Labeling(make_complete(1), (1,)), 3)
 
 
 def test_a_wrong_single_factor_prediction_raises(monkeypatch):
@@ -441,6 +440,6 @@ def test_a_true_prediction_that_is_not_cordial_raises(monkeypatch):
         return dataclasses.replace(form(*args), lo=-100, hi=100)
 
     monkeypatch.setattr(constructors, "balance_form", open_window)
-    lab1 = identity_labeling(make_cycle(3))
+    lab1 = Labeling(make_cycle(3), (1, 2, 3))
     with pytest.raises(ConstructionError, match=re.escape("prediction (4,2) is not cordial")):
-        construct_join(lab1, identity_labeling(make_complete(1)), 3)
+        construct_join(lab1, Labeling(make_complete(1), (1,)), 3)

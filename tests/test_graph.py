@@ -79,6 +79,29 @@ def test_size_caps():
             family(10**9)
 
 
+def test_graph_refuses_more_input_pairs_than_max_size(monkeypatch):
+    monkeypatch.setattr(graph, "MAX_SIZE", 5)
+
+    def checked_path(order, edges):
+        raise AssertionError("pairs over the cap reached the checked path")
+
+    monkeypatch.setattr(graph, "_canonicalize", checked_path)
+    path = [(i, i + 1) for i in range(9)]
+    refused = "graph size 9 exceeds the supported bound 5"
+    with pytest.raises(ValueError, match=refused):
+        make_path(10)
+    with pytest.raises(ValueError, match=refused):
+        Graph(10, path)
+    with pytest.raises(ValueError, match=refused):
+        Graph(10, iter(path))
+    with pytest.raises(ValueError, match=refused):
+        graph_from_json({"order": 10, "edges": [list(e) for e in path]})
+    # the raw pairs are counted, repeats and reversed pairs included
+    with pytest.raises(ValueError, match="graph size 6 exceeds the supported bound 5"):
+        Graph(3, [(0, 1), (1, 0)] * 3)
+    assert Graph(6, path[:5]).size == 5  # the cap is inclusive
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         Graph(3, [(0, 0)])

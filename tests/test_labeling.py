@@ -10,7 +10,6 @@ from legcordial.labeling import (
     AdmissionError,
     Labeling,
     edge_label,
-    identity_labeling,
     induced_tally,
     is_cordial,
     labeling_from_json,
@@ -51,7 +50,7 @@ def test_edge_label_examples():
 
 
 def test_tally_c3_identity():
-    lab = identity_labeling(make_cycle(3))
+    lab = Labeling(make_cycle(3), (1, 2, 3))
     tally = induced_tally(lab, CTX3)
     assert (tally.e0, tally.e1) == (2, 1)
     assert tally.difference == -1  # d = e1 - e0, as search uses it
@@ -60,7 +59,7 @@ def test_tally_c3_identity():
 
 
 def test_tally_k2():
-    lab = identity_labeling(make_path(2))
+    lab = Labeling(make_path(2), (1, 2))
     assert (induced_tally(lab, CTX3).e0, induced_tally(lab, CTX3).e1) == (1, 0)
     assert is_cordial(lab, CTX3)
 
@@ -82,19 +81,19 @@ def test_k4_never_cordial_mod3():
 
 
 def test_rho_eta_examples():
-    lab = identity_labeling(make_cycle(3))
+    lab = Labeling(make_cycle(3), (1, 2, 3))
     parts = rho_eta(lab, CTX3)
     # sums are (0,1)->3, (0,2)->4, (1,2)->5; only 4 reduces to a residue
     assert parts.rho == {(0, 2)}
     assert parts.eta == {(0, 1), (1, 2)}
-    lab = identity_labeling(make_path(2))
+    lab = Labeling(make_path(2), (1, 2))
     parts = rho_eta(lab, CTX3)
     assert parts.rho == frozenset() and parts.eta == {(0, 1)}
 
 
 def test_admission_error_on_disconnected():
     g = Graph(4, [(0, 1), (2, 3)])
-    lab = identity_labeling(g)
+    lab = Labeling(g, (1, 2, 3, 4))
     with pytest.raises(AdmissionError):
         is_cordial(lab, CTX3)
     # induced_tally itself has no admission gate
@@ -149,7 +148,7 @@ def test_labeling_json_pieces_are_the_dumps_text(n, p):
 
 
 def test_tally_report():
-    assert tally_report(induced_tally(identity_labeling(make_cycle(3)), CTX3)) == {
+    assert tally_report(induced_tally(Labeling(make_cycle(3), (1, 2, 3)), CTX3)) == {
         "e0": 2,
         "e1": 1,
         "cordial": True,

@@ -9,7 +9,6 @@ from legcordial.numtheory import (
     is_odd_prime,
     legendre_symbol,
     odd_primes_below,
-    quadratic_nonresidues,
     quadratic_residues,
     two_symbol_rule,
 )
@@ -77,7 +76,7 @@ def test_three_paths_agree(p):
 def test_residue_counts_balanced(p):
     ctx = LegendreContext(p)
     assert len(quadratic_residues(ctx)) == (p - 1) // 2
-    assert len(quadratic_nonresidues(ctx)) == (p - 1) // 2
+    assert ctx.symbols.count(-1) == (p - 1) // 2
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)

@@ -27,11 +27,9 @@ from legcordial.labeling import Labeling
 from legcordial.products import (
     cartesian,
     corona,
-    corona_copy_index,
     corona_host_index,
     join,
     lexicographic,
-    pair_index,
     pair_labels,
     strong,
     tensor,
@@ -181,14 +179,6 @@ def test_tensor_bipartite_factors_disconnect():
     assert not is_connected(tensor(make_path(3), make_cycle(4)))
 
 
-@given(st.integers(1, 9), st.integers(1, 9))
-@settings(max_examples=40)
-def test_pair_index_round_trip(n1, n2):
-    for i in range(n1):
-        for j in range(n2):
-            assert divmod(pair_index(i, j, n2), n2) == (i, j)
-
-
 def test_pair_labels_is_the_outer_sum_in_pair_index_order():
     for n1 in range(6):
         for n2 in range(6):
@@ -198,7 +188,7 @@ def test_pair_labels_is_the_outer_sum_in_pair_index_order():
             assert len(labels) == n1 * n2
             for i in range(n1):
                 for j in range(n2):
-                    assert labels[pair_index(i, j, n2)] == first[i] + second[j]
+                    assert labels[i * n2 + j] == first[i] + second[j]
 
 
 def _columns(base, columns):
@@ -206,7 +196,7 @@ def _columns(base, columns):
     out = [0] * (len(base) * columns)
     for a, x in enumerate(base):
         for j in range(columns):
-            out[pair_index(a, j, columns)] = x + j * len(base)
+            out[a * columns + j] = x + j * len(base)
     return out
 
 
@@ -215,7 +205,7 @@ def _blocks(blocks, base):
     out = [0] * (blocks * len(base))
     for i in range(blocks):
         for j, x in enumerate(base):
-            out[pair_index(i, j, len(base))] = x + i * len(base)
+            out[i * len(base) + j] = x + i * len(base)
     return out
 
 
@@ -225,7 +215,7 @@ def _corona_labels(host_labels, copy_labels, shift):
     out = [0] * (n * s + n)
     for i in range(n):
         for j, x in enumerate(copy_labels):
-            out[corona_copy_index(i, j, s)] = x + i * shift
+            out[i * s + j] = x + i * shift
         out[corona_host_index(i, n, s)] = host_labels[i]
     return out
 
@@ -278,7 +268,7 @@ def test_each_construction_lays_out_its_labels_by_pair_index(theorem):
 
 def test_vertex_maps_are_bijections():
     n, s = 3, 4
-    copy_ids = {corona_copy_index(i, j, s) for i in range(n) for j in range(s)}
+    copy_ids = {i * s + j for i in range(n) for j in range(s)}
     host_ids = {corona_host_index(i, n, s) for i in range(n)}
     assert copy_ids | host_ids == set(range(n * s + n))
     assert not copy_ids & host_ids

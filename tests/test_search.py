@@ -1,14 +1,17 @@
+import dataclasses
 import gc
 import math
 import time
 from itertools import combinations, permutations
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legcordial.constructors import ConnectivityViolation, HypothesisViolation, run_recipe
-from legcordial.graph import Graph, make_complete, make_cycle, make_path, make_star
+from legcordial.graph import Graph, is_connected, make_complete, make_cycle, make_path, make_star
 from legcordial.labeling import Labeling, edge_label, rho_eta
 from legcordial.numtheory import LegendreContext
 from legcordial.products import cartesian, join
@@ -450,6 +453,39 @@ def test_capped_chain_falls_back_to_an_exact_search(monkeypatch):
     for p in (5, 11):
         _check_against_oracles(g, p)
     assert search_labeling(SearchSpec(g, 5, mode="count-all")).nodes == 3487
+
+
+# A cubic graph of order 12 whose stabilizer chain (|Aut| = 4) takes 726
+# _map_extension calls.
+CUBIC12 = Graph(12, [
+    (0, 3), (0, 8), (0, 11), (1, 4), (1, 5), (1, 6), (2, 7), (2, 10), (2, 11),
+    (3, 6), (3, 7), (4, 9), (4, 11), (5, 7), (5, 9), (6, 10), (8, 9), (8, 10),
+])
+
+
+def test_chain_set_up_stops_at_the_deadline(monkeypatch):
+    calls = [0]
+    extend = search._map_extension
+
+    def counted(*args):
+        calls[0] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(search, "_map_extension", counted)
+    spec = SearchSpec(CUBIC12, 13)
+    first = search_labeling(spec)
+    assert (first.outcome, first.nodes, calls[0]) == ("found", 21, 726)
+    # a clock that passes the deadline after 100 calls
+    clock = SimpleNamespace(monotonic=lambda: 2.0 if calls[0] >= 100 else 0.0)
+    monkeypatch.setattr(search, "time", clock)
+    calls[0] = 0
+    res = search_labeling(dataclasses.replace(spec, budget=Budget(max_seconds=1.0)))
+    assert (res.outcome, res.nodes) == ("exhausted", 0)
+    assert 100 <= calls[0] <= 100 + search.CHAIN_POLL
+    # with only a node budget the clock is not read, and the run is unchanged
+    calls[0] = 0
+    assert search_labeling(spec) == first
+    assert calls[0] == 726
 
 
 def test_cycle10_p11_count_all_fits_the_default_budget():
@@ -915,3 +951,69 @@ def test_searches_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Every connected graph of order 2..6, from tests/connected_graphs.txt
+# ---------------------------------------------------------------------------
+
+def _connected_graphs() -> dict[int, list[Graph]]:
+    """order -> its connected graphs, one per isomorphism class; see
+    tests/connected_graphs.py for the file's format."""
+    out: dict[int, list[Graph]] = {}
+    for line in (Path(__file__).parent / "connected_graphs.txt").read_text().splitlines():
+        n, mask = map(int, line.split())
+        pairs = combinations(range(n), 2)
+        out.setdefault(n, []).append(Graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1]))
+    return out
+
+
+CONNECTED = _connected_graphs()
+
+
+def test_corpus_counts_every_connected_graph():
+    # OEIS A001349
+    assert {n: len(gs) for n, gs in CONNECTED.items()} == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+    assert all(is_connected(g) for gs in CONNECTED.values() for g in gs)
+
+
+@pytest.mark.parametrize("n", sorted(CONNECTED))
+def test_corpus_against_oracles(n):
+    # p = 7 >= n runs under the stabilizer chain; p = 3 and 5 run under
+    # residue classes and twin runs from order 4 and 6 on
+    for g in CONNECTED[n]:
+        for p in (3, 5, 7):
+            _check_against_oracles(g, p)
+
+
+@pytest.mark.parametrize("theorem", ["join", "corona"])
+def test_corpus_pairs_find_base_labelings(theorem):
+    # The factor whose order must be a multiple of p is each corpus graph of
+    # order p or 2p, the other each corpus graph of order 2..4.
+    diffs: dict[tuple[Graph, int], set[int]] = {}
+
+    def achievable(g: Graph, p: int) -> set[int]:
+        if (g, p) not in diffs:
+            diffs[g, p] = set(brute_diff_witnesses(g.edges, g.order, p))
+        return diffs[g, p]
+
+    outcomes = []
+    for p, fixed in ((3, CONNECTED[3] + CONNECTED[6]), (5, CONNECTED[5])):
+        for g_fixed in fixed:
+            for g_free in CONNECTED[2] + CONNECTED[3] + CONNECTED[4]:
+                g1, g2 = (g_fixed, g_free) if theorem == "join" else (g_free, g_fixed)
+                form = constructors.balance_form(theorem, g1, g2, p)
+                out = find_base_labelings(theorem, g1, g2, p)
+                outcomes.append(out.outcome)
+                if out.outcome == "found":
+                    e0, e1 = brute_tally(g1.edges, out.recipe.lab_g1, p)
+                    f0, f1 = brute_tally(g2.edges, out.recipe.lab_g2, p)
+                    assert form.lo <= form.coef1 * (e1 - e0) + form.coef2 * (f1 - f0) <= form.hi
+                else:
+                    assert out.outcome == "none"
+                    assert not any(
+                        form.lo <= form.coef1 * d1 + form.coef2 * d2 <= form.hi
+                        for d1 in achievable(g1, p)
+                        for d2 in achievable(g2, p)
+                    )
+    assert {"found", "none"} <= set(outcomes)
