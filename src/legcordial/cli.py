@@ -35,6 +35,7 @@ from .constructors import (
     run_recipe,
 )
 from .graph import (
+    MAX_JSON_BYTES,
     Graph,
     exact_int,
     exact_ints,
@@ -147,15 +148,24 @@ def load_graph_arg(spec: str) -> Graph:
 
 
 def _read_json(path: str, unreadable: str, bad_json: str | None = None):
-    """The JSON value in the file at path. The io-error otherwise opens with
-    unreadable, or with bad_json when the bytes are not UTF-8 or the text is
-    not JSON or nests too deep;
+    """The JSON value in the file at path. A file over MAX_JSON_BYTES is a
+    usage error, found by reading one byte past the cap, so a pipe is cut off
+    there too. The io-error otherwise opens with unreadable, or with bad_json
+    when the bytes are not UTF-8 or the text is not JSON or nests too deep;
     a {!r} in either stands for the path."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_JSON_BYTES + 1)
     except OSError as exc:
         raise _CliFailure(EXIT_IO, "io-error", f"{unreadable.format(path)}: {exc}")
+    if len(data) > MAX_JSON_BYTES:
+        raise ValueError(
+            f"JSON file {path!r} exceeds the supported bound of {MAX_JSON_BYTES} bytes"
+        )
+    try:
+        text = data.decode("utf-8")
+        del data  # freed before the parse builds the document
+        return json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise _CliFailure(EXIT_IO, "io-error", f"{(bad_json or unreadable).format(path)}: {exc}")
 

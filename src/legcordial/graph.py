@@ -15,7 +15,7 @@ bipartite factors) but the labeling definition only admits connected ones.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 1_000_000  # total-vertex cap shared by every graph builder
@@ -26,6 +26,12 @@ MAX_ORDER = 1_000_000  # total-vertex cap shared by every graph builder
 # nearly halves that verify's time and leaves its peak as it was. README
 # "Limits" has the table.
 MAX_SIZE = 2_000_000
+# Byte cap on a JSON file the CLI reads, checked before it is parsed, as
+# reading JSON peaks at 13-18 times its bytes. The largest valid graph
+# document, MAX_SIZE edges between six-digit vertices as graph_to_json writes
+# them ("[999998, 999999], ", 18 bytes each), takes 36 MB; 20 bytes an edge
+# leave room for its head and tail.
+MAX_JSON_BYTES = 20 * MAX_SIZE
 JSON_CHUNK = 1024  # edges or labels per piece written by the JSON writers
 
 Edge = tuple[int, int]
@@ -45,7 +51,8 @@ class Graph:
         if not 1 <= exact_int(order, "graph order") <= MAX_ORDER:
             raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
         if not isinstance(edges, (list, tuple)):
-            edges = list(edges)  # an iterator can be read only once
+            # an iterator can be read only once; one pair past the cap refuses it
+            edges = list(islice(edges, MAX_SIZE + 1))
         # the raw pairs, repeats included, so no more than MAX_SIZE are canonicalized
         check_shape(order, len(edges))
         run = _canonical_run(order, edges)

@@ -10,15 +10,15 @@ cannot bring d into the window, which keeps pruning sound for counting and
 non-existence proofs, not just satisfiability.
 
 Two exact reductions shrink the tree; an engine uses one of them. First,
-residue classes and twin runs, when p < n. An edge's induced label depends
-only on (f(u) + f(v)) mod p, so two unused labels of one residue class mod
-p lead to isomorphic subtrees. Each node therefore expands only the
-smallest unused label of each class, and in count-all a subtree counts once
-per unused label of the chosen label's class. Outcomes, counts and first
-witnesses are those of the full search, because the first witness in
-search order always uses the smallest unused label of its class. Vertices
-u and v are twins when N(u) - {v} = N(v) - {u}; swapping them is an
-automorphism. Consecutive positions that are twins form a run, and labels
+residue classes and twin runs. An edge's induced label depends only on
+(f(u) + f(v)) mod p, so two unused labels of one residue class mod p lead
+to isomorphic subtrees; at p >= n each label is a class of its own. Each
+node therefore expands only the smallest unused label of each class, and
+in count-all a subtree counts once per unused label of the chosen label's
+class. Outcomes, counts and first witnesses are those of the full search,
+because the first witness in search order always uses the smallest unused
+label of its class. Vertices u and v are twins when N(u) - {v} = N(v) - {u};
+swapping them is an automorphism. Consecutive positions that are twins form a run, and labels
 must increase along it. In count-all the leaf then stands for every order
 of the run's residue classes, k! / prod(m_r!) for a run of length k holding
 m_r labels of class r. The first witness already increases along every
@@ -36,17 +36,17 @@ listing the group, and starts position b's candidates above the label of
 the largest a whose orbit holds b; every unused label is a candidate. The
 first witness in search order is lex-least, so it survives. Count-all
 weighs every leaf by |Aut(G)| = prod |O_a|. The chain holds every twin
-swap, so runs are not used with it. Its set-up stops after CHAIN_CALL_CAP
-automorphism-extension steps, or at the deadline, and the engine then goes
-without it.
+swap, so runs are not used with it.
 
-The chain is used whenever p >= n. At p < n it replaces residue classes
-and twin runs only in count-all and prove-none, which visit the whole
-tree, and only when |Aut(G)| exceeds T = prod m_r! * prod R!, the most
-those two cut (m_r labels of class r, runs of length R); a bound on
-|Aut(G)| from degrees and _invariant skips the chain's set-up when it
-cannot win. Find-first runs stop at their first witness, too soon for the
-set-up to pay.
+An engine keeps the chain at p >= n, and at p < n only in count-all and
+prove-none, which visit the whole tree, when |Aut(G)| exceeds
+T = prod m_r! * prod R!, the most residue classes and twin runs cut (m_r
+labels of class r, runs of length R); a bound on |Aut(G)| from degrees and
+_invariant skips the chain's set-up when it cannot win. Find-first runs
+at p < n stop at their first witness, too soon for the set-up to pay. The
+set-up stops after CHAIN_CALL_CAP automorphism-extension steps, or at the
+deadline. Every engine that keeps no chain, one whose set-up stopped
+included, uses residue classes and twin runs.
 
 Both reductions also cap each position's label, once per engine, and a
 larger label would leave no leaf below it: L(a) <= n - |O_a| + 1 under the
@@ -391,19 +391,17 @@ class _Engine:
         # above[k]: the earlier position whose label k's must exceed, or -1.
         # run[k]: k's offset in its run of twins, 1 when k is not in a run.
         # top[k]: k's label ceiling plus 1 (see the module docstring).
-        # q: the step between labels of one class in run; n + 1 puts each
-        # label in a class of its own.
-        if p >= n:
-            # The chain holds every twin swap. At its cap or the deadline,
-            # the plain search.
-            chain = _stabilizer_chain(pn, dp, deadline) or ([-1] * n, [1] * n)
+        # q: the step between labels of one class; n + 1 puts each label in
+        # a class of its own.
+        # Twins u, v (N(u) - {v} = N(v) - {u}) at consecutive positions form
+        # a run, and labels increase along it.
+        above, run = [-1] * n, [1] * n
+        for k in range(1, n):
+            if dp[k] == dp[k - 1] and pn[k] & ~(1 << (k - 1)) == pn[k - 1] & ~(1 << k):
+                above[k], run[k] = k - 1, run[k - 1] + 1
+        if p >= n:  # None at the chain's cap or the deadline
+            chain = _stabilizer_chain(pn, dp, deadline)
         else:
-            # Twins u, v (N(u) - {v} = N(v) - {u}) at consecutive positions
-            # form a run, and labels increase along it.
-            above, run = [-1] * n, [1] * n
-            for k in range(1, n):
-                if dp[k] == dp[k - 1] and pn[k] & ~(1 << (k - 1)) == pn[k - 1] & ~(1 << k):
-                    above[k], run[k] = k - 1, run[k - 1] + 1
             chain = _chain_cuts_more(pn, dp, p, run, deadline) if whole_tree else None
         if chain is not None:
             # Labels are distinct, so Aut(G) acts freely and every leaf
@@ -419,7 +417,11 @@ class _Engine:
             for k in range(n - 2, -1, -1):
                 if run[k + 1] > 1:  # k + 1 continues k's run
                     top[k] = top[k + 1] - 1
-            self.q = p
+            self.q = min(p, n + 1)
+        # mult[lab]: the labels in 1..n congruent to lab mod q that are >= lab.
+        # When lab is the smallest unused label of its class, these are the
+        # unused labels of the class, each of which gives an isomorphic subtree.
+        self.mult = [(n - lab) // self.q + 1 for lab in range(n + 1)]
         # steps[k] = (earlier neighbours of position k, edges still undecided
         # once k is labeled, above[k], run[k], top[k])
         self.steps: list[tuple[list[int], int, int, int, int]] = []
@@ -432,7 +434,6 @@ class _Engine:
         # 2n + 1 pow calls whatever p is, not a table of p residues
         half = (p - 1) // 2
         self.sum_label = [1 if pow(s % p, half, p) == 1 else -1 for s in range(2 * n + 1)]
-        self.p = p
 
     def run(
         self, lo: int, hi: int, stop_at_first: bool, max_nodes: int, deadline: float | None
@@ -451,18 +452,13 @@ class _Engine:
         its one position is its own leaf.
         """
         n = self.graph.order
-        p = self.p
         last, penult = n - 1, n - 2
         labels = [0] * (n + 1)  # labels[-1] stays 0: "above" -1 bounds nothing
-        # lab + q is lab's class successor: q = p under residue classes, and
-        # q = n + 1 when each label is its own class, which keeps each mask
-        # below bit 2n + 2; & full drops the successors past n.
+        # lab + q is lab's class successor; q <= n + 1 keeps each mask below
+        # bit 2n + 2, and & full drops the successors past n.
         q = self.q
         full = (1 << n + 1) - 2  # labels 1..n
-        # mult[lab]: the labels in 1..n congruent to lab mod q that are >= lab.
-        # When lab is the smallest unused label of its class, these are the
-        # unused labels of the class, each of which gives an isomorphic subtree.
-        mult = [(n - lab) // q + 1 for lab in range(n + 1)]
+        mult = self.mult
         nodes = count = 0
         # one budget test per node; past it, next_checkpoint raises or polls
         # the deadline and moves the checkpoint 4096 nodes on
@@ -481,8 +477,8 @@ class _Engine:
             # The subtree stands for every order of the run's classes: t / m
             # per step, with m the run's labels so far in lab's class,
             # multiplies out to t! / prod(m_r!).
-            r = lab % p
-            return w * t // (1 + sum(1 for x in labels[k - t + 1:k] if x % p == r))
+            r = lab % q
+            return w * t // (1 + sum(1 for x in labels[k - t + 1:k] if x % q == r))
 
         def place(k: int, diff: int, weight: int, avail: int) -> None:
             nonlocal nodes, count, witness, checkpoint
@@ -561,8 +557,8 @@ def search_labeling(spec: SearchSpec) -> SearchResult:
     find-first semantics where a completed "none" is the certificate; a
     witness, if one exists, is reported as "found".
     """
-    probes = _Probes(spec.p, spec.budget)
-    count, witness = probes.run(spec.graph, spec.objective.lo, spec.objective.hi, spec.mode)
+    probes = _Probes(spec.p, spec.budget, spec.mode)
+    count, witness = probes.run(spec.graph, spec.objective.lo, spec.objective.hi)
     if not probes.complete:
         return SearchResult("exhausted", probes.nodes)
     outcome = "none" if witness is None else "found"
@@ -572,32 +568,29 @@ def search_labeling(spec: SearchSpec) -> SearchResult:
 
 
 class _Probes:
-    """Window runs that share one node budget and one deadline. The deadline
-    starts when the _Probes is built, so it covers building the engines.
+    """Window runs in one of MODES that share one node budget and one
+    deadline. The deadline starts when the _Probes is built, so it covers
+    building the engines.
 
-    An engine is built at the first run that needs it and kept, by graph
-    and by whether the runs visit the whole tree. Once a run exhausts the
-    budget, or no node or time is left for the next one, ``complete`` is
-    False and every later run finds nothing at no cost.
+    An engine is built at the first run on a graph and kept. Once a run
+    exhausts the budget, or no node or time is left for the next one,
+    ``complete`` is False and every later run finds nothing at no cost.
     """
 
-    def __init__(self, p: int, budget: Budget | None):
+    def __init__(self, p: int, budget: Budget | None, mode: str = "find-first"):
         budget = budget or Budget()
         self.p = p
+        self.mode = mode
         self.max_nodes = budget.max_nodes
         self.deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
         self.nodes = 0
         self.complete = True
-        # by id() of the graph and whether the runs visit the whole tree
-        self.engines: dict[tuple[int, bool], _Engine] = {}
+        self.engines: dict[int, _Engine] = {}  # by id() of the graph
 
-    def run(
-        self, graph: Graph, lo: int, hi: int, mode: str = "find-first"
-    ) -> tuple[int, tuple[int, ...] | None]:
+    def run(self, graph: Graph, lo: int, hi: int) -> tuple[int, tuple[int, ...] | None]:
         """(count, first witness in search order or None) of the labelings
-        of ``graph`` with d in [lo, hi]. ``mode`` is one of MODES; only
-        count-all goes on past the witness, so only its count is the number
-        of such labelings."""
+        of ``graph`` with d in [lo, hi]. Only count-all goes on past the
+        witness, so only its count is the number of such labelings."""
         if self.nodes >= self.max_nodes or (
             self.deadline is not None and time.monotonic() >= self.deadline
         ):
@@ -608,11 +601,12 @@ class _Probes:
         lo, hi = _parity_window(graph, lo, hi)
         if lo > hi:
             return 0, None
-        key = (id(graph), mode != "find-first")
-        if key not in self.engines:
-            self.engines[key] = _Engine(graph, self.p, key[1], self.deadline)
-        nodes, count, witness, exhausted = self.engines[key].run(
-            lo, hi, mode != "count-all", self.max_nodes - self.nodes, self.deadline
+        if id(graph) not in self.engines:
+            self.engines[id(graph)] = _Engine(
+                graph, self.p, self.mode != "find-first", self.deadline
+            )
+        nodes, count, witness, exhausted = self.engines[id(graph)].run(
+            lo, hi, self.mode != "count-all", self.max_nodes - self.nodes, self.deadline
         )
         self.nodes += nodes
         self.complete = not exhausted

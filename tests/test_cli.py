@@ -798,6 +798,71 @@ def test_json_file_that_is_not_utf8_is_one_io_error(tmp_path, capsys, argv, mess
     _one_io_error_on(capsys, argv, message, path)
 
 
+def _one_byte_cap_error_on(capsys, argv, path):
+    code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == {
+        "code": 2,
+        "type": "usage-error",
+        "message": f"JSON file {str(path)!r} exceeds the supported bound of 40 bytes",
+    }
+
+
+@JSON_FILE_ARGS
+def test_json_file_over_the_byte_cap_is_one_usage_error(tmp_path, capsys, monkeypatch, argv, message):
+    from legcordial import cli
+
+    monkeypatch.setattr(cli, "MAX_JSON_BYTES", 40)
+    path = tmp_path / "padded.json"
+    path.write_text("{}" + " " * 39)  # valid JSON, pushed one byte over the cap
+    _one_byte_cap_error_on(capsys, argv, path)
+
+
+def test_graph_file_at_the_byte_cap_is_read(tmp_path, capsys, monkeypatch):
+    from legcordial import cli
+
+    monkeypatch.setattr(cli, "MAX_JSON_BYTES", 40)
+    path = tmp_path / "graph.json"
+    text = '{"order": 3, "edges": [[0, 1], [1, 2]]}'
+    path.write_text(text.ljust(40))
+    argv = ("verify", "--g", "{}", "--labeling", "1,2,3", "--p", "3")
+    code, out, _ = run(capsys, *(arg.format(path) for arg in argv))
+    assert (code, out) == (0, '{"e0": 2, "e1": 0, "cordial": false}\n')
+    path.write_text(text.ljust(41))
+    _one_byte_cap_error_on(capsys, argv, path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_graph_from_a_pipe_is_read_only_to_the_byte_cap(tmp_path, capsys, monkeypatch):
+    import threading
+
+    from legcordial import cli
+
+    monkeypatch.setattr(cli, "MAX_JSON_BYTES", 40)
+    path = tmp_path / "graph.pipe"
+    os.mkfifo(path)
+    written = []
+
+    def write_1_mb():
+        try:
+            with open(path, "wb") as fh:
+                for _ in range(1024):
+                    fh.write(b" " * 1024)
+                    written.append(1024)
+        except BrokenPipeError:  # the reader closed the pipe after 41 bytes
+            written.append(None)
+
+    writer = threading.Thread(target=write_1_mb, daemon=True)  # never blocks the exit
+    writer.start()
+    try:
+        _one_byte_cap_error_on(capsys, ("search", "--g", "{}", "--p", "3"), path)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert written[-1] is None
+
+
 @pytest.mark.parametrize(
     "argv,expected",
     [

@@ -93,13 +93,23 @@ def test_graph_refuses_more_input_pairs_than_max_size(monkeypatch):
     with pytest.raises(ValueError, match=refused):
         Graph(10, path)
     with pytest.raises(ValueError, match=refused):
-        Graph(10, iter(path))
-    with pytest.raises(ValueError, match=refused):
         graph_from_json({"order": 10, "edges": [list(e) for e in path]})
     # the raw pairs are counted, repeats and reversed pairs included
     with pytest.raises(ValueError, match="graph size 6 exceeds the supported bound 5"):
         Graph(3, [(0, 1), (1, 0)] * 3)
     assert Graph(6, path[:5]).size == 5  # the cap is inclusive
+    # an iterator is read only to one pair past the cap
+    yielded = [0]
+
+    def pairs():
+        for i in range(100):
+            yielded[0] += 1
+            yield i, i + 1
+
+    with pytest.raises(ValueError, match="graph size 6 exceeds the supported bound 5"):
+        Graph(101, pairs())
+    assert yielded[0] <= 6
+    assert Graph(6, iter(path[:5])).size == 5
 
 
 def test_graph_validation():

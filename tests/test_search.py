@@ -517,6 +517,29 @@ def test_twin_runs_match_oracles(g, p):
     _check_against_oracles(g, p)
 
 
+@pytest.mark.parametrize(
+    "g,p",
+    [
+        (_bipartite(3, 3), 7),
+        (_bipartite(3, 3), 11),
+        (K222, 7),
+        (K222, 11),
+        (make_star(7), 11),
+        (make_complete(6), 7),
+        (make_complete(6), 11),
+    ],
+    ids=["K33-p7", "K33-p11", "K222-p7", "K222-p11", "star7-p11", "K6-p7", "K6-p11"],
+)
+def test_capped_chain_at_p_at_least_n_keeps_twin_runs(monkeypatch, g, p):
+    # With no chain kept, twin runs cut at every p. The chains of K6 and
+    # star:7 are built from twin swaps alone, so the cap leaves them in place.
+    monkeypatch.setattr(search, "CHAIN_CALL_CAP", 0)
+    _check_against_oracles(g, p)
+    if g == _bipartite(3, 3) and p == 7:  # a run of 3 in each part
+        res = search_labeling(SearchSpec(g, p, mode="count-all"))
+        assert (res.count, res.nodes) == (216, 134)  # 1 956 in the plain search
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize(
     "g,window",
