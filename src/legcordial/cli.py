@@ -23,8 +23,8 @@ import gc
 import json
 import os
 import sys
+from collections.abc import Iterable
 from itertools import chain
-from typing import Iterable
 
 from .constructors import (
     BALANCE_THEOREMS,
@@ -78,6 +78,8 @@ EXIT_BUDGET = 5
 
 ENV_BUDGET_NODES = "LEGCORDIAL_BUDGET_NODES"
 ENV_BUDGET_SECONDS = "LEGCORDIAL_BUDGET_SECONDS"
+
+_READ_CHUNK = 1 << 20  # bytes per read of a JSON file: read(n) allocates n bytes up front
 
 # op name -> (operation, the vertex indexing its output reports)
 _OPS = {
@@ -155,7 +157,9 @@ def _read_json(path: str, unreadable: str, bad_json: str | None = None):
     a {!r} in either stands for the path."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read(MAX_JSON_BYTES + 1)
+            data = bytearray()  # ends at EOF or at one byte past the cap, where read(0) gives b""
+            for chunk in iter(lambda: fh.read(min(_READ_CHUNK, MAX_JSON_BYTES + 1 - len(data))), b""):
+                data += chunk
     except OSError as exc:
         raise _CliFailure(EXIT_IO, "io-error", f"{unreadable.format(path)}: {exc}")
     if len(data) > MAX_JSON_BYTES:

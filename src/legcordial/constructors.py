@@ -49,10 +49,9 @@ products.pair_labels lays the shifted copies out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import (
     Graph,
+    Record,
     bipartition,
     has_odd_cycle,
     is_connected,
@@ -133,31 +132,36 @@ class ConstructionError(RuntimeError):
     """The verifier disagreed with the closed-form prediction."""
 
 
-@dataclass(frozen=True)
-class ConstructionRecipe:
+class ConstructionRecipe(Record):
     """Everything needed to reproduce one construction."""
 
-    theorem: str
-    p: int
-    g1: Graph | None
-    g2: Graph | None
-    lab_g1: tuple[int, ...] | None = None
-    lab_g2: tuple[int, ...] | None = None
+    __slots__ = ("theorem", "p", "g1", "g2", "lab_g1", "lab_g2")
+
+    def __init__(self, theorem: str, p: int, g1: Graph | None, g2: Graph | None,
+                 lab_g1: tuple[int, ...] | None = None, lab_g2: tuple[int, ...] | None = None):
+        object.__setattr__(self, "theorem", theorem)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
+        object.__setattr__(self, "lab_g1", lab_g1)
+        object.__setattr__(self, "lab_g2", lab_g2)
 
 
-@dataclass(frozen=True)
-class BalanceForm:
+class BalanceForm(Record):
     """Hypothesis equation coef1*d1 + coef2*d2 in [lo, hi] on rho-minus-eta values.
 
     coef_i is 0 exactly when BASE_LABELINGS gives factor i no base labeling.
     params holds the derived hypothesis constants (n, m, k) for reporting.
     """
 
-    coef1: int
-    coef2: int
-    lo: int
-    hi: int
-    params: dict
+    __slots__ = ("coef1", "coef2", "lo", "hi", "params")
+
+    def __init__(self, coef1: int, coef2: int, lo: int, hi: int, params: dict):
+        object.__setattr__(self, "coef1", coef1)
+        object.__setattr__(self, "coef2", coef2)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "params", params)
 
 
 def _require_multiple(order: int, p: int, what: str) -> int:

@@ -15,8 +15,9 @@ bipartite factors) but the labeling definition only admits connected ones.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter
 
 MAX_ORDER = 1_000_000  # total-vertex cap shared by every graph builder
 # Total-edge cap. Measured peak RSS near it (Python 3.11): construct of
@@ -151,6 +152,36 @@ def check_shape(order: int, size: int, what: str = "graph") -> None:
         raise ValueError(f"{what} order {order} exceeds the supported bound {MAX_ORDER}")
     if size > MAX_SIZE:
         raise ValueError(f"{what} size {size} exceeds the supported bound {MAX_SIZE}")
+
+
+class Record:
+    """Base of the immutable value classes. A subclass lists its fields in __slots__,
+    in constructor order, and sets them in __init__ with object.__setattr__. Equality,
+    hash, the dataclass repr, pickle and copy go by those fields; none can be reassigned."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)  # a tuple: every subclass has 2+ fields
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._fields(self) == self._fields(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
 
 
 def exact_int(value: object, what: str) -> int:

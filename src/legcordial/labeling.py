@@ -15,10 +15,9 @@ admits connected graphs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from .graph import JSON_CHUNK, Edge, Graph, exact_int, exact_ints, is_connected
+from .graph import JSON_CHUNK, Edge, Graph, Record, exact_int, exact_ints, is_connected
 from .numtheory import LegendreContext
 
 
@@ -26,12 +25,15 @@ class AdmissionError(ValueError):
     """The graph falls outside the labeling definition (it is disconnected)."""
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(Record):
     """Bijection vertex -> {1, ..., n}, stored densely by vertex index."""
 
-    graph: Graph
-    assign: tuple[int, ...]
+    __slots__ = ("graph", "assign")
+
+    def __init__(self, graph: Graph, assign: tuple[int, ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "assign", assign)
+        self.__post_init__()
 
     def __post_init__(self):
         n, assign = self.graph.order, self.assign
@@ -41,12 +43,14 @@ class Labeling:
             raise ValueError(f"assign must be a permutation of 1..{n}")
 
 
-@dataclass(frozen=True)
-class EdgeTally:
+class EdgeTally(Record):
     """Counts of induced edge labels; difference d = e1 - e0, as search uses it."""
 
-    e0: int
-    e1: int
+    __slots__ = ("e0", "e1")
+
+    def __init__(self, e0: int, e1: int):
+        object.__setattr__(self, "e0", e0)
+        object.__setattr__(self, "e1", e1)
 
     @property
     def difference(self) -> int:
@@ -57,12 +61,14 @@ class EdgeTally:
         return abs(self.e0 - self.e1) <= 1
 
 
-@dataclass(frozen=True)
-class RhoEta:
+class RhoEta(Record):
     """Edge partition by induced label: rho holds the 1-edges, eta the 0-edges."""
 
-    rho: frozenset[Edge]
-    eta: frozenset[Edge]
+    __slots__ = ("rho", "eta")
+
+    def __init__(self, rho: frozenset[Edge], eta: frozenset[Edge]):
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "eta", eta)
 
     @property
     def rho_minus_eta(self) -> int:

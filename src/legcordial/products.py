@@ -22,7 +22,7 @@ All six operations are pure functions over immutable inputs.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .graph import Edge, Graph, _trusted_graph, check_shape
 

@@ -81,7 +81,6 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .constructors import (
     BALANCE_THEOREMS,
@@ -91,7 +90,7 @@ from .constructors import (
     balance_form,
     normalize_theorem,
 )
-from .graph import Graph, exact_int
+from .graph import Graph, Record, exact_int
 from .numtheory import check_prime
 
 DEFAULT_ORDER_CEILING = 12
@@ -104,28 +103,26 @@ CHAIN_POLL = 256  # _map_extension calls between two reads of the clock
 MODES = ("find-first", "count-all", "prove-none")
 
 
-@dataclass(frozen=True)
-class Budget:
-    max_nodes: int = DEFAULT_NODE_BUDGET
-    max_seconds: float | None = None
+class Budget(Record):
+    __slots__ = ("max_nodes", "max_seconds")
 
-    def __post_init__(self):
-        if exact_int(self.max_nodes, "node budget") <= 0:
+    def __init__(self, max_nodes: int = DEFAULT_NODE_BUDGET, max_seconds: float | None = None):
+        if exact_int(max_nodes, "node budget") <= 0:
             raise ValueError("node budget must be positive")
-        if self.max_seconds is not None and not self.max_seconds > 0:  # nan too
+        if max_seconds is not None and not max_seconds > 0:  # nan too
             raise ValueError("time budget must be positive")
+        object.__setattr__(self, "max_nodes", max_nodes)
+        object.__setattr__(self, "max_seconds", max_seconds)
 
 
-@dataclass(frozen=True)
-class DiffWindow:
+class DiffWindow(Record):
     """Objective window on d = |rho| - |eta| = e1 - e0."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):  # the parity narrowing is exact only on ints
-        exact_int(self.lo, "window bound")
-        exact_int(self.hi, "window bound")
+    def __init__(self, lo: int, hi: int):  # the parity narrowing is exact only on ints
+        object.__setattr__(self, "lo", exact_int(lo, "window bound"))
+        object.__setattr__(self, "hi", exact_int(hi, "window bound"))
 
     @staticmethod
     def cordial() -> "DiffWindow":
@@ -140,19 +137,20 @@ class DiffWindow:
         return DiffWindow(d - 1, d + 1)
 
 
-@dataclass(frozen=True)
-class SearchSpec:
-    graph: Graph
-    p: int
-    objective: DiffWindow = field(default_factory=DiffWindow.cordial)
-    budget: Budget = field(default_factory=Budget)
-    mode: str = "find-first"
+class SearchSpec(Record):
+    __slots__ = ("graph", "p", "objective", "budget", "mode")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        _check_ceiling(self.graph)
-        check_prime(self.p)
+    def __init__(self, graph: Graph, p: int, objective: DiffWindow = DiffWindow.cordial(),
+                 budget: Budget = Budget(), mode: str = "find-first"):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        _check_ceiling(graph)
+        check_prime(p)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "mode", mode)
 
 
 def _check_ceiling(graph: Graph) -> None:
@@ -169,13 +167,16 @@ def _parity_window(graph: Graph, lo: int, hi: int) -> tuple[int, int]:
     return lo + (lo - parity) % 2, hi - (hi - parity) % 2
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    outcome: str  # "found" | "none" | "exhausted"
-    nodes: int
-    labeling: tuple[int, ...] | None = None
-    count: int | None = None
-    complete: bool = False
+class SearchResult(Record):
+    __slots__ = ("outcome", "nodes", "labeling", "count", "complete")
+
+    def __init__(self, outcome: str, nodes: int, labeling: tuple[int, ...] | None = None,
+                 count: int | None = None, complete: bool = False):
+        object.__setattr__(self, "outcome", outcome)  # "found" | "none" | "exhausted"
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "labeling", labeling)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "complete", complete)
 
     def to_json(self) -> dict:
         obj: dict = {"outcome": self.outcome, "nodes": self.nodes}
@@ -630,11 +631,13 @@ def achievable_differences(
     return witnesses, probes.complete, probes.nodes
 
 
-@dataclass(frozen=True)
-class RecipeSearchResult:
-    outcome: str  # "found" | "none" | "exhausted"
-    recipe: ConstructionRecipe | None
-    nodes: int
+class RecipeSearchResult(Record):
+    __slots__ = ("outcome", "recipe", "nodes")
+
+    def __init__(self, outcome: str, recipe: ConstructionRecipe | None, nodes: int):
+        object.__setattr__(self, "outcome", outcome)  # "found" | "none" | "exhausted"
+        object.__setattr__(self, "recipe", recipe)
+        object.__setattr__(self, "nodes", nodes)
 
 
 def find_base_labelings(

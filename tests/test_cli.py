@@ -833,6 +833,42 @@ def test_graph_file_at_the_byte_cap_is_read(tmp_path, capsys, monkeypatch):
     _one_byte_cap_error_on(capsys, argv, path)
 
 
+def test_json_file_is_read_in_chunks_up_to_one_byte_past_the_cap(tmp_path, capsys, monkeypatch):
+    from legcordial import cli
+
+    monkeypatch.setattr(cli, "MAX_JSON_BYTES", 40)
+    monkeypatch.setattr(cli, "_READ_CHUNK", 7)
+    reads = []  # (bytes asked for, bytes returned) of each read
+
+    class Spy:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, n):
+            data = self.fh.read(n)
+            reads.append((n, len(data)))
+            return data
+
+    monkeypatch.setattr(cli, "open", lambda *args: Spy(open(*args)), raising=False)
+    path = tmp_path / "graph.json"
+    text = '{"order": 3, "edges": [[0, 1], [1, 2]]}'
+    path.write_text(text.ljust(40))  # five full chunks and a short one
+    argv = ("verify", "--g", "{}", "--labeling", "1,2,3", "--p", "3")
+    code, out, _ = run(capsys, *(arg.format(path) for arg in argv))
+    assert (code, out) == (0, '{"e0": 2, "e1": 0, "cordial": false}\n')
+    assert reads == [(7, 7)] * 5 + [(6, 5), (1, 0)]  # no read asks past byte 41
+    reads.clear()
+    path.write_text(text.ljust(100))
+    _one_byte_cap_error_on(capsys, argv, path)
+    assert reads == [(7, 7)] * 5 + [(6, 6), (0, 0)]  # 41 bytes of the 100
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_graph_from_a_pipe_is_read_only_to_the_byte_cap(tmp_path, capsys, monkeypatch):
     import threading

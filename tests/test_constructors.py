@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -437,7 +436,8 @@ def test_a_true_prediction_that_is_not_cordial_raises(monkeypatch):
     form = constructors.balance_form
 
     def open_window(*args):
-        return dataclasses.replace(form(*args), lo=-100, hi=100)
+        f = form(*args)
+        return constructors.BalanceForm(f.coef1, f.coef2, -100, 100, f.params)
 
     monkeypatch.setattr(constructors, "balance_form", open_window)
     lab1 = Labeling(make_cycle(3), (1, 2, 3))

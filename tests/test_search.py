@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import time
@@ -479,7 +478,7 @@ def test_chain_set_up_stops_at_the_deadline(monkeypatch):
     clock = SimpleNamespace(monotonic=lambda: 2.0 if calls[0] >= 100 else 0.0)
     monkeypatch.setattr(search, "time", clock)
     calls[0] = 0
-    res = search_labeling(dataclasses.replace(spec, budget=Budget(max_seconds=1.0)))
+    res = search_labeling(SearchSpec(CUBIC12, 13, budget=Budget(max_seconds=1.0)))
     assert (res.outcome, res.nodes) == ("exhausted", 0)
     assert 100 <= calls[0] <= 100 + search.CHAIN_POLL
     # with only a node budget the clock is not read, and the run is unchanged
