@@ -1028,6 +1028,35 @@ def test_verify_output_bytes(capsys):
 # past output: a change that needs it rewritten changes the CLI's bytes.
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
+# More of the same record: the search table for each outcome (keys sorted),
+# the gen and op tables (op's extras after the graph head), and the diffwin
+# objective, whose window {1, 3} on C5 no exact difference matches.
+GOLDEN += [
+    {"id": "search-found-table", "argv": ["search", "--g", "cycle:3", "--p", "3", "--format", "table"],
+     "code": 0, "stdout": "labeling: [1, 2, 3]\nnodes: 3\noutcome: found\n", "stderr": ""},
+    {"id": "search-none-table",
+     "argv": ["search", "--g", "complete:4", "--p", "3", "--mode", "prove-none", "--format", "table"],
+     "code": 4, "stdout": "nodes: 4\noutcome: none\n", "stderr": ""},
+    {"id": "search-exhausted-table",
+     "argv": ["search", "--g", "complete:4", "--p", "3", "--mode", "prove-none", "--budget-nodes", "3",
+              "--format", "table"],
+     "code": 5, "stdout": "nodes: 3\noutcome: exhausted\n", "stderr": ""},
+    {"id": "search-count-all-table",
+     "argv": ["search", "--g", "cycle:3", "--p", "3", "--mode", "count-all", "--format", "table"],
+     "code": 0, "stdout": "count: 6\nlabeling: [1, 2, 3]\nnodes: 3\noutcome: found\n", "stderr": ""},
+    {"id": "search-diffwin",
+     "argv": ["search", "--g", "cycle:5", "--p", "5", "--objective", "diffwin:2", "--mode", "count-all"],
+     "code": 0, "stdout": '{"outcome": "found", "nodes": 39, "labeling": [1, 2, 4, 5, 3], "count": 30}\n',
+     "stderr": ""},
+    {"id": "op-tensor-table", "argv": ["op", "tensor", "path:2", "path:2", "--format", "table"],
+     "code": 0,
+     "stdout": "order: 4\nsize:  2\nedges: 0-3 1-2\nconvention: (i, j) -> i*|V(g2)| + j\n"
+               "connected: False\nwarnings: ['result is disconnected']\n",
+     "stderr": ""},
+    {"id": "gen-table", "argv": ["gen", "path:4", "--format", "table"],
+     "code": 0, "stdout": "order: 4\nsize:  3\nedges: 0-1 1-2 2-3\n", "stderr": ""},
+]
+
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
 def test_output_bytes_match_the_golden_record(capsys, case):
