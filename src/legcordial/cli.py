@@ -76,6 +76,9 @@ EXIT_HYPOTHESIS = 3
 EXIT_SEARCH_NONE = 4
 EXIT_BUDGET = 5
 
+# search outcome -> exit code
+_SEARCH_EXITS = {"found": EXIT_OK, "none": EXIT_SEARCH_NONE, "exhausted": EXIT_BUDGET}
+
 ENV_BUDGET_NODES = "LEGCORDIAL_BUDGET_NODES"
 ENV_BUDGET_SECONDS = "LEGCORDIAL_BUDGET_SECONDS"
 
@@ -189,12 +192,19 @@ def _emit(pieces: Iterable[str], out_path: str | None) -> None:
             sys.stdout.write("\n")
 
 
+def _table(report: dict) -> str:
+    """One ``key: value`` line per entry of a flat result."""
+    return "".join(f"{key}: {val}\n" for key, val in report.items())
+
+
+def _emit_report(report: dict, args) -> None:
+    """A flat result as one JSON object, or as its table."""
+    _emit([_dumps(report) if args.format == "json" else _table(report)], args.out)
+
+
 def _graph_table(g: Graph, extra: dict | None = None) -> str:
-    lines = [f"order: {g.order}", f"size:  {g.size}"]
-    lines.append("edges: " + " ".join(f"{u}-{v}" for u, v in g.edges))
-    for key, val in (extra or {}).items():
-        lines.append(f"{key}: {val}")
-    return "\n".join(lines) + "\n"
+    edges = " ".join(f"{u}-{v}" for u, v in g.edges)
+    return f"order: {g.order}\nsize:  {g.size}\nedges: {edges}\n" + _table(extra or {})
 
 
 def _emit_graph(g: Graph, args, extra: dict | None = None, labeling: Labeling | None = None,
@@ -273,27 +283,18 @@ def _cmd_verify(args) -> int:
     ctx = LegendreContext(p)
     if not is_connected(g):
         raise AdmissionError("cordiality is defined for connected graphs only")
-    tally = induced_tally(lab, ctx)
-    report = tally_report(tally)
-    if args.format == "json":
-        _emit([_dumps(report)], args.out)
-    elif args.format == "dot":
+    if args.format == "dot":
         _emit_graph(g, args, labeling=lab, ctx=ctx)
     else:
-        _emit(
-            [f"e0: {report['e0']}\ne1: {report['e1']}\ncordial: {report['cordial']}\n"],
-            args.out,
-        )
+        _emit_report(tally_report(induced_tally(lab, ctx)), args)
     return EXIT_OK
 
 
 def _cmd_legendre(args) -> int:
     ctx = LegendreContext(args.p)
     sym = legendre_symbol(args.a, ctx)
-    if args.format == "json":
-        _emit([_dumps({"a": args.a, "p": args.p, "symbol": sym})], args.out)
-    else:
-        _emit([str(sym)], args.out)
+    text = _dumps({"a": args.a, "p": args.p, "symbol": sym}) if args.format == "json" else str(sym)
+    _emit([text], args.out)
     return EXIT_OK
 
 
@@ -316,16 +317,8 @@ def _cmd_search(args) -> int:
     )
     result = search_labeling(spec)
     payload = result.to_json()
-    if args.format == "json":
-        _emit([_dumps(payload)], args.out)
-    else:
-        lines = [f"{key}: {payload[key]}" for key in sorted(payload)]
-        _emit(["\n".join(lines) + "\n"], args.out)
-    if result.outcome == "none":
-        return EXIT_SEARCH_NONE
-    if result.outcome == "exhausted":
-        return EXIT_BUDGET
-    return EXIT_OK
+    _emit_report(payload if args.format == "json" else dict(sorted(payload.items())), args)
+    return _SEARCH_EXITS[result.outcome]
 
 
 def _recipe_from_json(obj: dict) -> ConstructionRecipe:
@@ -429,14 +422,10 @@ def _cmd_construct(args) -> int:
     elif args.format == "dot":
         _emit_graph(graph, args, labeling=lab, ctx=LegendreContext(recipe.p))
     else:
-        _emit(
-            [
-                f"theorem: {recipe.theorem}\np: {recipe.p}\norder: {graph.order}\n"
-                f"size: {graph.size}\npredicted: ({predicted.e0}, {predicted.e1})\n"
-                f"verified: ({predicted.e0}, {predicted.e1})\ncordial: {predicted.is_cordial}\n"
-            ],
-            args.out,
-        )
+        pair = (predicted.e0, predicted.e1)
+        _emit_report({"theorem": recipe.theorem, "p": recipe.p, "order": graph.order,
+                      "size": graph.size, "predicted": pair, "verified": pair,
+                      "cordial": predicted.is_cordial}, args)
     return EXIT_OK
 
 

@@ -151,17 +151,20 @@ class BalanceForm(Record):
     """Hypothesis equation coef1*d1 + coef2*d2 in [lo, hi] on rho-minus-eta values.
 
     coef_i is 0 exactly when BASE_LABELINGS gives factor i no base labeling.
-    params holds the derived hypothesis constants (n, m, k) for reporting.
+    n, m and k are the theorem's constants, None where it has none.
     """
 
-    __slots__ = ("coef1", "coef2", "lo", "hi", "params")
+    __slots__ = ("coef1", "coef2", "lo", "hi", "n", "m", "k")
 
-    def __init__(self, coef1: int, coef2: int, lo: int, hi: int, params: dict):
+    def __init__(self, coef1: int, coef2: int, lo: int, hi: int, n: int,
+                 m: int | None = None, k: int | None = None):
         object.__setattr__(self, "coef1", coef1)
         object.__setattr__(self, "coef2", coef2)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
 
 
 def _require_multiple(order: int, p: int, what: str) -> int:
@@ -183,13 +186,13 @@ def balance_form(theorem: str, g1: Graph, g2: Graph, p: int) -> BalanceForm:
     if theorem == "join":
         n = _require_multiple(g1.order, p, "order of g1")
         m = g2.order
-        return BalanceForm(1, 1, n * m - 1, n * m + 1, {"n": n, "m": m})
+        return BalanceForm(1, 1, n * m - 1, n * m + 1, n, m)
     if theorem == "corona":
         if not is_connected(g1):
             raise ConnectivityViolation("g1 must be connected")
         m = _require_multiple(g2.order, p, "order of g2")
         n = g1.order
-        return BalanceForm(1, n, n * m - 1, n * m + 1, {"n": n, "m": m})
+        return BalanceForm(1, n, n * m - 1, n * m + 1, n, m)
     if theorem == "lexicographic":
         if not is_connected(g1):
             raise ConnectivityViolation("g1 must be connected")
@@ -199,7 +202,7 @@ def balance_form(theorem: str, g1: Graph, g2: Graph, p: int) -> BalanceForm:
             )
         m = _require_multiple(g2.order, p, "order of g2")
         target = m * m * p
-        return BalanceForm(0, 1, target, target, {"n": g1.order, "m": m})
+        return BalanceForm(0, 1, target, target, g1.order, m)
     if theorem == "cartesian":
         if not (is_connected(g1) and is_connected(g2)):
             raise ConnectivityViolation("both factors must be connected")
@@ -212,7 +215,7 @@ def balance_form(theorem: str, g1: Graph, g2: Graph, p: int) -> BalanceForm:
                 rhs=f"k*{n}",
             )
         k = g2.size // n
-        return BalanceForm(1, 0, m * k, m * k, {"n": n, "m": m, "k": k})
+        return BalanceForm(1, 0, m * k, m * k, n, m, k)
     if theorem == "tensor":
         if not (is_connected(g1) and is_connected(g2)):
             raise ConnectivityViolation("both factors must be connected")
@@ -225,7 +228,7 @@ def balance_form(theorem: str, g1: Graph, g2: Graph, p: int) -> BalanceForm:
                 "at least one factor must contain an odd cycle"
             )
         n = _require_multiple(g1.order, p, "order of g1")
-        return BalanceForm(1, 0, 0, 0, {"n": n, "m": g2.order})
+        return BalanceForm(1, 0, 0, 0, n, g2.order)
     if theorem == "strong":
         if not (is_connected(g1) and is_connected(g2)):
             raise ConnectivityViolation("both factors must be connected")
@@ -238,18 +241,18 @@ def balance_form(theorem: str, g1: Graph, g2: Graph, p: int) -> BalanceForm:
             raise HypothesisViolation(
                 "g2 must be a tree (size = order - 1)", lhs=g2.size, rhs=n - 1
             )
-        return BalanceForm(1, 0, 1, 1, {"n": n})
+        return BalanceForm(1, 0, 1, 1, n)
     raise ValueError(f"{theorem} carries no balance hypothesis")
 
 
 def _base_tallies(
     theorem: str, f1: Graph | Labeling, f2: Graph | Labeling, p: int
-) -> tuple[LegendreContext, dict, EdgeTally | None, EdgeTally | None]:
+) -> tuple[LegendreContext, BalanceForm, EdgeTally | None, EdgeTally | None]:
     """Shared preamble of the balance constructions.
 
     A factor that BASE_LABELINGS labels comes as its Labeling, any other as
     its Graph. Checks the structural gates and the balance hypothesis;
-    returns the context, the form's params and each labeled factor's tally
+    returns the context, the form and each labeled factor's tally
     (e1 = |rho|, e0 = |eta|), None for a factor without a base labeling.
     """
     labeled1, labeled2 = BASE_LABELINGS[theorem]
@@ -268,7 +271,7 @@ def _base_tallies(
             lhs=lhs,
             rhs=(form.lo, form.hi),
         )
-    return ctx, form.params, t1, t2
+    return ctx, form, t1, t2
 
 
 def _swept(p: int, blocks: int, *weighted: tuple[EdgeTally, int]) -> EdgeTally:
@@ -374,8 +377,8 @@ def construct_join(lab_g1: Labeling, lab_g2: Labeling, p: int) -> tuple[Graph, L
     sweeps a complete residue system. Predicted counts:
     e0 = |eta1| + |eta2| + nm(p-1)/2 + nm,  e1 = |rho1| + |rho2| + nm(p-1)/2.
     """
-    ctx, params, t1, t2 = _base_tallies("join", lab_g1, lab_g2, p)
-    n, m = params["n"], params["m"]
+    ctx, form, t1, t2 = _base_tallies("join", lab_g1, lab_g2, p)
+    n, m = form.n, form.m
     composite = join_product(lab_g1.graph, lab_g2.graph)
     assign = list(lab_g1.assign) + [x + n * p for x in lab_g2.assign]
     return _finalize(composite, assign, ctx, _swept(p, n * m, (t1, 1), (t2, 1)))
@@ -388,8 +391,8 @@ def construct_corona(lab_g1: Labeling, lab_g2: Labeling, p: int) -> tuple[Graph,
     shifted past every copy. Predicted counts:
     e0 = |eta1| + n|eta2| + nm(p-1)/2 + nm,  e1 = |rho1| + n|rho2| + nm(p-1)/2.
     """
-    ctx, params, t1, t2 = _base_tallies("corona", lab_g1, lab_g2, p)
-    n, m = params["n"], params["m"]
+    ctx, form, t1, t2 = _base_tallies("corona", lab_g1, lab_g2, p)
+    n, m = form.n, form.m
     composite = corona_product(lab_g1.graph, lab_g2.graph)
     assign = pair_labels(range(0, n * m * p, m * p), lab_g2.assign)
     assign += [x + n * m * p for x in lab_g1.assign]
@@ -403,8 +406,8 @@ def construct_lexicographic(g1: Graph, lab_g2: Labeling, p: int) -> tuple[Graph,
     e0 = n|eta2| + n m^2 p (p-1)/2 + n m^2 p,  e1 = n|rho2| + n m^2 p (p-1)/2;
     the hypothesis d2 = m^2 p makes the difference exactly 0.
     """
-    ctx, params, _, t2 = _base_tallies("lexicographic", g1, lab_g2, p)
-    n, m = params["n"], params["m"]
+    ctx, form, _, t2 = _base_tallies("lexicographic", g1, lab_g2, p)
+    n, m = form.n, form.m
     composite = lexicographic_product(g1, lab_g2.graph)
     assign = pair_labels(range(0, n * m * p, m * p), lab_g2.assign)
     return _finalize(composite, assign, ctx, _swept(p, n * m * m * p, (t2, n)))
@@ -418,8 +421,8 @@ def construct_cartesian(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Lab
     complete residue system per block. Predicted counts:
     e0 = n|eta1| + nmk(p-1)/2 + nmk,  e1 = n|rho1| + nmk(p-1)/2.
     """
-    ctx, params, t1, _ = _base_tallies("cartesian", lab_g1, g2, p)
-    n, m, k = params["n"], params["m"], params["k"]
+    ctx, form, t1, _ = _base_tallies("cartesian", lab_g1, g2, p)
+    n, m, k = form.n, form.m, form.k
     composite = cartesian_product(lab_g1.graph, g2)
     assign = pair_labels(lab_g1.assign, range(0, n * m * p, m * p))
     return _finalize(composite, assign, ctx, _swept(p, n * m * k, (t1, n)))
@@ -432,8 +435,8 @@ def construct_tensor(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeli
     spawned by a factor-edge pair inherit g1's induced label. Predicted
     counts: e0 = 2|eta1|q and e1 = 2|rho1|q with q the size of g2.
     """
-    ctx, params, t1, _ = _base_tallies("tensor", lab_g1, g2, p)
-    n, m = params["n"], params["m"]
+    ctx, form, t1, _ = _base_tallies("tensor", lab_g1, g2, p)
+    n, m = form.n, form.m
     composite = tensor_product(lab_g1.graph, g2)
     assign = pair_labels(lab_g1.assign, range(0, m * n * p, n * p))
     return _finalize(composite, assign, ctx, _swept(p, 0, (t1, 2 * g2.size)))
@@ -447,8 +450,8 @@ def construct_strong(lab_g1: Labeling, g2: Graph, p: int) -> tuple[Graph, Labeli
     e1 = n|rho1| + 3(p-1)/2 (n-1) + 2|rho1|(n-1);
     with d1 = 1 the difference is exactly 1 for every tree order n.
     """
-    ctx, params, t1, _ = _base_tallies("strong", lab_g1, g2, p)
-    n = params["n"]
+    ctx, form, t1, _ = _base_tallies("strong", lab_g1, g2, p)
+    n = form.n
     composite = strong_product(lab_g1.graph, g2)
     assign = pair_labels(lab_g1.assign, range(0, n * 3 * p, 3 * p))
     return _finalize(composite, assign, ctx, _swept(p, 3 * (n - 1), (t1, 3 * n - 2)))

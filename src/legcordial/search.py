@@ -356,17 +356,20 @@ def _chain_cuts_more(
 
 
 class _Engine:
-    """Shared backtracking core; one instance per (graph, prime, whole_tree).
+    """Shared backtracking core; one instance per (graph, prime, mode).
     Each entry point checks the prime before _Probes builds an engine:
     SearchSpec, balance_form or achievable_differences itself."""
 
     def __init__(
-        self, graph: Graph, p: int, whole_tree: bool = False, deadline: float | None = None
+        self, graph: Graph, p: int, mode: str = "find-first", deadline: float | None = None
     ):
-        """``whole_tree``: the runs will visit the whole pruned tree
-        (count-all, prove-none), so at p < n the stabilizer chain may pay
-        for its set-up (see _chain_cuts_more). Past ``deadline`` the chain's
-        set-up stops and the engine goes without it."""
+        """``mode`` is one of MODES. Runs in count-all and prove-none visit
+        the whole pruned tree, so at p < n the stabilizer chain may pay for
+        its set-up (see _chain_cuts_more); runs in the other two stop at
+        their first witness. ``deadline`` holds for the chain's set-up, past
+        which the engine goes without it, and for every run."""
+        self.stop_at_first = mode != "count-all"
+        self.deadline = deadline
         n = graph.order
         deg = [0] * n
         for u, v in graph.edges:
@@ -403,7 +406,7 @@ class _Engine:
         if p >= n:  # None at the chain's cap or the deadline
             chain = _stabilizer_chain(pn, dp, deadline)
         else:
-            chain = _chain_cuts_more(pn, dp, p, run, deadline) if whole_tree else None
+            chain = None if mode == "find-first" else _chain_cuts_more(pn, dp, p, run, deadline)
         if chain is not None:
             # Labels are distinct, so Aut(G) acts freely and every leaf
             # stands for |Aut(G)| labelings.
@@ -437,7 +440,7 @@ class _Engine:
         self.sum_label = [1 if pow(s % p, half, p) == 1 else -1 for s in range(2 * n + 1)]
 
     def run(
-        self, lo: int, hi: int, stop_at_first: bool, max_nodes: int, deadline: float | None
+        self, lo: int, hi: int, max_nodes: int
     ) -> tuple[int, int, tuple[int, ...] | None, bool]:
         """Explore the assignment tree; returns (nodes, count, first witness,
         whether the node budget or the deadline ran out).
@@ -460,6 +463,7 @@ class _Engine:
         q = self.q
         full = (1 << n + 1) - 2  # labels 1..n
         mult = self.mult
+        stop_at_first, deadline = self.stop_at_first, self.deadline
         nodes = count = 0
         # one budget test per node; past it, next_checkpoint raises or polls
         # the deadline and moves the checkpoint 4096 nodes on
@@ -603,11 +607,9 @@ class _Probes:
         if lo > hi:
             return 0, None
         if id(graph) not in self.engines:
-            self.engines[id(graph)] = _Engine(
-                graph, self.p, self.mode != "find-first", self.deadline
-            )
+            self.engines[id(graph)] = _Engine(graph, self.p, self.mode, self.deadline)
         nodes, count, witness, exhausted = self.engines[id(graph)].run(
-            lo, hi, self.mode != "count-all", self.max_nodes - self.nodes, self.deadline
+            lo, hi, self.max_nodes - self.nodes
         )
         self.nodes += nodes
         self.complete = not exhausted

@@ -400,6 +400,29 @@ def test_a_coefficient_is_zero_exactly_for_an_unlabeled_factor(theorem):
     assert (form.coef1 != 0, form.coef2 != 0) == BASE_LABELINGS[theorem]
 
 
+@pytest.mark.parametrize(
+    "theorem,constants",
+    [
+        ("join", (1, 1, None)),
+        ("corona", (2, 1, None)),
+        ("lexicographic", (3, 1, None)),
+        ("cartesian", (4, 1, 1)),
+        ("tensor", (1, 3, None)),
+        ("strong", (4, None, None)),
+    ],
+)
+def test_a_form_names_its_theorem_constants(theorem, constants):
+    form = balance_form(theorem, *VALID_FACTORS[theorem])
+    assert (form.n, form.m, form.k) == constants
+
+
+@pytest.mark.parametrize("theorem", ["corona-path", "kp-tensor"])
+def test_a_theorem_without_base_labelings_has_no_balance_form(theorem):
+    assert theorem in THEOREMS and theorem not in BALANCE_THEOREMS
+    with pytest.raises(ValueError, match=f"^{theorem} carries no balance hypothesis$"):
+        balance_form(theorem, make_path(3), make_path(3), 3)
+
+
 # ---------------------------------------------------------------------------
 # the verifier's check on every prediction
 # ---------------------------------------------------------------------------
@@ -437,7 +460,7 @@ def test_a_true_prediction_that_is_not_cordial_raises(monkeypatch):
 
     def open_window(*args):
         f = form(*args)
-        return constructors.BalanceForm(f.coef1, f.coef2, -100, 100, f.params)
+        return constructors.BalanceForm(f.coef1, f.coef2, -100, 100, f.n, f.m, f.k)
 
     monkeypatch.setattr(constructors, "balance_form", open_window)
     lab1 = Labeling(make_cycle(3), (1, 2, 3))

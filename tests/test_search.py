@@ -367,7 +367,7 @@ K4K2 = cartesian(make_complete(4), make_complete(2))
     ids=["C6-p3", "C7-p5", "C8-p7", "Q3-p5", "K4xK2-p5", "W7-p5"],
 )
 def test_chain_below_p_matches_oracles(g, p):
-    engine = search._Engine(g, p, whole_tree=True)
+    engine = search._Engine(g, p, "count-all")
     assert (engine.q, engine.aut_weight) == (g.order + 1, _brute_aut_count(g))
     want = brute_diff_witnesses(g.edges, g.order, p)
 
@@ -448,7 +448,7 @@ def test_capped_chain_falls_back_to_an_exact_search(monkeypatch):
     assert (engine.aut_weight, engine.q) == (1, 8)
     assert [step[2:] for step in engine.steps] == [(-1, 1, 8)] * 7
     # p < n: residue classes, as without the chain
-    assert (search._Engine(g, 5, whole_tree=True).q, search._Engine(g, 5).q) == (5, 5)
+    assert (search._Engine(g, 5, "count-all").q, search._Engine(g, 5).q) == (5, 5)
     for p in (5, 11):
         _check_against_oracles(g, p)
     assert search_labeling(SearchSpec(g, 5, mode="count-all")).nodes == 3487
