@@ -22,7 +22,6 @@ from legcordial import (
     make_complete,
     make_cycle,
     make_path,
-    rho_eta,
 )
 from legcordial.search import DiffWindow, SearchSpec, search_labeling
 
@@ -68,7 +67,7 @@ def main():
     lab_c5 = Labeling(c5, (2, 1, 3, 5, 4))
     print(
         f"  (base labeling of C5: rho - eta = "
-        f"{rho_eta(lab_c5, LegendreContext(5)).rho_minus_eta})"
+        f"{induced_tally(lab_c5, LegendreContext(5)).difference})"
     )
     report("cartesian", *construct_cartesian(lab_c5, make_cycle(4), 5), 5)
 

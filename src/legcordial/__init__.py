@@ -27,7 +27,6 @@ from .labeling import (
     AdmissionError,
     EdgeTally,
     Labeling,
-    RhoEta,
     edge_label,
     induced_tally,
     is_cordial,

@@ -95,11 +95,6 @@ _OPS = {
 }
 
 
-# Every JSON payload is a fresh dict or list built by a handler, so it cannot
-# hold a cycle and the encoder's circular-reference walk is skipped.
-_dumps = json.JSONEncoder(check_circular=False).encode
-
-
 class _CliFailure(Exception):
     def __init__(self, code: int, kind: str, message: str):
         self.code = code
@@ -199,7 +194,7 @@ def _table(report: dict) -> str:
 
 def _emit_report(report: dict, args) -> None:
     """A flat result as one JSON object, or as its table."""
-    _emit([_dumps(report) if args.format == "json" else _table(report)], args.out)
+    _emit([json.dumps(report) if args.format == "json" else _table(report)], args.out)
 
 
 def _graph_table(g: Graph, extra: dict | None = None) -> str:
@@ -293,7 +288,7 @@ def _cmd_verify(args) -> int:
 def _cmd_legendre(args) -> int:
     ctx = LegendreContext(args.p)
     sym = legendre_symbol(args.a, ctx)
-    text = _dumps({"a": args.a, "p": args.p, "symbol": sym}) if args.format == "json" else str(sym)
+    text = json.dumps({"a": args.a, "p": args.p, "symbol": sym}) if args.format == "json" else str(sym)
     _emit([text], args.out)
     return EXIT_OK
 
@@ -406,10 +401,10 @@ def _cmd_construct(args) -> int:
     graph, lab, predicted = run_recipe(recipe)
     if args.format == "json":
         # the bundle {"theorem", "p", "graph", "labeling", "predicted", "verified"}
-        head = f'{{"theorem": {_dumps(recipe.theorem)}, "p": {_dumps(recipe.p)}, "graph": '
+        head = f'{{"theorem": {json.dumps(recipe.theorem)}, "p": {json.dumps(recipe.p)}, "graph": '
         tail = (
-            f', "predicted": {_dumps({"e0": predicted.e0, "e1": predicted.e1})}'
-            f', "verified": {_dumps(tally_report(predicted))}}}'
+            f', "predicted": {json.dumps({"e0": predicted.e0, "e1": predicted.e1})}'
+            f', "verified": {json.dumps(tally_report(predicted))}}}'
         )
         pieces = chain(
             [head],
@@ -507,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(code: int, kind: str, message: str) -> int:
-    sys.stderr.write(_dumps({"error": {"code": code, "type": kind, "message": message}}) + "\n")
+    sys.stderr.write(json.dumps({"error": {"code": code, "type": kind, "message": message}}) + "\n")
     return code
 
 

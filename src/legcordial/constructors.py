@@ -143,8 +143,8 @@ class ConstructionRecipe(Record):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "g1", g1)
         object.__setattr__(self, "g2", g2)
-        object.__setattr__(self, "lab_g1", lab_g1)
-        object.__setattr__(self, "lab_g2", lab_g2)
+        object.__setattr__(self, "lab_g1", None if lab_g1 is None else tuple(lab_g1))
+        object.__setattr__(self, "lab_g2", None if lab_g2 is None else tuple(lab_g2))
 
 
 class BalanceForm(Record):

@@ -1,15 +1,11 @@
 """Vertex labelings and the induced 0/1 edge function.
 
 A labeling of a graph of order n assigns the labels 1..n bijectively to its
-vertices. For an odd prime p, the induced label of an edge uv is
-
-    1  when f(u) + f(v) is a quadratic residue mod p,
-    0  when the sum is a nonresidue or divisible by p.
-
-The divisible-by-p branch never consults the Legendre symbol: the symbol
-would be 0, which the {0, 1} codomain cannot express. A labeling is cordial
-mod p when the two induced counts differ by at most 1; the definition only
-admits connected graphs.
+vertices. For an odd prime p, an edge uv gets induced label 1 exactly when
+the Legendre symbol of f(u) + f(v) mod p is +1, and 0 otherwise: when the
+symbol is -1 (a nonresidue) or 0 (a sum divisible by p). A labeling is
+cordial mod p when the two induced counts differ by at most 1; the
+definition only admits connected graphs.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ class AdmissionError(ValueError):
 
 
 class Labeling(Record):
-    """Bijection vertex -> {1, ..., n}, stored densely by vertex index."""
+    """Bijection vertex -> {1, ..., n}, stored densely by vertex index as a tuple."""
 
     __slots__ = ("graph", "assign")
 
@@ -36,8 +32,9 @@ class Labeling(Record):
         self.__post_init__()
 
     def __post_init__(self):
-        n, assign = self.graph.order, self.assign
-        exact_ints(assign, "labeling entry")
+        # keep the checked tuple, never the caller's list, so the value is immutable
+        n, assign = self.graph.order, exact_ints(self.assign, "labeling entry")
+        object.__setattr__(self, "assign", assign)
         # n distinct ints from 1 to n are exactly 1..n
         if len(assign) != n or len(set(assign)) != n or min(assign) != 1 or max(assign) != n:
             raise ValueError(f"assign must be a permutation of 1..{n}")
@@ -61,31 +58,14 @@ class EdgeTally(Record):
         return abs(self.e0 - self.e1) <= 1
 
 
-class RhoEta(Record):
-    """Edge partition by induced label: rho holds the 1-edges, eta the 0-edges."""
-
-    __slots__ = ("rho", "eta")
-
-    def __init__(self, rho: frozenset[Edge], eta: frozenset[Edge]):
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "eta", eta)
-
-    @property
-    def rho_minus_eta(self) -> int:
-        return len(self.rho) - len(self.eta)
-
-
 def edge_label(total: int, ctx: LegendreContext) -> int:
     """Induced label of an edge whose endpoint labels sum to total."""
-    r = total % ctx.p
-    if r == 0:
-        return 0
-    return 1 if ctx.symbols[r] == 1 else 0
+    return 1 if ctx.symbols[total % ctx.p] == 1 else 0
 
 
 def induced_tally(lab: Labeling, ctx: LegendreContext) -> EdgeTally:
     """Tally edge_label(f(u) + f(v)) over every edge of the labeled graph."""
-    # edge_label inlined: symbols[0] == 0, so a sum divisible by p counts as 0
+    # edge_label inlined
     assign, sym, p = lab.assign, ctx.symbols, ctx.p
     e1 = sum(1 for u, v in lab.graph.edges if sym[(assign[u] + assign[v]) % p] == 1)
     return EdgeTally(e0=lab.graph.size - e1, e1=e1)
@@ -98,13 +78,14 @@ def is_cordial(lab: Labeling, ctx: LegendreContext) -> bool:
     return induced_tally(lab, ctx).is_cordial
 
 
-def rho_eta(lab: Labeling, ctx: LegendreContext) -> RhoEta:
-    """Partition the edge set by induced label."""
+def rho_eta(lab: Labeling, ctx: LegendreContext) -> tuple[frozenset[Edge], frozenset[Edge]]:
+    """The pair (rho, eta): the frozensets of the edges with induced label 1
+    and of those with label 0. induced_tally gives their sizes as e1 and e0."""
     assign = lab.assign
     rho, eta = [], []
     for u, v in lab.graph.edges:
         (rho if edge_label(assign[u] + assign[v], ctx) else eta).append((u, v))
-    return RhoEta(rho=frozenset(rho), eta=frozenset(eta))
+    return frozenset(rho), frozenset(eta)
 
 
 def labeling_to_json(lab: Labeling, p: int) -> dict:

@@ -7,8 +7,9 @@ Vertex indexing is fixed so that labelings can be assigned positionally:
   g2, maps to composite index i * g2.order + j;
 * join -- g1's vertices keep their indices, g2's follow at offset g1.order;
 * corona -- copy i of g2 (0-based) occupies the block i * g2.order ..
-  (i+1) * g2.order - 1 and the g1.order host vertices come last, so hosts
-  end up with the top label block in the corona constructions.
+  (i+1) * g2.order - 1 and the g1.order host vertices come last, host i at
+  g1.order * g2.order + i, so hosts end up with the top label block in the
+  corona constructions.
 
 Label layout: a construction labels a pair-indexed composite (a product, or
 a corona's copies) by outer sum. pair_labels(first, second) gives pair
@@ -33,11 +34,6 @@ def pair_labels(first: Sequence[int], second: Sequence[int]) -> list[int]:
     return [a + b for a in first for b in second]
 
 
-def corona_host_index(host: int, n_hosts: int, copy_order: int) -> int:
-    """Composite index of the host-th vertex of the base graph."""
-    return n_hosts * copy_order + host
-
-
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union of g1 and g2 plus every cross edge."""
     n1, n2 = g1.order, g2.order
@@ -56,11 +52,9 @@ def corona(g1: Graph, g2: Graph) -> Graph:
     for i in range(n):
         base = i * s
         edges.extend((base + u, base + v) for u, v in g2.edges)
-        host = corona_host_index(i, n, s)
+        host = n * s + i
         edges.extend((base + j, host) for j in range(s))  # hosts come last, so host > base + j
-    edges.extend(
-        (corona_host_index(u, n, s), corona_host_index(v, n, s)) for u, v in g1.edges
-    )
+    edges.extend((n * s + u, n * s + v) for u, v in g1.edges)
     return _trusted_graph(n * s + n, edges)
 
 

@@ -4,6 +4,9 @@ Run from the repository root:
 
     python tests/connected_graphs.py > tests/connected_graphs.txt
 
+An optional argument raises the maximum order: ``python
+tests/connected_graphs.py 7`` also writes the 853 graphs of order 7.
+
 Each output line is a graph's order and its edge bitmask: bit k is set when
 the k-th pair of (0, 1), (0, 2), ..., (0, n-1), (1, 2), ..., (n-2, n-1) is
 an edge. A class is written as its least bitmask over all vertex
@@ -16,6 +19,7 @@ of order n - 1 plus one vertex joined to a nonempty subset of them.
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations, permutations
 
 MAX_ORDER = 6
@@ -52,12 +56,12 @@ def connected_graphs(max_order: int = MAX_ORDER) -> dict[int, list[int]]:
     return out
 
 
-def main() -> None:
-    for n, masks in connected_graphs().items():
+def main(max_order: int = MAX_ORDER) -> None:
+    for n, masks in connected_graphs(max_order).items():
         if n >= 2:
             for mask in masks:
                 print(n, mask)
 
 
 if __name__ == "__main__":
-    main()
+    main(int(sys.argv[1]) if len(sys.argv) > 1 else MAX_ORDER)

@@ -343,7 +343,9 @@ def test_dot_escapes_vertex_names(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("obj", [{"p": 3}, [1, 2], {"theorem": 3, "p": 3}, "cart"])
+@pytest.mark.parametrize(
+    "obj", [{"p": 3}, [1, 2], {"theorem": 3, "p": 3}, "cart", {"theorem": "cart"}]
+)
 def test_construct_malformed_recipe_is_usage_error(tmp_path, capsys, obj):
     recipe = tmp_path / "recipe.json"
     recipe.write_text(json.dumps(obj))
@@ -915,8 +917,9 @@ def test_graph_from_a_pipe_is_read_only_to_the_byte_cap(tmp_path, capsys, monkey
           "graph": {"order": 6, "edges": [[0, 1], [0, 4], [1, 4], [2, 3], [2, 5], [3, 5], [4, 5]]},
           "labeling": {"p": 3, "assign": [3, 1, 6, 4, 2, 5]},
           "predicted": {"e0": 4, "e1": 3}, "verified": {"e0": 4, "e1": 3, "cordial": True}}),
+        (("gen", "edges:0-1,,1-2"), {"order": 3, "edges": [[0, 1], [1, 2]]}),
     ],
-    ids=["gen", "op", "verify", "search", "construct"],
+    ids=["gen", "op", "verify", "search", "construct", "gen-empty-edge-part"],
 )
 def test_json_output_is_one_line(capsys, argv, expected):
     code, out, err = run(capsys, *argv, "--format", "json")
@@ -962,7 +965,7 @@ def test_construct_json_is_the_dumps_of_the_bundle(capsys, tmp_path, monkeypatch
     out, written = _stdout_and_file_text(capsys, tmp_path, ("construct", *argv))
     recipe, (graph, lab, predicted) = built[0]
     assert recipe.theorem == normalize_theorem(argv[0])
-    expected = cli._dumps({
+    expected = json.dumps({
         "theorem": recipe.theorem,
         "p": recipe.p,
         "graph": graph_to_json(graph),
@@ -996,7 +999,7 @@ def test_gen_and_op_json_is_the_dumps_of_the_graph(capsys, tmp_path, argv):
         payload.update(convention=convention, connected=is_connected(g))
         if not is_connected(g):
             payload["warnings"] = ["result is disconnected"]
-    expected = cli._dumps(payload)
+    expected = json.dumps(payload)
     assert (out, written) == (expected + "\n", expected)
 
 
@@ -1016,6 +1019,21 @@ def test_construct_to_a_full_device_is_one_io_error(capsys, argv):
     error = json.loads(line)["error"]
     assert (error["code"], error["type"]) == (1, "io-error")
     assert error["message"].startswith("cannot write '/dev/full': ")
+
+
+def test_stdout_write_error_is_one_io_error(capsys, monkeypatch):
+    class BrokenStdout:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        writelines = write
+
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    code = main(["gen", "path:3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == {"code": 1, "type": "io-error", "message": "[Errno 32] Broken pipe"}
 
 
 def test_verify_output_bytes(capsys):

@@ -34,7 +34,7 @@ from legcordial.labeling import (
     AdmissionError,
     EdgeTally,
     Labeling,
-    rho_eta,
+    induced_tally,
 )
 from legcordial.numtheory import LegendreContext
 
@@ -201,7 +201,7 @@ H7 = Graph(7, [(0, 6), (1, 5), (2, 4), (1, 6), (2, 5), (3, 6), (4, 5)])
 def test_lexicographic_accepted_p7():
     # every edge sum of the identity labeling reduces to a residue mod 7
     lab2 = Labeling(H7, tuple(range(1, 8)))
-    assert rho_eta(lab2, LegendreContext(7)).rho_minus_eta == 7
+    assert induced_tally(lab2, LegendreContext(7)).difference == 7
     g, lab, pred = construct_lexicographic(make_cycle(3), lab2, 7)
     assert g.order == 21 and g.size == 168
     assert (pred.e0, pred.e1) == (84, 84)

@@ -51,6 +51,8 @@ def test_family_sizes():
 def test_families_emit_canonical_edges(family, low):
     # the families skip Graph's checks, so they must emit exactly what the
     # checked path would store: unique (u, v) with u < v, strictly increasing
+    with pytest.raises(ValueError, match=f"order must be >= {low}, got {low - 1}"):
+        family(low - 1)
     for n in range(low, 13):
         g = family(n)
         assert Graph(g.order, g.edges) == g

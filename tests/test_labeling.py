@@ -68,8 +68,8 @@ def test_tally_c5_cyclic_order():
     lab = Labeling(make_cycle(5), (2, 1, 3, 5, 4))
     tally = induced_tally(lab, CTX5)
     assert (tally.e0, tally.e1) == (2, 3)
-    parts = rho_eta(lab, CTX5)
-    assert (len(parts.rho), len(parts.eta)) == (3, 2)
+    rho, eta = rho_eta(lab, CTX5)
+    assert (len(rho), len(eta)) == (3, 2)
 
 
 def test_k4_never_cordial_mod3():
@@ -82,13 +82,10 @@ def test_k4_never_cordial_mod3():
 
 def test_rho_eta_examples():
     lab = Labeling(make_cycle(3), (1, 2, 3))
-    parts = rho_eta(lab, CTX3)
     # sums are (0,1)->3, (0,2)->4, (1,2)->5; only 4 reduces to a residue
-    assert parts.rho == {(0, 2)}
-    assert parts.eta == {(0, 1), (1, 2)}
+    assert rho_eta(lab, CTX3) == ({(0, 2)}, {(0, 1), (1, 2)})
     lab = Labeling(make_path(2), (1, 2))
-    parts = rho_eta(lab, CTX3)
-    assert parts.rho == frozenset() and parts.eta == {(0, 1)}
+    assert rho_eta(lab, CTX3) == (frozenset(), {(0, 1)})
 
 
 def test_admission_error_on_disconnected():
@@ -106,11 +103,11 @@ def test_tally_matches_rho_eta_and_oracle(perm):
     g = make_cycle(5)
     lab = Labeling(g, tuple(perm))
     tally = induced_tally(lab, CTX5)
-    parts = rho_eta(lab, CTX5)
-    assert tally.e0 == len(parts.eta)
-    assert tally.e1 == len(parts.rho)
-    assert parts.rho | parts.eta == set(g.edges)
-    assert not parts.rho & parts.eta
+    rho, eta = rho_eta(lab, CTX5)
+    assert tally.e0 == len(eta)
+    assert tally.e1 == len(rho)
+    assert rho | eta == set(g.edges)
+    assert not rho & eta
     assert (tally.e0, tally.e1) == brute_tally(g.edges, perm, 5)
 
 

@@ -29,6 +29,7 @@ def test_is_odd_prime_examples():
 
 def test_odd_primes_below():
     assert odd_primes_below(20) == [3, 5, 7, 11, 13, 17, 19]
+    assert odd_primes_below(3) == [] and odd_primes_below(4) == [3]
     assert all(is_odd_prime(p) for p in odd_primes_below(500))
 
 

@@ -27,7 +27,6 @@ from legcordial.labeling import Labeling
 from legcordial.products import (
     cartesian,
     corona,
-    corona_host_index,
     join,
     lexicographic,
     pair_labels,
@@ -216,7 +215,7 @@ def _corona_labels(host_labels, copy_labels, shift):
     for i in range(n):
         for j, x in enumerate(copy_labels):
             out[i * s + j] = x + i * shift
-        out[corona_host_index(i, n, s)] = host_labels[i]
+        out[n * s + i] = host_labels[i]
     return out
 
 
@@ -269,7 +268,7 @@ def test_each_construction_lays_out_its_labels_by_pair_index(theorem):
 def test_vertex_maps_are_bijections():
     n, s = 3, 4
     copy_ids = {i * s + j for i in range(n) for j in range(s)}
-    host_ids = {corona_host_index(i, n, s) for i in range(n)}
+    host_ids = {n * s + i for i in range(n)}  # hosts come last
     assert copy_ids | host_ids == set(range(n * s + n))
     assert not copy_ids & host_ids
 

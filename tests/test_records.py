@@ -12,7 +12,7 @@ import pytest
 
 from legcordial.constructors import BalanceForm, ConstructionRecipe
 from legcordial.graph import make_complete, make_cycle, make_path
-from legcordial.labeling import EdgeTally, Labeling, RhoEta
+from legcordial.labeling import EdgeTally, Labeling
 from legcordial.search import (
     Budget,
     DiffWindow,
@@ -28,7 +28,6 @@ RECIPE = ConstructionRecipe("join", 3, make_cycle(3), make_complete(1), (1, 2, 3
 VALUES = [
     (Labeling, ("graph", "assign"), (P3, (2, 1, 3))),
     (EdgeTally, ("e0", "e1"), (1, 2)),
-    (RhoEta, ("rho", "eta"), (frozenset({(0, 1)}), frozenset({(1, 2)}))),
     (
         ConstructionRecipe,
         ("theorem", "p", "g1", "g2", "lab_g1", "lab_g2"),
@@ -68,6 +67,19 @@ def test_value_class_semantics(cls, fields, args):
     assert tuple(getattr(value, name) for name in fields) == args
     for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
         assert type(twin) is cls and twin == value
+
+
+def test_value_classes_built_from_lists_hold_tuples():
+    labels = [2, 1, 3]
+    lab = Labeling(P3, labels)
+    labels[0] = 9  # the caller's list is not the labeling's
+    assert lab.assign == (2, 1, 3) and lab == Labeling(P3, (2, 1, 3))
+    with pytest.raises(TypeError):
+        lab.assign[0] = 9
+    recipe = ConstructionRecipe("join", 3, RECIPE.g1, RECIPE.g2, [1, 2, 3], [1])
+    assert recipe == RECIPE
+    for value, twin in ((lab, Labeling(P3, (2, 1, 3))), (recipe, RECIPE)):
+        assert hash(value) == hash(twin)
 
 
 def test_value_class_reprs_and_defaults():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from legcordial.constructors import ConnectivityViolation, HypothesisViolation, run_recipe
 from legcordial.graph import Graph, is_connected, make_complete, make_cycle, make_path, make_star
-from legcordial.labeling import Labeling, edge_label, rho_eta
+from legcordial.labeling import Labeling, edge_label, induced_tally
 from legcordial.numtheory import LegendreContext
 from legcordial.products import cartesian, join
 from legcordial import constructors, search
@@ -47,11 +47,11 @@ def test_k4_has_no_cordial_labeling_mod3():
 def test_c5_target_difference():
     res = search_labeling(SearchSpec(make_cycle(5), 5, objective=DiffWindow.exact(1)))
     assert res.outcome == "found"
-    parts = rho_eta(Labeling(make_cycle(5), res.labeling), LegendreContext(5))
-    assert parts.rho_minus_eta == 1
+    tally = induced_tally(Labeling(make_cycle(5), res.labeling), LegendreContext(5))
+    assert tally.difference == 1
     # the documented witness class member
-    parts = rho_eta(Labeling(make_cycle(5), (2, 1, 3, 5, 4)), LegendreContext(5))
-    assert parts.rho_minus_eta == 1
+    tally = induced_tally(Labeling(make_cycle(5), (2, 1, 3, 5, 4)), LegendreContext(5))
+    assert tally.difference == 1
 
 
 def test_found_labeling_satisfies_objective():
@@ -680,10 +680,8 @@ def test_search_report_json():
 def test_fbl_cartesian_c5_c4():
     out = find_base_labelings("cartesian", make_cycle(5), make_cycle(4), 5)
     assert out.outcome == "found"
-    parts = rho_eta(
-        Labeling(make_cycle(5), out.recipe.lab_g1), LegendreContext(5)
-    )
-    assert parts.rho_minus_eta == 1
+    tally = induced_tally(Labeling(make_cycle(5), out.recipe.lab_g1), LegendreContext(5))
+    assert tally.difference == 1
     g, lab, pred = run_recipe(out.recipe)
     assert (pred.e0, pred.e1) == (20, 20)
 
@@ -976,14 +974,18 @@ def test_searches_leave_no_reference_cycles():
 
 
 # ---------------------------------------------------------------------------
-# Every connected graph of order 2..6, from tests/connected_graphs.txt
+# Every connected graph of order 2..6, from tests/connected_graphs.txt. A CI
+# step runs _check_against_oracles on those of order 7 too, outside tier-1.
 # ---------------------------------------------------------------------------
 
-def _connected_graphs() -> dict[int, list[Graph]]:
-    """order -> its connected graphs, one per isomorphism class; see
-    tests/connected_graphs.py for the file's format."""
+CORPUS = Path(__file__).parent / "connected_graphs.txt"
+
+
+def _connected_graphs(path: str | Path = CORPUS) -> dict[int, list[Graph]]:
+    """order -> its connected graphs, one per isomorphism class, from a file
+    that tests/connected_graphs.py writes; see there for the format."""
     out: dict[int, list[Graph]] = {}
-    for line in (Path(__file__).parent / "connected_graphs.txt").read_text().splitlines():
+    for line in Path(path).read_text().splitlines():
         n, mask = map(int, line.split())
         pairs = combinations(range(n), 2)
         out.setdefault(n, []).append(Graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1]))
