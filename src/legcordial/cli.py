@@ -79,9 +79,6 @@ EXIT_BUDGET = 5
 # search outcome -> exit code
 _SEARCH_EXITS = {"found": EXIT_OK, "none": EXIT_SEARCH_NONE, "exhausted": EXIT_BUDGET}
 
-ENV_BUDGET_NODES = "LEGCORDIAL_BUDGET_NODES"
-ENV_BUDGET_SECONDS = "LEGCORDIAL_BUDGET_SECONDS"
-
 _READ_CHUNK = 1 << 20  # bytes per read of a JSON file: read(n) allocates n bytes up front
 
 # op name -> (operation, the vertex indexing its output reports)
@@ -151,8 +148,8 @@ def _read_json(path: str, unreadable: str, bad_json: str | None = None):
     """The JSON value in the file at path. A file over MAX_JSON_BYTES is a
     usage error, found by reading one byte past the cap, so a pipe is cut off
     there too. The io-error otherwise opens with unreadable, or with bad_json
-    when the bytes are not UTF-8 or the text is not JSON or nests too deep;
-    a {!r} in either stands for the path."""
+    when the bytes are not UTF-8, or the text is not JSON, nests too deep or
+    holds an integer too long for int(); a {!r} in either stands for the path."""
     try:
         with open(path, "rb") as fh:
             data = bytearray()  # ends at EOF or at one byte past the cap, where read(0) gives b""
@@ -168,7 +165,7 @@ def _read_json(path: str, unreadable: str, bad_json: str | None = None):
         text = data.decode("utf-8")
         del data  # freed before the parse builds the document
         return json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise _CliFailure(EXIT_IO, "io-error", f"{(bad_json or unreadable).format(path)}: {exc}")
 
 
@@ -217,24 +214,6 @@ def _emit_graph(g: Graph, args, extra: dict | None = None, labeling: Labeling | 
         _emit([graph_to_dot(g, vlabels, elabels)], args.out)
     else:
         _emit([_graph_table(g, extra)], args.out)
-
-
-def _env_budget(name: str, parse, kind: str, unset):
-    """The budget in environment variable name, or unset when it is unset or empty."""
-    text = os.environ.get(name)
-    try:
-        return parse(text) if text else unset
-    except ValueError:
-        raise ValueError(f"{name} must be {kind}, got {text!r}") from None
-
-
-def _budget_from_args(args) -> Budget:
-    nodes, seconds = args.budget_nodes, args.budget_seconds
-    if nodes is None:
-        nodes = _env_budget(ENV_BUDGET_NODES, int, "an integer", DEFAULT_NODE_BUDGET)
-    if seconds is None:
-        seconds = _env_budget(ENV_BUDGET_SECONDS, float, "a number", None)
-    return Budget(max_nodes=nodes, max_seconds=seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +286,7 @@ def _cmd_search(args) -> int:
         g,
         args.p,
         objective=objective,
-        budget=_budget_from_args(args),
+        budget=Budget(args.budget_nodes, args.budget_seconds),
         mode=args.mode,
     )
     result = search_labeling(spec)
@@ -385,7 +364,8 @@ def _with_base_labelings(recipe: ConstructionRecipe, args) -> ConstructionRecipe
             f"construction {theorem} --auto searches for both base labelings; pass both"
             " --lab-g1 and --lab-g2 (lab_g1 and lab_g2 in a recipe) or neither"
         )
-    found = find_base_labelings(theorem, recipe.g1, recipe.g2, recipe.p, _budget_from_args(args))
+    budget = Budget(args.budget_nodes, args.budget_seconds)
+    found = find_base_labelings(theorem, recipe.g1, recipe.g2, recipe.p, budget)
     if found.outcome == "none":
         raise _CliFailure(EXIT_SEARCH_NONE, "search-none",
                           f"no base labelings satisfy the {theorem} hypothesis")
@@ -447,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=formats, default="json", help="output format")
 
     def add_budget(sp):
-        sp.add_argument("--budget-nodes", type=int, default=None)
+        sp.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
         sp.add_argument("--budget-seconds", type=float, default=None)
 
     sp = sub.add_parser("gen", help="generate a family graph (path:N cycle:N complete:N star:N edges:...)")

@@ -2,8 +2,9 @@
 
 A LegendreContext bundles an odd prime p with a lookup table classifying
 every residue 0..p-1 as zero, residue, or nonresidue. The table is built by
-enumerating x^2 mod p; euler_criterion() provides an independent computation
-path so the two can cross-check each other in tests.
+enumerating x^2 mod p for x in 1..(p-1)/2, which meets every residue once;
+euler_criterion() provides an independent computation path so the two can
+cross-check each other in tests.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ def odd_primes_below(limit: int) -> list[int]:
 
 
 def check_prime(p: int) -> None:
-    """Refuse a p that is not an odd prime or exceeds MAX_PRIME."""
+    """Refuse a p that exceeds MAX_PRIME, before trial division could run
+    long on it, or that is not an odd prime."""
+    if type(p) is int and p > MAX_PRIME:
+        raise ValueError(f"p exceeds the supported bound {MAX_PRIME}: {p}")
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    if p > MAX_PRIME:
-        raise ValueError(f"p exceeds the supported bound {MAX_PRIME}: {p}")
 
 
 class LegendreContext:
@@ -55,10 +57,10 @@ class LegendreContext:
 
     def __init__(self, p: int):
         check_prime(p)
-        residues = {(x * x) % p for x in range(1, p)}
-        table = [0] * p
-        for r in range(1, p):
-            table[r] = 1 if r in residues else -1
+        table = [-1] * p
+        table[0] = 0
+        for x in range(1, (p + 1) // 2):
+            table[x * x % p] = 1
         self.p = p
         self.symbols: tuple[int, ...] = tuple(table)
 

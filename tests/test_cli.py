@@ -447,6 +447,7 @@ def _one_usage_error(code, out, err) -> str:
         (("--p", "4"), "p must be an odd prime, got 4"),
         (("--p", "9", "--mode", "count-all"), "p must be an odd prime, got 9"),
         (("--p", "5", "--budget-seconds", "nan"), "time budget must be positive"),
+        (("--p", "5", "--budget-nodes", "0"), "node budget must be positive"),
     ],
 )
 def test_search_bad_prime_or_budget_is_usage_error(capsys, argv, msg):
@@ -454,28 +455,17 @@ def test_search_bad_prime_or_budget_is_usage_error(capsys, argv, msg):
     assert _one_usage_error(*got) == msg
 
 
-def test_search_nan_budget_from_environment_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("LEGCORDIAL_BUDGET_SECONDS", "nan")
-    got = run(capsys, "search", "--g", "cycle:6", "--p", "5")
-    assert _one_usage_error(*got) == "time budget must be positive"
-
-
-@pytest.mark.parametrize("name", ["LEGCORDIAL_BUDGET_NODES", "LEGCORDIAL_BUDGET_SECONDS"])
-def test_empty_budget_variable_counts_as_unset(capsys, monkeypatch, name):
-    monkeypatch.setenv(name, "")
-    code, out, err = run(capsys, "search", "--g", "cycle:6", "--p", "5")
-    assert (code, err) == (0, "")
-    assert json.loads(out)["outcome"] == "found"
+MERSENNE_127 = str(2**127 - 1)  # prime; trial division up to its root would not end
 
 
 @pytest.mark.parametrize(
-    "name,kind",
-    [("LEGCORDIAL_BUDGET_NODES", "an integer"), ("LEGCORDIAL_BUDGET_SECONDS", "a number")],
+    "argv",
+    [("legendre", "2", MERSENNE_127), ("search", "--g", "cycle:5", "--p", MERSENNE_127)],
+    ids=["legendre", "search"],
 )
-def test_unparsable_budget_variable_is_usage_error_naming_it(capsys, monkeypatch, name, kind):
-    monkeypatch.setenv(name, "abc")
-    got = run(capsys, "search", "--g", "cycle:6", "--p", "5")
-    assert _one_usage_error(*got) == f"{name} must be {kind}, got 'abc'"
+def test_prime_over_the_cap_is_refused_by_size(capsys, argv):
+    got = run(capsys, *argv)
+    assert _one_usage_error(*got) == f"p exceeds the supported bound 10000: {MERSENNE_127}"
 
 
 def test_construct_auto_over_the_search_ceiling_is_usage_error(capsys):
@@ -580,10 +570,11 @@ def test_search_diff_objective(capsys):
 
 
 def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("LEGCORDIAL_BUDGET_NODES", "3")  # the proof needs 4
+    # budgets come from the flags alone; --budget-nodes 3 stops this proof
+    monkeypatch.setenv("LEGCORDIAL_BUDGET_NODES", "3")
     code, out, _ = run(capsys, "search", "--g", "complete:4", "--p", "3", "--mode", "prove-none")
-    assert code == 5
-    assert json.loads(out) == {"outcome": "exhausted", "nodes": 3}
+    assert code == 4
+    assert json.loads(out) == {"outcome": "none", "nodes": 4}
 
 
 def test_table_output_is_not_json(capsys):
@@ -797,6 +788,18 @@ def test_deeply_nested_json_file_is_one_io_error(tmp_path, capsys, argv, message
 def test_json_file_that_is_not_utf8_is_one_io_error(tmp_path, capsys, argv, message):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{}")
+    _one_io_error_on(capsys, argv, message, path)
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this Python converts integer strings of any length",
+)
+@JSON_FILE_ARGS
+def test_json_file_with_an_over_long_integer_is_one_io_error(tmp_path, capsys, argv, message):
+    # valid JSON, but int() refuses a literal over the digit limit
+    path = tmp_path / "long-int.json"
+    path.write_text('{"order": 2, "edges": [[0, ' + "1" * (sys.get_int_max_str_digits() + 1) + "]]}")
     _one_io_error_on(capsys, argv, message, path)
 
 

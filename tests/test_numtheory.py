@@ -43,6 +43,22 @@ def test_context_rejects_bad_p():
         LegendreContext(10007)  # above the size cap
 
 
+def test_prime_over_the_cap_is_refused_before_trial_division(monkeypatch):
+    from legcordial import numtheory
+
+    def capped(n):
+        assert not (type(n) is int and n > numtheory.MAX_PRIME), "trial division ran above the cap"
+        return is_odd_prime(n)
+
+    monkeypatch.setattr(numtheory, "is_odd_prime", capped)
+    for big in (2**127 - 1, 10_007, 10_001):
+        with pytest.raises(ValueError, match=f"p exceeds the supported bound 10000: {big}"):
+            check_prime(big)
+    check_prime(9973)
+    with pytest.raises(ValueError, match="p must be an odd prime, got 10007.0"):
+        check_prime(10007.0)  # not an int: named as not a prime
+
+
 def test_residue_sets():
     assert quadratic_residues(LegendreContext(3)) == {1}
     assert quadratic_residues(LegendreContext(5)) == {1, 4}

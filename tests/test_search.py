@@ -232,23 +232,31 @@ def test_star12_p13_is_cordial_for_every_labeling():
 
 
 def _check_against_oracles(g: Graph, p: int) -> None:
-    """Every mode and achievable_differences against tests/oracles.py."""
+    """Every mode and achievable_differences against tests/oracles.py, down to
+    the first witness: the least in search order, labels ascending over the
+    positions taken by decreasing degree, ties in index order."""
+    deg = [0] * g.order
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    order = sorted(range(g.order), key=lambda v: -deg[v])
+
+    def key(assign):
+        return tuple(assign[v] for v in order)
+
     want = brute_diff_witnesses(g.edges, g.order, p)
     cordial = [w for d, ws in want.items() if abs(d) <= 1 for w in ws]
+    first = min(cordial, key=key) if cordial else None
     res = search_labeling(SearchSpec(g, p, mode="count-all"))
-    assert res.complete
-    assert res.count == len(cordial)
+    assert (res.complete, res.count, res.labeling) == (True, len(cordial), first)
     for mode in ("find-first", "prove-none"):
         res = search_labeling(SearchSpec(g, p, mode=mode))
-        if cordial:
-            assert (res.outcome, res.labeling in cordial) == ("found", True)
-        else:
-            assert (res.outcome, res.labeling) == ("none", None)
+        assert (res.outcome, res.labeling) == ("found" if cordial else "none", first)
     got, complete, _ = achievable_differences(g, p)
     assert complete
     assert set(got) == set(want)
     for d, assign in got.items():
-        assert assign in want[d]
+        assert assign == min(want[d], key=key)
 
 
 def _above_and_runs(g: Graph, p: int) -> tuple[list[int], list[int]]:
