@@ -8,9 +8,8 @@ Usage: python demos/legendre_basics.py
 from legcordial import (
     LegendreContext,
     euler_criterion,
+    is_odd_prime,
     legendre_symbol,
-    odd_primes_below,
-    quadratic_residues,
     two_symbol_rule,
 )
 
@@ -19,8 +18,8 @@ def main():
     print("Residue tables for small odd primes")
     print("-" * 50)
     for p in (3, 5, 7, 11, 13):
-        ctx = LegendreContext(p)
-        print(f"p = {p:2d}: residues = {sorted(quadratic_residues(ctx))}")
+        residues = [r for r, s in enumerate(LegendreContext(p).symbols) if s == 1]
+        print(f"p = {p:2d}: residues = {residues}")
 
     print()
     print("Three ways to compute (a/7), all in agreement")
@@ -38,7 +37,7 @@ def main():
     print()
     print("(2/p) follows p mod 8: -1 at +-3, +1 at +-1")
     print("-" * 50)
-    for p in odd_primes_below(40):
+    for p in filter(is_odd_prime, range(40)):
         rule = two_symbol_rule(p)
         table = legendre_symbol(2, LegendreContext(p))
         print(f"  p = {p:2d} = {p % 8} (mod 8): rule {rule:+d}, table {table:+d}")

@@ -37,8 +37,6 @@ from .numtheory import (
     euler_criterion,
     is_odd_prime,
     legendre_symbol,
-    odd_primes_below,
-    quadratic_residues,
     two_symbol_rule,
 )
 from .products import cartesian, corona, join, lexicographic, strong, tensor

@@ -64,7 +64,7 @@ from .labeling import (
     Labeling,
     induced_tally,
 )
-from .numtheory import LegendreContext, check_prime, two_symbol_rule
+from .numtheory import LegendreContext, check_prime
 from .products import (
     cartesian as cartesian_product,
     corona as corona_product,
@@ -313,7 +313,7 @@ def construct_corona_path(g: Graph, p: int) -> tuple[Graph, Labeling, EdgeTally]
     e0 = n(p-3)/2 + n(p-1)/2 + n and e1 = n(p-1)/2 + n(p-3)/2 + q.
     """
     ctx = LegendreContext(p)
-    if two_symbol_rule(p) != -1:
+    if ctx.symbols[2] != -1:
         raise HypothesisViolation(
             "requires (2/p) = -1, i.e. p = +-3 (mod 8)", lhs=p % 8, rhs="3 or 5"
         )

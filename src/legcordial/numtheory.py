@@ -1,10 +1,12 @@
 """Odd-prime modular arithmetic: primality, quadratic residues, Legendre symbols.
 
-A LegendreContext bundles an odd prime p with a lookup table classifying
-every residue 0..p-1 as zero, residue, or nonresidue. The table is built by
-enumerating x^2 mod p for x in 1..(p-1)/2, which meets every residue once;
-euler_criterion() provides an independent computation path so the two can
-cross-check each other in tests.
+Primality has one test, is_odd_prime's trial division, and check_prime is
+the one gate for every function that takes p: it refuses a p over MAX_PRIME
+before that test runs. A LegendreContext bundles an odd prime p with a lookup
+table classifying every residue 0..p-1 as zero, residue, or nonresidue. The
+table is built by enumerating x^2 mod p for x in 1..(p-1)/2, which meets
+every residue once; euler_criterion() and two_symbol_rule() provide
+independent computation paths so that tests can cross-check the table.
 """
 
 from __future__ import annotations
@@ -22,18 +24,6 @@ def is_odd_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def odd_primes_below(limit: int) -> list[int]:
-    """All odd primes < limit, ascending (simple sieve)."""
-    if limit <= 3:
-        return []
-    sieve = bytearray([1]) * limit
-    sieve[0] = sieve[1] = 0
-    for i in range(2, int(limit**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(3, limit, 2) if sieve[i]]
 
 
 def check_prime(p: int) -> None:
@@ -82,13 +72,7 @@ def euler_criterion(a: int, p: int) -> int:
     return r - p if r == p - 1 else r
 
 
-def quadratic_residues(ctx: LegendreContext) -> frozenset[int]:
-    """The (p-1)/2 quadratic residues of p in {1, ..., p-1}."""
-    return frozenset(r for r in range(1, ctx.p) if ctx.symbols[r] == 1)
-
-
 def two_symbol_rule(p: int) -> int:
     """(2/p) from p mod 8: -1 when p = +-3 (mod 8), +1 when p = +-1 (mod 8)."""
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    check_prime(p)
     return -1 if p % 8 in (3, 5) else 1

@@ -93,7 +93,7 @@ from .constructors import (
 from .graph import Graph, Record, exact_int
 from .numtheory import check_prime
 
-DEFAULT_ORDER_CEILING = 12
+DEFAULT_ORDER_CEILING = 64
 DEFAULT_NODE_BUDGET = 2_000_000
 # _map_extension calls allowed in one _stabilizer_chain run; at the cap the
 # engine drops the chain and searches without it

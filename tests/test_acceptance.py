@@ -34,8 +34,8 @@ from legcordial.labeling import Labeling, induced_tally
 from legcordial.numtheory import (
     LegendreContext,
     euler_criterion,
+    is_odd_prime,
     legendre_symbol,
-    odd_primes_below,
     two_symbol_rule,
 )
 from legcordial.products import cartesian, corona, join, lexicographic, strong, tensor
@@ -69,7 +69,7 @@ def criterion(num: int, desc: str, limit: float):
 
 def test_criterion_1_number_theory():
     with criterion(1, "symbol paths agree; residue counts; mod-8 rule", 10.0):
-        for p in odd_primes_below(1000):
+        for p in filter(is_odd_prime, range(1000)):
             ctx = LegendreContext(p)
             squares = {(x * x) % p for x in range(1, p)}  # independent enumeration
             residues = 0
@@ -80,7 +80,7 @@ def test_criterion_1_number_theory():
                 residues += table == 1
             assert residues == (p - 1) // 2
             assert (p - 1) - residues == (p - 1) // 2
-        for p in odd_primes_below(10_000):
+        for p in filter(is_odd_prime, range(10_000)):
             assert two_symbol_rule(p) == legendre_symbol(2, LegendreContext(p))
 
 
@@ -218,7 +218,7 @@ ORACLE_CASES = [
     ("tensor", make_path(3), make_cycle(3), 3, "found"),
     ("tensor", make_path(5), make_cycle(3), 5, "found"),
     ("strong", make_cycle(9), make_path(4), 3, "found"),
-    # strong at p=5 needs a 15-vertex factor, beyond the search ceiling of 12
+    ("strong", make_cycle(15), make_path(3), 5, "found"),  # |V(g1)| = 3p
 ]
 
 

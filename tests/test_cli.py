@@ -25,6 +25,8 @@ from legcordial.constructors import (
 from legcordial.graph import graph_from_json, graph_to_json, is_connected, make_complete, make_cycle
 from legcordial.labeling import labeling_to_json, tally_report
 
+from oracles import brute_tally
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -216,13 +218,36 @@ def test_construct_auto_search_none_exit_4(capsys):
     assert json.loads(err)["error"]["type"] == "search-none"
 
 
-@pytest.mark.parametrize("g2, code", [("path:13", 4), ("cycle:13", 2)])
-def test_construct_auto_ceiling_only_for_a_probed_factor(capsys, g2, code):
-    # C3's probes all fail against P13, which is never probed; C13 is
+@pytest.mark.parametrize("g2, want", [("path:65", 4), ("cycle:65", 2)])
+def test_construct_auto_ceiling_only_for_a_probed_factor(capsys, g2, want):
+    # C3's probes all fail against P65, which is never probed; C65 is
     code, _, err = run(
         capsys, "construct", "join", "--g1", "cycle:3", "--g2", g2, "--p", "3", "--auto"
     )
-    assert json.loads(err)["error"]["code"] == code
+    error = json.loads(err)["error"]
+    assert code == error["code"] == want
+    assert error["type"] == {4: "search-none", 2: "usage-error"}[want]
+
+
+# |E(G1 ⊠ G2)| = n1 m2 + n2 m1 + 2 m1 m2
+@pytest.mark.parametrize(
+    "g1, g2, p, order, size",
+    [("cycle:15", "path:3", 5, 45, 135), ("cycle:21", "path:2", 7, 42, 105)],
+)
+def test_construct_strong_auto_above_order_12(capsys, g1, g2, p, order, size):
+    # strong needs |V(g1)| = 3p, so at p >= 5 its searched factor has order
+    # 15 or more
+    code, out, err = run(
+        capsys, "construct", "strong", "--g1", g1, "--g2", g2, "--p", str(p), "--auto"
+    )
+    assert code == 0 and err == ""
+    bundle = json.loads(out)
+    edges = [tuple(e) for e in bundle["graph"]["edges"]]
+    assert (bundle["graph"]["order"], len(set(edges))) == (order, size)
+    e0, e1 = brute_tally(edges, bundle["labeling"]["assign"], p)
+    assert abs(e0 - e1) <= 1
+    assert bundle["predicted"] == {"e0": e0, "e1": e1}
+    assert bundle["verified"] == {"e0": e0, "e1": e1, "cordial": True}
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -469,10 +494,10 @@ def test_prime_over_the_cap_is_refused_by_size(capsys, argv):
 
 
 def test_construct_auto_over_the_search_ceiling_is_usage_error(capsys):
-    # d1 = 0 is a window no labeling of C15 (odd size) fits, but the order
+    # d1 = 0 is a window no labeling of C65 (odd size) fits, but the order
     # is refused before that window is answered
-    got = run(capsys, "construct", "tensor", "--g1", "cycle:15", "--g2", "path:3", "--p", "5", "--auto")
-    assert _one_usage_error(*got) == "graph order 15 exceeds the search ceiling 12"
+    got = run(capsys, "construct", "tensor", "--g1", "cycle:65", "--g2", "path:3", "--p", "5", "--auto")
+    assert _one_usage_error(*got) == "graph order 65 exceeds the search ceiling 64"
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,7 @@ from legcordial.labeling import (
     Labeling,
     induced_tally,
 )
-from legcordial.numtheory import LegendreContext
+from legcordial.numtheory import LegendreContext, is_odd_prime
 
 from oracles import brute_tally
 
@@ -68,8 +68,32 @@ def test_corona_path_p2_p5():
 
 
 def test_corona_path_rejects_wrong_prime_class():
-    with pytest.raises(HypothesisViolation, match="mod 8"):
+    for p in (7, 17):
+        with pytest.raises(HypothesisViolation, match="mod 8") as exc:
+            construct_corona_path(make_cycle(3), p)
+        assert (exc.value.lhs, exc.value.rhs) == (p % 8, "3 or 5")
+
+
+def test_corona_path_tests_primality_once(monkeypatch):
+    # (2/p) is read from the build's own LegendreContext, not from a second
+    # check of p
+    from legcordial import numtheory
+
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_odd_prime(n)
+
+    monkeypatch.setattr(numtheory, "is_odd_prime", counted)
+    for p in (3, 5, 11):
+        calls.clear()
+        construct_corona_path(make_cycle(3), p)
+        assert calls == [p]
+    calls.clear()
+    with pytest.raises(HypothesisViolation):
         construct_corona_path(make_cycle(3), 7)
+    assert calls == [7]
 
 
 def test_corona_path_rejects_bad_size():

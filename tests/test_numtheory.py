@@ -8,8 +8,6 @@ from legcordial.numtheory import (
     euler_criterion,
     is_odd_prime,
     legendre_symbol,
-    odd_primes_below,
-    quadratic_residues,
     two_symbol_rule,
 )
 
@@ -25,12 +23,6 @@ def test_is_odd_prime_examples():
     assert not is_odd_prime(0)
     assert not is_odd_prime(1)
     assert is_odd_prime(9973)
-
-
-def test_odd_primes_below():
-    assert odd_primes_below(20) == [3, 5, 7, 11, 13, 17, 19]
-    assert odd_primes_below(3) == [] and odd_primes_below(4) == [3]
-    assert all(is_odd_prime(p) for p in odd_primes_below(500))
 
 
 def test_context_rejects_bad_p():
@@ -52,17 +44,18 @@ def test_prime_over_the_cap_is_refused_before_trial_division(monkeypatch):
 
     monkeypatch.setattr(numtheory, "is_odd_prime", capped)
     for big in (2**127 - 1, 10_007, 10_001):
-        with pytest.raises(ValueError, match=f"p exceeds the supported bound 10000: {big}"):
-            check_prime(big)
+        for refuse in (check_prime, two_symbol_rule):  # (2/p) shares the gate
+            with pytest.raises(ValueError, match=f"p exceeds the supported bound 10000: {big}"):
+                refuse(big)
     check_prime(9973)
+    assert two_symbol_rule(9973) == -1  # 9973 = 5 (mod 8)
     with pytest.raises(ValueError, match="p must be an odd prime, got 10007.0"):
         check_prime(10007.0)  # not an int: named as not a prime
 
 
 def test_residue_sets():
-    assert quadratic_residues(LegendreContext(3)) == {1}
-    assert quadratic_residues(LegendreContext(5)) == {1, 4}
-    assert quadratic_residues(LegendreContext(7)) == {1, 2, 4}
+    for p, residues in ((3, [1]), (5, [1, 4]), (7, [1, 2, 4])):
+        assert [r for r, s in enumerate(LegendreContext(p).symbols) if s == 1] == residues
 
 
 def test_symbol_examples():
@@ -76,8 +69,9 @@ def test_two_symbol_rule_examples():
     assert two_symbol_rule(3) == -1
     assert two_symbol_rule(7) == 1
     assert two_symbol_rule(11) == -1
-    with pytest.raises(ValueError):
-        two_symbol_rule(9)
+    for bad in (9, 5.0):
+        with pytest.raises(ValueError, match=f"p must be an odd prime, got {bad}"):
+            two_symbol_rule(bad)
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -92,7 +86,7 @@ def test_three_paths_agree(p):
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_residue_counts_balanced(p):
     ctx = LegendreContext(p)
-    assert len(quadratic_residues(ctx)) == (p - 1) // 2
+    assert ctx.symbols.count(1) == (p - 1) // 2
     assert ctx.symbols.count(-1) == (p - 1) // 2
 
 
@@ -110,5 +104,5 @@ def test_symbol_matches_euler_everywhere(p, a):
 
 
 def test_mod8_rule_matches_table():
-    for p in odd_primes_below(500):
+    for p in filter(is_odd_prime, range(500)):
         assert two_symbol_rule(p) == legendre_symbol(2, LegendreContext(p))

@@ -1,6 +1,7 @@
 import gc
 import math
 import time
+from collections import Counter
 from itertools import combinations, permutations
 from pathlib import Path
 from types import SimpleNamespace
@@ -121,8 +122,9 @@ def test_budget_exhaustion_is_distinct():
 
 
 def test_order_ceiling():
-    with pytest.raises(ValueError, match="ceiling"):
-        SearchSpec(make_path(13), 3)
+    SearchSpec(make_path(64), 3)
+    with pytest.raises(ValueError, match="graph order 65 exceeds the search ceiling 64"):
+        SearchSpec(make_path(65), 3)
 
 
 def test_search_spec_has_no_jobs():
@@ -327,6 +329,24 @@ def test_aut_weight_is_pinned(g, aut):
     assert search._Engine(g, 3).aut_weight == 1  # find-first at p < n: no chain
 
 
+# Every connected graph of order 2..6, one per isomorphism class.
+CORPUS = Path(__file__).parent / "connected_graphs.txt"
+
+
+def _connected_graphs(path: str | Path = CORPUS) -> dict[int, list[Graph]]:
+    """order -> its connected graphs, one per isomorphism class, from a file
+    that tests/connected_graphs.py writes; see there for the format."""
+    out: dict[int, list[Graph]] = {}
+    for line in Path(path).read_text().splitlines():
+        n, mask = map(int, line.split())
+        pairs = combinations(range(n), 2)
+        out.setdefault(n, []).append(Graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1]))
+    return out
+
+
+CONNECTED = _connected_graphs()
+
+
 def _brute_aut_count(g: Graph) -> int:
     edges = set(g.edges)
     return sum(
@@ -345,10 +365,28 @@ def _brute_aut_count(g: Graph) -> int:
         Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3), (0, 4)]),
         Graph(7, [(0, 1), (0, 2), (1, 3), (2, 4), (0, 5), (5, 6)]),  # spider, two legs alike
         Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 2), (3, 5)]),
-    ],
+    ]
+    + [pytest.param(g, id=f"order{n}-{i}") for n, gs in CONNECTED.items() for i, g in enumerate(gs)],
 )
 def test_aut_weight_matches_brute_force(g):
-    assert search._Engine(g, 11).aut_weight == _brute_aut_count(g)
+    _check_aut_weight(g)
+
+
+def _check_aut_weight(g: Graph) -> None:
+    """|Aut(G)| from the stabilizer chain, which an engine at p >= n always
+    builds (dense graphs through the complement), against brute force; and
+    _chain_cuts_more's bound B = prod (cell size)! over the cells of equal
+    (degree, _invariant) at least |Aut(G)|."""
+    aut = _brute_aut_count(g)
+    assert search._Engine(g, 11).aut_weight == aut
+    pn, deg = [0] * g.order, [0] * g.order
+    for u, v in g.edges:
+        pn[u] |= 1 << v
+        pn[v] |= 1 << u
+        deg[u] += 1
+        deg[v] += 1
+    cells = Counter(zip(deg, [search._invariant(pn, deg, k) for k in range(g.order)]))
+    assert math.prod(map(math.factorial, cells.values())) >= aut
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -446,6 +484,16 @@ def test_chain_set_up_is_capped():
     assert search._stabilizer_chain(pn, deg) is None
     assert time.monotonic() - start < 0.6
     assert search._stabilizer_chain(*_circulant(12, (1, 2))) is not None
+
+
+def test_find_first_above_order_12():
+    # C_32(1..7) at p=37 >= n: its chain is capped, so the plain search
+    # runs (0.22 s on a 2-vCPU VM)
+    g = Graph(32, [(u, (u + j) % 32) for u in range(32) for j in range(1, 8)])
+    res = search_labeling(SearchSpec(g, 37))
+    assert (res.outcome, res.nodes) == ("found", 293_689)
+    e0, e1 = brute_tally(g.edges, res.labeling, 37)
+    assert abs(e0 - e1) <= 1
 
 
 def test_capped_chain_falls_back_to_an_exact_search(monkeypatch):
@@ -929,14 +977,14 @@ def test_each_entry_point_checks_the_prime_once(monkeypatch):
 
 
 def test_find_base_checks_the_ceiling_only_for_a_probed_factor():
-    # C3 has d = -1 under every labeling at p=3. Against P13 (even d) the
-    # window [12, 14] needs d1 in {1, 3}: both probes of C3 fail, so P13 is
-    # never probed and "none" is certified. Against C13 (odd d) d1 = -1 fits,
-    # so C13 is probed and refused.
-    out = find_base_labelings("join", make_cycle(3), make_path(13), 3)
+    # C3 has d = -1 under every labeling at p=3. Against P65 (even d) the
+    # window [64, 66] needs d1 in {1, 3}: both probes of C3 fail, so P65 is
+    # never probed and "none" is certified. Against C65 (odd d) d1 = -1 fits,
+    # so C65 is probed and refused.
+    out = find_base_labelings("join", make_cycle(3), make_path(65), 3)
     assert (out.outcome, out.nodes) == ("none", 5)
-    with pytest.raises(ValueError, match="exceeds the search ceiling 12"):
-        find_base_labelings("join", make_cycle(3), make_cycle(13), 3)
+    with pytest.raises(ValueError, match="graph order 65 exceeds the search ceiling 64"):
+        find_base_labelings("join", make_cycle(3), make_cycle(65), 3)
 
 
 def test_window_bounds_must_be_ints():
@@ -982,26 +1030,10 @@ def test_searches_leave_no_reference_cycles():
 
 
 # ---------------------------------------------------------------------------
-# Every connected graph of order 2..6, from tests/connected_graphs.txt. A CI
-# step runs _check_against_oracles on those of order 7 too, outside tier-1.
+# Every connected graph of order 2..6, from tests/connected_graphs.txt
+# (CONNECTED). A CI step runs _check_against_oracles and _check_aut_weight on
+# those of order 7 too, outside tier-1.
 # ---------------------------------------------------------------------------
-
-CORPUS = Path(__file__).parent / "connected_graphs.txt"
-
-
-def _connected_graphs(path: str | Path = CORPUS) -> dict[int, list[Graph]]:
-    """order -> its connected graphs, one per isomorphism class, from a file
-    that tests/connected_graphs.py writes; see there for the format."""
-    out: dict[int, list[Graph]] = {}
-    for line in Path(path).read_text().splitlines():
-        n, mask = map(int, line.split())
-        pairs = combinations(range(n), 2)
-        out.setdefault(n, []).append(Graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1]))
-    return out
-
-
-CONNECTED = _connected_graphs()
-
 
 def test_corpus_counts_every_connected_graph():
     # OEIS A001349
