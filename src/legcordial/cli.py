@@ -206,7 +206,7 @@ def _emit_graph(g: Graph, args, extra: dict | None = None, labeling: Labeling | 
     elif args.format == "dot":
         vlabels = list(labeling.assign) if labeling else None
         elabels = None
-        if labeling is not None and ctx is not None:
+        if labeling is not None:  # each caller that passes a labeling passes its ctx
             elabels = {
                 (u, v): edge_label(labeling.assign[u] + labeling.assign[v], ctx)
                 for u, v in g.edges

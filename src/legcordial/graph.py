@@ -39,7 +39,7 @@ Edge = tuple[int, int]
 
 
 class Graph:
-    """Immutable simple graph: order n, canonical edge tuple, optional names."""
+    """Simple graph: order n, canonical edge tuple, optional names (unguarded: never reassign)."""
 
     __slots__ = ("order", "edges", "names")
 
@@ -113,12 +113,15 @@ def _canonical_run(order: int, edges: Sequence[Sequence[int]]) -> tuple[Edge, ..
 
 
 def _canonicalize(order: int, edges: Sequence[Sequence[int]]) -> tuple[Edge, ...]:
-    """The checked path: refuse endpoints that are not exact ints (TypeError,
-    as exact_int words it), self-loops and out-of-range endpoints, then
-    orient each pair (min, max), drop repeats and sort."""
+    """The checked path: refuse endpoints that are not exact ints and edges
+    that are not pairs (TypeError), self-loops and out-of-range endpoints
+    (ValueError), then orient each pair (min, max), drop repeats and sort."""
     if not set(map(type, chain.from_iterable(edges))) <= {int}:  # one pass in C when all are ints
         for x in chain.from_iterable(edges):
             exact_int(x, "graph endpoint")
+    if not set(map(len, edges)) <= {2}:
+        bad = next(e for e in edges if len(e) != 2)
+        raise TypeError(f"graph edge must be a pair of endpoints, got {list(bad)}")
     canon = set()
     for u, v in edges:
         if u == v:

@@ -39,8 +39,8 @@ class LegendreContext:
     """An odd prime p plus its precomputed residue classification.
 
     symbols[r] is the Legendre symbol of r for r in 0..p-1: 0 for r = 0,
-    +1 for quadratic residues, -1 for nonresidues. Instances are immutable
-    after construction and compare by identity.
+    +1 for quadratic residues, -1 for nonresidues. Instances compare by
+    identity. p and symbols must not be reassigned; nothing guards them.
     """
 
     __slots__ = ("p", "symbols")

@@ -83,7 +83,6 @@ import time
 from collections import Counter
 
 from .constructors import (
-    BALANCE_THEOREMS,
     BASE_LABELINGS,
     BalanceForm,
     ConstructionRecipe,
@@ -168,15 +167,20 @@ def _parity_window(graph: Graph, lo: int, hi: int) -> tuple[int, int]:
 
 
 class SearchResult(Record):
-    __slots__ = ("outcome", "nodes", "labeling", "count", "complete")
+    """``complete`` is derived: True after a count-all run to the end or a certified "none"."""
+
+    __slots__ = ("outcome", "nodes", "labeling", "count")
 
     def __init__(self, outcome: str, nodes: int, labeling: tuple[int, ...] | None = None,
-                 count: int | None = None, complete: bool = False):
+                 count: int | None = None):
         object.__setattr__(self, "outcome", outcome)  # "found" | "none" | "exhausted"
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "labeling", labeling)
         object.__setattr__(self, "count", count)
-        object.__setattr__(self, "complete", complete)
+
+    @property
+    def complete(self) -> bool:
+        return self.count is not None or self.outcome == "none"
 
     def to_json(self) -> dict:
         obj: dict = {"outcome": self.outcome, "nodes": self.nodes}
@@ -567,9 +571,7 @@ def search_labeling(spec: SearchSpec) -> SearchResult:
     if not probes.complete:
         return SearchResult("exhausted", probes.nodes)
     outcome = "none" if witness is None else "found"
-    if spec.mode == "count-all":
-        return SearchResult(outcome, probes.nodes, witness, count, complete=True)
-    return SearchResult(outcome, probes.nodes, witness, complete=witness is None)
+    return SearchResult(outcome, probes.nodes, witness, count if spec.mode == "count-all" else None)
 
 
 class _Probes:
@@ -577,9 +579,9 @@ class _Probes:
     deadline. The deadline starts when the _Probes is built, so it covers
     building the engines.
 
-    An engine is built at the first run on a graph and kept. Once a run
-    exhausts the budget, or no node or time is left for the next one,
-    ``complete`` is False and every later run finds nothing at no cost.
+    An engine is built at the first run on a graph and kept, and it alone
+    ends a run on budget or time, before its first node when none is left.
+    Then ``complete`` is False, and every later run finds nothing at no cost.
     """
 
     def __init__(self, p: int, budget: Budget | None, mode: str = "find-first"):
@@ -596,10 +598,6 @@ class _Probes:
         """(count, first witness in search order or None) of the labelings
         of ``graph`` with d in [lo, hi]. Only count-all goes on past the
         witness, so only its count is the number of such labelings."""
-        if self.nodes >= self.max_nodes or (
-            self.deadline is not None and time.monotonic() >= self.deadline
-        ):
-            self.complete = False
         if not self.complete:
             return 0, None
         _check_ceiling(graph)  # also when the window below is empty
@@ -654,8 +652,6 @@ def find_base_labelings(
     ``_probe_pair``). Outcome "none" certifies that no pair of labelings fits.
     """
     theorem = normalize_theorem(theorem)
-    if theorem not in BALANCE_THEOREMS:
-        raise ValueError(f"{theorem} takes no base labelings")
     form = balance_form(theorem, g1, g2, p)  # raises on structural violations
     probes = _Probes(p, budget)
     labeled1, labeled2 = BASE_LABELINGS[theorem]

@@ -323,11 +323,14 @@ def test_construct_recipe_file(tmp_path, capsys):
         {"order": 3, "edges": [[1, 2], [0, True]]},
         {"order": 3, "edges": [[0, 1], [1, 2]], "names": "abc"},
         {"order": 3, "edges": [[0, 1], [1, 2]], "names": [1, None, 3]},
+        {"order": 3, "edges": [[0, 1, 2]]},
+        {"order": 3, "edges": [[0]]},
+        {"order": 3, "edges": [[]]},
     ],
     ids=[
         "null-endpoint", "int-edges", "null-edges", "int-names", "null-order",
         "float-order", "str-endpoint", "float-endpoint", "bool-endpoint",
-        "str-names", "non-str-names",
+        "str-names", "non-str-names", "triple-edge", "single-edge", "empty-edge",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "search"])

@@ -379,6 +379,13 @@ def test_other_input_takes_the_checked_path():
     ):
         with pytest.raises(TypeError, match=re.escape(f"graph endpoint must be an integer, got {bad}")):
             Graph(3, edges)
+    # each edge must be a pair, named as JSON writes it; an edge that is no
+    # sequence keeps Python's message
+    for edges, bad in (([(0, 1, 2)], "[0, 1, 2]"), ([(0, 1), [0]], "[0]"), ([()], "[]")):
+        with pytest.raises(TypeError, match=re.escape(f"graph edge must be a pair of endpoints, got {bad}")):
+            Graph(3, edges)
+    with pytest.raises(TypeError, match="'int' object is not iterable"):
+        Graph(3, [5])
     with pytest.raises(ValueError, match="self-loop at vertex 1"):
         Graph(3, [(0, 1), (1, 1)])
     with pytest.raises(ValueError, match=r"edge \(0,3\) out of range for order 3"):

@@ -41,7 +41,7 @@ VALUES = [
         ("graph", "p", "objective", "budget", "mode"),
         (P3, 5, DiffWindow(0, 0), Budget(10), "count-all"),
     ),
-    (SearchResult, ("outcome", "nodes", "labeling", "count", "complete"), ("found", 4, (1, 2, 3), 2, True)),
+    (SearchResult, ("outcome", "nodes", "labeling", "count"), ("found", 4, (1, 2, 3), 2)),
     (RecipeSearchResult, ("outcome", "recipe", "nodes"), ("found", RECIPE, 7)),
 ]
 IDS = [cls.__name__ for cls, _, _ in VALUES]
@@ -86,13 +86,22 @@ def test_value_class_reprs_and_defaults():
     assert repr(Budget()) == "Budget(max_nodes=2000000, max_seconds=None)"
     assert repr(EdgeTally(1, 2)) == "EdgeTally(e0=1, e1=2)"
     assert repr(SearchResult("none", 0)) == (
-        "SearchResult(outcome='none', nodes=0, labeling=None, count=None, complete=False)"
+        "SearchResult(outcome='none', nodes=0, labeling=None, count=None)"
     )
     spec = SearchSpec(P3, 5)
     assert (spec.objective, spec.budget, spec.mode) == (DiffWindow(-1, 1), Budget(), "find-first")
     assert SearchSpec(P3, 5, budget=None).budget is None
     assert RECIPE == ConstructionRecipe("join", 3, RECIPE.g1, RECIPE.g2, lab_g1=(1, 2, 3), lab_g2=(1,))
     assert ConstructionRecipe("cart", 3, P3, P3).lab_g1 is None
+
+
+def test_search_result_complete_is_derived():
+    assert SearchResult("none", 0).complete
+    assert not SearchResult("exhausted", 3).complete
+    assert not SearchResult("found", 1, (1,)).complete
+    assert SearchResult("found", 1, (1,), 1).complete
+    with pytest.raises(TypeError):
+        SearchResult("found", 1, (1,), complete=True)
 
 
 @pytest.mark.parametrize(

@@ -610,9 +610,12 @@ def test_parity_empty_window_is_none_at_0_nodes(monkeypatch, g, window, mode):
         raise AssertionError("an empty window needs no engine")
 
     monkeypatch.setattr(search, "_Engine", no_engine)
-    res = search_labeling(SearchSpec(g, 5, objective=window, mode=mode, budget=Budget(1)))
-    assert (res.outcome, res.nodes, res.labeling, res.complete) == ("none", 0, None, True)
-    assert res.count == (0 if mode == "count-all" else None)
+    # also with no time left: the fake clock is past the deadline at its next read
+    monkeypatch.setattr(search, "time", _Clock())
+    for budget in (Budget(1), Budget(1, 0.5)):
+        res = search_labeling(SearchSpec(g, 5, objective=window, mode=mode, budget=budget))
+        assert (res.outcome, res.nodes, res.labeling, res.complete) == ("none", 0, None, True)
+        assert res.count == (0 if mode == "count-all" else None)
 
 
 def test_achievable_differences_matches_oracle():
@@ -718,9 +721,8 @@ SMALL_ORDERS = [
 def test_orders_1_and_2_are_pinned(g, window, outcome, nodes, witness, count, mode, p):
     res = search_labeling(SearchSpec(g, p, objective=window, mode=mode))
     count_all = mode == "count-all"
-    complete = count_all or outcome == "none"
-    want = SearchResult(outcome, nodes, witness, count if count_all else None, complete)
-    assert res == want
+    assert res == SearchResult(outcome, nodes, witness, count if count_all else None)
+    assert res.complete == (count_all or outcome == "none")
 
 
 def test_search_report_json():
@@ -781,8 +783,8 @@ def test_fbl_structural_precondition_fails_before_search():
         find_base_labelings("join", make_path(4), make_complete(1), 3)
     with pytest.raises(ConnectivityViolation):
         find_base_labelings("tensor", make_path(4), make_cycle(4), 3)
-    with pytest.raises(ValueError):
-        find_base_labelings("corona-path", make_path(4), make_complete(1), 3)
+    with pytest.raises(ValueError, match="^corona-path carries no balance hypothesis$"):
+        find_base_labelings("corona-path", make_path(3), make_path(3), 3)
 
 
 H7 = Graph(7, [(0, 6), (1, 5), (2, 4), (1, 6), (2, 5), (3, 6), (4, 5)])
@@ -896,16 +898,16 @@ class _Clock:
 
 
 def test_probes_share_one_deadline(monkeypatch):
-    # The deadline is set at t=1 to 3.5, the first probe starts at t=2 and
-    # polls the clock once at its first node (t=3), and the second sees
-    # t=4 >= 3.5.
+    # The deadline is set at t=1 to 2.5. The first probe polls the clock
+    # once, at its first node (t=2), and runs on; the second polls at its
+    # first node (t=3 > 2.5) and ends there, at 0 nodes.
     g = make_cycle(10)
     first = search_labeling(SearchSpec(g, 5, DiffWindow.exact(-10)))
     monkeypatch.setattr(search, "time", _Clock())
-    got = achievable_differences(g, 5, Budget(max_seconds=2.5))
+    got = achievable_differences(g, 5, Budget(max_seconds=1.5))
     assert got == ({-10: first.labeling}, False, first.nodes)
     monkeypatch.setattr(search, "time", _Clock())
-    out = find_base_labelings("join", make_cycle(7), make_cycle(9), 7, Budget(max_seconds=2.5))
+    out = find_base_labelings("join", make_cycle(7), make_cycle(9), 7, Budget(max_seconds=1.5))
     assert (out.outcome, out.recipe) == ("exhausted", None)
 
 
