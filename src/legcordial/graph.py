@@ -46,16 +46,26 @@ class Graph:
     def __init__(
         self,
         order: int,
-        edges: Iterable[Sequence[int]] = (),
+        edges: Iterable[Iterable[int]] = (),
         names: Sequence[str] | None = None,
     ):
         if not 1 <= exact_int(order, "graph order") <= MAX_ORDER:
             raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
         if not isinstance(edges, (list, tuple)):
             # an iterator can be read only once; one pair past the cap refuses it
-            edges = list(islice(edges, MAX_SIZE + 1))
+            try:
+                edges = list(islice(edges, MAX_SIZE + 1))
+            except TypeError:
+                raise TypeError(f"graph edges must be a list of pairs, got {edges!r}") from None
         # the raw pairs, repeats included, so no more than MAX_SIZE are canonicalized
         check_shape(order, len(edges))
+        try:  # one pass in C, which also reads each edge given as an iterator once
+            edges = tuple(map(tuple, edges))
+        except TypeError:
+            for e in edges:
+                if not isinstance(e, Iterable):
+                    raise TypeError(f"graph edge must be a pair of endpoints, got {e!r}") from None
+            raise
         run = _canonical_run(order, edges)
         self.order = order
         self.edges: tuple[Edge, ...] = run if run is not None else _canonicalize(order, edges)
@@ -88,13 +98,13 @@ class Graph:
         return f"Graph(order={self.order}, size={self.size})"
 
 
-def _canonical_run(order: int, edges: Sequence[Sequence[int]]) -> tuple[Edge, ...] | None:
-    """``edges`` as a tuple of pairs when they are already canonical, else None.
+def _canonical_run(order: int, edges: tuple[tuple, ...]) -> tuple[Edge, ...] | None:
+    """``edges`` when they are already canonical, else None.
 
-    Canonical is how Graph stores edges and graph_to_json writes them: a
-    list or tuple of pairs (u, v) with exact int endpoints and
-    0 <= u < v < order, strictly increasing. One pass, which stops at the
-    first pair that is not; the caller then takes the checked path.
+    Canonical is how Graph stores edges and graph_to_json writes them: pairs
+    (u, v) with exact int endpoints and 0 <= u < v < order, strictly
+    increasing. One pass, which stops at the first pair that is not; the
+    caller then takes the checked path.
     """
     pu = pv = 0  # the previous pair; pu = 0 also refuses a negative first u
     try:
@@ -107,12 +117,12 @@ def _canonical_run(order: int, edges: Sequence[Sequence[int]]) -> tuple[Edge, ..
             elif u < pu:
                 return None
             pu, pv = u, v
-    except (TypeError, ValueError):  # not a pair, or not comparable with order
+    except ValueError:  # not a pair
         return None
-    return tuple(map(tuple, edges))
+    return edges
 
 
-def _canonicalize(order: int, edges: Sequence[Sequence[int]]) -> tuple[Edge, ...]:
+def _canonicalize(order: int, edges: tuple[tuple, ...]) -> tuple[Edge, ...]:
     """The checked path: refuse endpoints that are not exact ints and edges
     that are not pairs (TypeError), self-loops and out-of-range endpoints
     (ValueError), then orient each pair (min, max), drop repeats and sort."""
@@ -200,8 +210,11 @@ def exact_int(value: object, what: str) -> int:
 
 
 def exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
-    """``values`` as a tuple, each entry checked by exact_int."""
-    values = tuple(values)
+    """A label sequence as a tuple, each entry checked by exact_int."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise TypeError(f"labels must be a list of integers, got {values!r}") from None
     if not set(map(type, values)) <= {int}:  # one pass in C when all are ints
         for x in values:
             exact_int(x, what)

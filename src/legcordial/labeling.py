@@ -113,7 +113,7 @@ def labeling_from_json(obj: dict, graph: Graph) -> tuple[Labeling, int | None]:
         raise ValueError(f"labeling JSON needs 'assign': {exc}") from exc
     p = obj.get("p")
     try:
-        lab = Labeling(graph, tuple(assign))
+        lab = Labeling(graph, assign)
         return lab, exact_int(p, "labeling p") if p is not None else None
     except TypeError as exc:  # a non-int entry or p, or a non-list assign
         raise ValueError(f"malformed labeling JSON: {exc}") from exc

@@ -13,16 +13,16 @@ Two exact reductions shrink the tree; an engine uses one of them. First,
 residue classes and twin runs. An edge's induced label depends only on
 (f(u) + f(v)) mod p, so two unused labels of one residue class mod p lead
 to isomorphic subtrees; at p >= n each label is a class of its own. Each
-node therefore expands only the smallest unused label of each class, and
-in count-all a subtree counts once per unused label of the chosen label's
-class. Outcomes, counts and first witnesses are those of the full search,
-because the first witness in search order always uses the smallest unused
-label of its class. Vertices u and v are twins when N(u) - {v} = N(v) - {u};
-swapping them is an automorphism. Consecutive positions that are twins form a run, and labels
-must increase along it. In count-all the leaf then stands for every order
-of the run's residue classes, k! / prod(m_r!) for a run of length k holding
-m_r labels of class r. The first witness already increases along every
-run, since swapping twins keeps d.
+node therefore expands only the smallest unused label of each class.
+Outcomes, counts and first witnesses are those of the full search, because
+the first witness in search order always uses the smallest unused label of
+its class. Vertices u and v are twins when N(u) - {v} = N(v) - {u};
+swapping them is an automorphism. Consecutive positions that are twins
+form a run, and labels must increase along it; the first witness already
+does, since swapping twins keeps d. In count-all each leaf, its weight
+computed there from its labels, stands for prod m_r! labelings (m_r labels
+in 1..n of class r) times R! / prod(k_r!) for each run of length R holding
+k_r labels of class r, every order of the run's classes.
 
 Second, the stabilizer chain, exact at every p: labels 1..n are distinct
 integers, so Aut(G) acts freely on labelings. Take the labels L in
@@ -36,7 +36,7 @@ listing the group, and starts position b's candidates above the label of
 the largest a whose orbit holds b; every unused label is a candidate. The
 first witness in search order is lex-least, so it survives. Count-all
 weighs every leaf by |Aut(G)| = prod |O_a|. The chain holds every twin
-swap, so runs are not used with it.
+swap, so runs are not used with it, and each label is a class of its own.
 
 An engine keeps the chain at p >= n, and at p < n only in count-all and
 prove-none, which visit the whole tree, when |Aut(G)| exceeds
@@ -330,6 +330,13 @@ def _stabilizer_chain(
     return above, sizes
 
 
+def _class_orders(n: int, q: int) -> int:
+    """prod m_r! over the classes r mod q of the labels 1..n, m_r labels in
+    class r: the labelings one leaf stands for under residue classes."""
+    # n % q classes hold n // q + 1 labels, the other classes n // q
+    return math.factorial(n // q + 1) ** (n % q) * math.factorial(n // q) ** (q - n % q)
+
+
 def _chain_cuts_more(
     pn: list[int], deg: list[int], p: int, run: list[int], deadline: float | None
 ) -> tuple[list[int], list[int]] | None:
@@ -345,9 +352,7 @@ def _chain_cuts_more(
     only when |Aut(G)| > T.
     """
     n = len(pn)
-    # n % p classes hold n // p + 1 labels, the other classes n // p
-    cut = math.factorial(n // p + 1) ** (n % p) * math.factorial(n // p) ** (p - n % p)
-    cut *= math.prod(run)  # a run's offsets 1..R multiply out to R!
+    cut = _class_orders(n, p) * math.prod(run)  # a run's offsets 1..R multiply out to R!
     if cut >= math.factorial(n):
         return None
     cells = Counter(zip(deg, [_invariant(pn, deg, k) for k in range(n)]))
@@ -426,10 +431,10 @@ class _Engine:
                 if run[k + 1] > 1:  # k + 1 continues k's run
                     top[k] = top[k + 1] - 1
             self.q = min(p, n + 1)
-        # mult[lab]: the labels in 1..n congruent to lab mod q that are >= lab.
-        # When lab is the smallest unused label of its class, these are the
-        # unused labels of the class, each of which gives an isomorphic subtree.
-        self.mult = [(n - lab) // self.q + 1 for lab in range(n + 1)]
+        # Each class's labels are placed smallest first, so a leaf stands for
+        # every order of each class's labels: prod m_r!, 1 under the chain.
+        self.leaf_weight = self.aut_weight * _class_orders(n, self.q)
+        self.twins = [(k, t) for k, t in enumerate(run) if t > 1]  # (position, run offset)
         # steps[k] = (earlier neighbours of position k, edges still undecided
         # once k is labeled, above[k], run[k], top[k])
         self.steps: list[tuple[list[int], int, int, int, int]] = []
@@ -466,7 +471,7 @@ class _Engine:
         # bit 2n + 2, and & full drops the successors past n.
         q = self.q
         full = (1 << n + 1) - 2  # labels 1..n
-        mult = self.mult
+        leaf_weight, twins = self.leaf_weight, self.twins
         stop_at_first, deadline = self.stop_at_first, self.deadline
         nodes = count = 0
         # one budget test per node; past it, next_checkpoint raises or polls
@@ -475,23 +480,16 @@ class _Engine:
         witness = None
         steps = self.steps
         sum_label = self.sum_label
-        leaf_prev, _, leaf_above, leaf_t, _ = steps[last]
+        leaf_prev, _, leaf_above, _, _ = steps[last]
 
         def next_checkpoint() -> int:
             if nodes >= max_nodes or time.monotonic() > deadline:
                 raise _OutOfBudget
             return min(nodes + 4096, max_nodes)
 
-        def twin_weight(w: int, lab: int, k: int, t: int) -> int:
-            # The subtree stands for every order of the run's classes: t / m
-            # per step, with m the run's labels so far in lab's class,
-            # multiplies out to t! / prod(m_r!).
-            r = lab % q
-            return w * t // (1 + sum(1 for x in labels[k - t + 1:k] if x % q == r))
-
-        def place(k: int, diff: int, weight: int, avail: int) -> None:
+        def place(k: int, diff: int, avail: int) -> None:
             nonlocal nodes, count, witness, checkpoint
-            prev_k, rem, above, t, top = steps[k]
+            prev_k, rem, above, _, top = steps[k]
             # labels[above] < top (a chain orbit or a twin run bounds both),
             # so the mask of labels[above] + 1 .. top - 1 is not negative
             m = avail & (1 << top) - (2 << labels[above])
@@ -507,16 +505,13 @@ class _Engine:
                     d += sum_label[lab + labels[j]]
                 if d - rem > hi or d + rem < lo:
                     continue
-                w = weight * mult[lab]
-                if t > 1:
-                    w = twin_weight(w, lab, k, t)
                 labels[k] = lab
                 rest = (avail ^ low | low << q) & full
                 if k < penult:
-                    place(k + 1, d, w, rest)
+                    place(k + 1, d, rest)
                     continue
                 if k == penult:
-                    # the leaf: the one label left, alone in its class (mult 1)
+                    # the leaf: the one label left
                     lab = rest.bit_length() - 1
                     if lab <= labels[leaf_above]:
                         continue
@@ -527,10 +522,13 @@ class _Engine:
                         d += sum_label[lab + labels[j]]
                     if d > hi or d < lo:
                         continue
-                    if leaf_t > 1:
-                        w = twin_weight(w, lab, last, leaf_t)
                     labels[last] = lab
-                # rem is 0 at the leaf, so d is in [lo, hi]
+                # rem is 0 at the leaf, so d is in [lo, hi]. t / m at offset t of a
+                # run, m of whose first t labels share t's class, gives R! / prod(k_r!).
+                w = leaf_weight
+                for j, t in twins:
+                    r = labels[j] % q
+                    w = w * t // (1 + sum(1 for x in labels[j - t + 1:j] if x % q == r))
                 count += w
                 if witness is None:
                     witness = self._assign_by_vertex(labels)
@@ -539,7 +537,7 @@ class _Engine:
 
         exhausted = False
         try:
-            place(0, 0, self.aut_weight, full & (1 << q + 1) - 2)
+            place(0, 0, full & (1 << q + 1) - 2)
         except _FoundFirst:
             pass
         except _OutOfBudget:

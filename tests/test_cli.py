@@ -326,11 +326,13 @@ def test_construct_recipe_file(tmp_path, capsys):
         {"order": 3, "edges": [[0, 1, 2]]},
         {"order": 3, "edges": [[0]]},
         {"order": 3, "edges": [[]]},
+        {"order": 3, "edges": [5]},
     ],
     ids=[
         "null-endpoint", "int-edges", "null-edges", "int-names", "null-order",
         "float-order", "str-endpoint", "float-endpoint", "bool-endpoint",
         "str-names", "non-str-names", "triple-edge", "single-edge", "empty-edge",
+        "int-edge",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "search"])
@@ -344,6 +346,7 @@ def test_malformed_graph_file_is_usage_error(tmp_path, capsys, obj, command):
     error = json.loads(line)["error"]
     assert (error["code"], error["type"]) == (2, "usage-error")
     assert error["message"].startswith("malformed graph JSON: ")
+    assert "object is not iterable" not in error["message"]
 
 
 @pytest.mark.parametrize("names", ["abc", [1, None, 3]], ids=["str", "non-str"])
@@ -402,6 +405,7 @@ def test_construct_bad_recipe_field_is_named(tmp_path, capsys, key, value):
     error = json.loads(line)["error"]
     assert error["type"] == "usage-error"
     assert error["message"].startswith(f"recipe field '{key}': ")
+    assert "object is not iterable" not in error["message"]
 
 
 @pytest.mark.parametrize(
@@ -428,6 +432,7 @@ def test_malformed_labeling_file_is_usage_error(tmp_path, capsys, obj):
     error = json.loads(line)["error"]
     assert (error["code"], error["type"]) == (2, "usage-error")
     assert error["message"].startswith("malformed labeling JSON: ")
+    assert "object is not iterable" not in error["message"]
 
 
 def test_search_found(capsys):

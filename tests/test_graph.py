@@ -379,13 +379,14 @@ def test_other_input_takes_the_checked_path():
     ):
         with pytest.raises(TypeError, match=re.escape(f"graph endpoint must be an integer, got {bad}")):
             Graph(3, edges)
-    # each edge must be a pair, named as JSON writes it; an edge that is no
-    # sequence keeps Python's message
-    for edges, bad in (([(0, 1, 2)], "[0, 1, 2]"), ([(0, 1), [0]], "[0]"), ([()], "[]")):
+    # each edge must be a pair, named as JSON writes it, and the edges a list
+    for edges, bad in (([(0, 1, 2)], "[0, 1, 2]"), ([(0, 1), [0]], "[0]"), ([()], "[]"), ([5], "5"),
+                       ([(0, 1), None], "None")):
         with pytest.raises(TypeError, match=re.escape(f"graph edge must be a pair of endpoints, got {bad}")):
             Graph(3, edges)
-    with pytest.raises(TypeError, match="'int' object is not iterable"):
-        Graph(3, [5])
+    for edges in (5, None):
+        with pytest.raises(TypeError, match=re.escape(f"graph edges must be a list of pairs, got {edges}")):
+            Graph(3, edges)
     with pytest.raises(ValueError, match="self-loop at vertex 1"):
         Graph(3, [(0, 1), (1, 1)])
     with pytest.raises(ValueError, match=r"edge \(0,3\) out of range for order 3"):
@@ -405,6 +406,12 @@ def test_other_input_takes_the_checked_path():
         graph_from_json({"order": 0, "edges": [["a", 1]]})
 
 
+def test_edges_given_as_iterators_are_read_once():
+    # each pair is read once, on the fast path and on the checked path alike
+    assert Graph(3, [iter((0, 1)), iter((1, 2))]) == Graph(3, [(0, 1), (1, 2)])
+    assert Graph(3, (iter(e) for e in [(2, 1), (0, 1)])).edges == ((0, 1), (1, 2))
+
+
 def test_exact_int_refuses_what_int_would_convert():
     assert exact_int(3, "x") == 3
     assert exact_ints([1, 2, 3], "x") == (1, 2, 3)
@@ -413,3 +420,6 @@ def test_exact_int_refuses_what_int_would_convert():
             exact_int(value, "x")
         with pytest.raises(TypeError, match=r"^x must be an integer, got "):
             exact_ints([1, value, 3], "x")
+    for value in (5, None):
+        with pytest.raises(TypeError, match=f"^labels must be a list of integers, got {value}$"):
+            exact_ints(value, "x")

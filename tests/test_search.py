@@ -553,6 +553,33 @@ def test_cycle10_p11_count_all_fits_the_default_budget():
     assert res.complete
 
 
+def test_class_orders_match_brute_force():
+    # prod m_r! over the classes mod q of the labels 1..n, one class per label at q >= n
+    for n in range(1, 65):
+        for q in (3, 5, 7, 11, 13, n, n + 1):
+            sizes = Counter(x % q for x in range(1, n + 1))
+            assert search._class_orders(n, q) == math.prod(map(math.factorial, sizes.values()))
+        assert search._class_orders(n, n) == search._class_orders(n, n + 1) == 1
+
+
+@pytest.mark.parametrize(
+    "n,p", [(n, p) for n in (9, 13, 20, 33, 64) for p in (3, 5, 7, 11) if p < n]
+)
+def test_star_count_all_has_a_closed_form(n, p):
+    # The leaves of a star are one twin run and d depends on the center's
+    # label c alone, so (n - 1)! labelings have each c. Past order 8 this
+    # checks a leaf's weight at p < n: prod m_r! times the run's multinomial,
+    # with runs of up to 63 positions and classes of up to 22 labels.
+    residues = {x * x % p for x in range(1, p)}
+    d = [sum(1 if (c + x) % p in residues else -1 for x in range(1, n + 1) if x != c)
+         for c in range(1, n + 1)]
+    for window in (DiffWindow.cordial(), DiffWindow(-5, 5), DiffWindow(n - 7, n - 1)):
+        res = search_labeling(SearchSpec(make_star(n), p, window, mode="count-all"))
+        want = sum(window.lo <= x <= window.hi for x in d) * math.factorial(n - 1)
+        assert res.count == want and res.complete
+        assert res.outcome == ("found" if want else "none")
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 9973])
 @pytest.mark.parametrize("n", [1, 4, 7, 12])
 def test_sum_label_matches_edge_label(n, p):
