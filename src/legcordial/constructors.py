@@ -53,6 +53,7 @@ from .graph import (
     Graph,
     Record,
     bipartition,
+    exact_ints,
     has_odd_cycle,
     is_connected,
     make_complete,
@@ -143,8 +144,8 @@ class ConstructionRecipe(Record):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "g1", g1)
         object.__setattr__(self, "g2", g2)
-        object.__setattr__(self, "lab_g1", None if lab_g1 is None else tuple(lab_g1))
-        object.__setattr__(self, "lab_g2", None if lab_g2 is None else tuple(lab_g2))
+        object.__setattr__(self, "lab_g1", None if lab_g1 is None else exact_ints(lab_g1, "label"))
+        object.__setattr__(self, "lab_g2", None if lab_g2 is None else exact_ints(lab_g2, "label"))
 
 
 class BalanceForm(Record):

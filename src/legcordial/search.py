@@ -38,14 +38,22 @@ first witness in search order is lex-least, so it survives. Count-all
 weighs every leaf by |Aut(G)| = prod |O_a|. The chain holds every twin
 swap, so runs are not used with it, and each label is a class of its own.
 
-An engine keeps the chain at p >= n, and at p < n only in count-all and
-prove-none, which visit the whole tree, when |Aut(G)| exceeds
-T = prod m_r! * prod R!, the most residue classes and twin runs cut (m_r
-labels of class r, runs of length R); a bound on |Aut(G)| from degrees and
-_invariant skips the chain's set-up when it cannot win. Find-first runs
-at p < n stop at their first witness, too soon for the set-up to pay. The
-set-up stops after CHAIN_CALL_CAP automorphism-extension steps, or at the
-deadline. Every engine that keeps no chain, one whose set-up stopped
+In count-all and prove-none, which visit the whole tree, an engine builds
+the chain with the engine: always at p >= n, and at p < n only when
+|Aut(G)| exceeds T = prod m_r! * prod R!, the most residue classes and twin
+runs cut (m_r labels of class r, runs of length R); a bound on |Aut(G)|
+from degrees and _invariant skips the chain's set-up when it cannot win.
+Find-first stops at its first witness, mostly too soon for the set-up to
+pay: at p < n it never builds the chain, and at p >= n it starts under twin
+runs and buys the chain once its engine has spent CHAIN_AFTER nodes, in
+the middle of a run: rent until the rent reaches the price, then buy
+(ski rental; Karlin, Manasse, Rudolph and Sleator, "Competitive snoopy
+caching", Algorithmica 1988). The engine keeps it for every later run. Buying mid-run keeps every result:
+each rule cuts only subtrees with no labeling that meets its constraints,
+and the first witness meets both, so no mix of the two cuts its path; the
+frames open at the purchase keep the bounds they read. Only nodes change.
+The set-up stops after CHAIN_CALL_CAP automorphism-extension steps, or at
+the deadline. Every engine that keeps no chain, one whose set-up stopped
 included, uses residue classes and twin runs.
 
 Both reductions also cap each position's label, once per engine, and a
@@ -98,6 +106,8 @@ DEFAULT_NODE_BUDGET = 2_000_000
 # engine drops the chain and searches without it
 CHAIN_CALL_CAP = 10_000
 CHAIN_POLL = 256  # _map_extension calls between two reads of the clock
+# find-first nodes an engine at p >= n spends before it builds the chain
+CHAIN_AFTER = 256
 
 MODES = ("find-first", "count-all", "prove-none")
 
@@ -374,9 +384,10 @@ class _Engine:
     ):
         """``mode`` is one of MODES. Runs in count-all and prove-none visit
         the whole pruned tree, so at p < n the stabilizer chain may pay for
-        its set-up (see _chain_cuts_more); runs in the other two stop at
-        their first witness. ``deadline`` holds for the chain's set-up, past
-        which the engine goes without it, and for every run."""
+        its set-up (see _chain_cuts_more); find-first runs stop at their
+        first witness, and at p >= n buy the chain after CHAIN_AFTER nodes.
+        ``deadline`` holds for the chain's set-up, past which the engine
+        goes without it, and for every run."""
         self.stop_at_first = mode != "count-all"
         self.deadline = deadline
         n = graph.order
@@ -412,28 +423,15 @@ class _Engine:
         for k in range(1, n):
             if dp[k] == dp[k - 1] and pn[k] & ~(1 << (k - 1)) == pn[k - 1] & ~(1 << k):
                 above[k], run[k] = k - 1, run[k - 1] + 1
-        if p >= n:  # None at the chain's cap or the deadline
-            chain = _stabilizer_chain(pn, dp, deadline)
-        else:
-            chain = None if mode == "find-first" else _chain_cuts_more(pn, dp, p, run, deadline)
-        if chain is not None:
-            # Labels are distinct, so Aut(G) acts freely and every leaf
-            # stands for |Aut(G)| labelings.
-            above, sizes = chain
-            self.aut_weight = math.prod(sizes)
-            run = [1] * n
-            top = [n + 2 - size for size in sizes]
-            self.q = n + 1
-        else:
-            self.aut_weight = 1
-            top = [n + 1] * n
-            for k in range(n - 2, -1, -1):
-                if run[k + 1] > 1:  # k + 1 continues k's run
-                    top[k] = top[k + 1] - 1
-            self.q = min(p, n + 1)
+        top = [n + 1] * n
+        for k in range(n - 2, -1, -1):
+            if run[k + 1] > 1:  # k + 1 continues k's run
+                top[k] = top[k + 1] - 1
+        self.aut_weight = 1
+        self.q = min(p, n + 1)
         # Each class's labels are placed smallest first, so a leaf stands for
         # every order of each class's labels: prod m_r!, 1 under the chain.
-        self.leaf_weight = self.aut_weight * _class_orders(n, self.q)
+        self.leaf_weight = _class_orders(n, self.q)
         self.twins = [(k, t) for k, t in enumerate(run) if t > 1]  # (position, run offset)
         # steps[k] = (earlier neighbours of position k, edges still undecided
         # once k is labeled, above[k], run[k], top[k])
@@ -442,6 +440,17 @@ class _Engine:
         for k in range(n):
             remaining -= len(prev[k])
             self.steps.append((prev[k], remaining, above[k], run[k], top[k]))
+        # find-first nodes left before the chain is bought, or None
+        self.chain_in: int | None = None
+        if p < n:
+            chain = None if mode == "find-first" else _chain_cuts_more(pn, dp, p, run, deadline)
+        elif mode == "find-first":  # most find-first runs end before CHAIN_AFTER nodes
+            chain, self.chain_in = None, CHAIN_AFTER
+            self.pn, self.dp = pn, dp  # for the chain, when run buys it
+        else:  # None at the chain's cap or the deadline
+            chain = _stabilizer_chain(pn, dp, deadline)
+        if chain is not None:
+            self._keep_chain(chain)
         # what an edge adds to d for every endpoint sum 0..2n: +1 when s mod p
         # is a quadratic residue (edge_label 1), by Euler's criterion, else -1;
         # 2n + 1 pow calls whatever p is, not a table of p residues
@@ -474,24 +483,43 @@ class _Engine:
         leaf_weight, twins = self.leaf_weight, self.twins
         stop_at_first, deadline = self.stop_at_first, self.deadline
         nodes = count = 0
-        # one budget test per node; past it, next_checkpoint raises or polls
-        # the deadline and moves the checkpoint 4096 nodes on
-        checkpoint = max_nodes if deadline is None else 0
+        # one checkpoint test per node; past it, next_checkpoint raises at
+        # the node budget, buys the chain when the countdown is up, and polls
+        # the deadline every 4096 nodes
+        poll = max_nodes if deadline is None else 0
+        buy = max_nodes if self.chain_in is None else self.chain_in
+        checkpoint = min(poll, buy)
         witness = None
         steps = self.steps
         sum_label = self.sum_label
         leaf_prev, _, leaf_above, _, _ = steps[last]
 
         def next_checkpoint() -> int:
-            if nodes >= max_nodes or time.monotonic() > deadline:
+            nonlocal poll, buy
+            if nodes >= max_nodes:
                 raise _OutOfBudget
-            return min(nodes + 4096, max_nodes)
+            if nodes >= buy:
+                buy = max_nodes
+                self.chain_in = None
+                chain = _stabilizer_chain(self.pn, self.dp, deadline)
+                if chain is not None:
+                    self._keep_chain(chain)
+                if deadline is not None:  # the set-up may have used up the time
+                    poll = nodes
+            if nodes >= poll:  # only under a deadline: poll < max_nodes
+                if time.monotonic() > deadline:
+                    raise _OutOfBudget
+                poll = min(nodes + 4096, max_nodes)
+            return min(poll, buy)
 
         def place(k: int, diff: int, avail: int) -> None:
             nonlocal nodes, count, witness, checkpoint
             prev_k, rem, above, _, top = steps[k]
-            # labels[above] < top (a chain orbit or a twin run bounds both),
-            # so the mask of labels[above] + 1 .. top - 1 is not negative
+            # the labels labels[above] + 1 .. top - 1. Under one rule
+            # labels[above] < top (a chain orbit or a twin run bounds both).
+            # After a mid-run purchase a label placed under twin bounds may
+            # reach a chain ceiling; the mask is then negative, and avail & it
+            # holds unused labels the chain would cut: nodes, not results.
             m = avail & (1 << top) - (2 << labels[above])
             while m:
                 low = m & -m
@@ -546,7 +574,23 @@ class _Engine:
             # place refers to itself; dropping it here frees the run's state
             # now rather than at the next cyclic collection
             del place
+        if self.chain_in is not None:  # the next run counts on from here
+            self.chain_in -= nodes
         return nodes, count, witness, exhausted
+
+    def _keep_chain(self, chain: tuple[list[int], list[int]]) -> None:
+        """Trade twin runs and residue classes for the stabilizer chain
+        ``(above, sizes)``, rewriting each step's bounds in place. Labels are
+        distinct, so Aut(G) acts freely and every leaf stands for |Aut(G)|
+        labelings."""
+        above, sizes = chain
+        n = len(sizes)
+        self.aut_weight = self.leaf_weight = math.prod(sizes)
+        self.q = n + 1
+        self.twins = []
+        steps = self.steps
+        for k, (prev_k, rem, *_) in enumerate(steps):
+            steps[k] = (prev_k, rem, above[k], 1, n + 2 - sizes[k])
 
     def _assign_by_vertex(self, labels_by_pos: list[int]) -> tuple[int, ...]:
         assign = [0] * self.graph.order

@@ -375,6 +375,22 @@ def test_run_recipe_round_trips():
 
 
 @pytest.mark.parametrize(
+    "labels,message",
+    [
+        (5, "labels must be a list of integers, got 5"),
+        ([1, 2, 3, 4, 5.0], "label must be an integer, got 5.0"),
+        ([True, 2, 3, 4, 5], "label must be an integer, got True"),
+    ],
+    ids=["int", "float-entry", "bool-entry"],
+)
+def test_recipe_checks_its_labels(labels, message):
+    # the same messages as the recipe reader's, before run_recipe is reached
+    for key in ("lab_g1", "lab_g2"):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            ConstructionRecipe("cartesian", 5, make_cycle(5), make_cycle(4), **{key: labels})
+
+
+@pytest.mark.parametrize(
     "theorem,lab_g1,missing",
     [
         ("join", None, "lab_g1"),

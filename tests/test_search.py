@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import time
 from collections import Counter
 from itertools import combinations, permutations
@@ -261,14 +262,14 @@ def _check_against_oracles(g: Graph, p: int) -> None:
         assert assign == min(want[d], key=key)
 
 
-def _above_and_runs(g: Graph, p: int) -> tuple[list[int], list[int]]:
-    engine = search._Engine(g, p)
+def _above_and_runs(g: Graph, p: int, mode: str = "find-first") -> tuple[list[int], list[int]]:
+    engine = search._Engine(g, p, mode)
     return [step[2] for step in engine.steps], [step[3] for step in engine.steps]
 
 
-def _largest_labels(g: Graph, p: int) -> list[int]:
+def _largest_labels(g: Graph, p: int, mode: str = "find-first") -> list[int]:
     """The largest label each search position may take: its ceiling - 1."""
-    return [step[4] - 1 for step in search._Engine(g, p).steps]
+    return [step[4] - 1 for step in search._Engine(g, p, mode).steps]
 
 
 def test_twin_runs_are_found():
@@ -281,20 +282,22 @@ def test_twin_runs_are_found():
 
 
 def test_twin_pairs_are_chain_constraints():
-    # p >= n: no runs; each twin pair is an order constraint of the chain
-    assert _above_and_runs(THREE_RUNS, 7) == ([-1, -1, 1, -1, 3, -1, 5], [1] * 7)
-    assert _above_and_runs(make_complete(5), 5) == ([-1, 0, 1, 2, 3], [1] * 5)
+    # p >= n under the chain, which count-all builds with the engine: no
+    # runs; each twin pair is an order constraint of the chain
+    assert _above_and_runs(THREE_RUNS, 7, "count-all") == ([-1, -1, 1, -1, 3, -1, 5], [1] * 7)
+    assert _above_and_runs(make_complete(5), 5, "count-all") == ([-1, 0, 1, 2, 3], [1] * 5)
     # C5 has no twins: rotations put every position in O_0, and the
     # reflection fixing vertex 0 swaps its neighbours 1 and 4
-    assert _above_and_runs(make_cycle(5), 5) == ([-1, 0, 0, 0, 1], [1] * 5)
+    assert _above_and_runs(make_cycle(5), 5, "count-all") == ([-1, 0, 0, 0, 1], [1] * 5)
 
 
 def test_label_ceilings():
-    # p >= n: position a's label is at most n - |O_a| + 1. C5 has |O_0| = 5
-    # (rotations) and |O_1| = 2 (the reflection fixing position 0).
-    assert _largest_labels(make_cycle(5), 5) == [1, 4, 5, 5, 5]
+    # p >= n under the chain: position a's label is at most n - |O_a| + 1.
+    # C5 has |O_0| = 5 (rotations) and |O_1| = 2 (the reflection fixing
+    # position 0).
+    assert _largest_labels(make_cycle(5), 5, "count-all") == [1, 4, 5, 5, 5]
     # the whole of K5's Aut is the chain: |O_a| = 5 - a
-    assert _largest_labels(make_complete(5), 5) == [1, 2, 3, 4, 5]
+    assert _largest_labels(make_complete(5), 5, "count-all") == [1, 2, 3, 4, 5]
     # p < n: offset t of a run of length R is at most n - (R - t)
     assert _largest_labels(make_complete(5), 3) == [1, 2, 3, 4, 5]
     assert _largest_labels(THREE_RUNS, 3) == [7, 6, 7, 6, 7, 6, 7]
@@ -325,7 +328,7 @@ Q3 = Graph(8, [(u, u ^ (1 << i)) for u in range(8) for i in range(3) if u < u ^ 
     ids=["K12", "C12", "star12", "K66", "petersen", "C3xC4", "P12"],
 )
 def test_aut_weight_is_pinned(g, aut):
-    assert search._Engine(g, 13).aut_weight == aut
+    assert search._Engine(g, 13, "count-all").aut_weight == aut
     assert search._Engine(g, 3).aut_weight == 1  # find-first at p < n: no chain
 
 
@@ -373,12 +376,12 @@ def test_aut_weight_matches_brute_force(g):
 
 
 def _check_aut_weight(g: Graph) -> None:
-    """|Aut(G)| from the stabilizer chain, which an engine at p >= n always
-    builds (dense graphs through the complement), against brute force; and
+    """|Aut(G)| from the stabilizer chain, which a count-all engine at p >= n
+    always builds (dense graphs through the complement), against brute force; and
     _chain_cuts_more's bound B = prod (cell size)! over the cells of equal
     (degree, _invariant) at least |Aut(G)|."""
     aut = _brute_aut_count(g)
-    assert search._Engine(g, 11).aut_weight == aut
+    assert search._Engine(g, 11, "count-all").aut_weight == aut
     pn, deg = [0] * g.order, [0] * g.order
     for u, v in g.edges:
         pn[u] |= 1 << v
@@ -500,7 +503,8 @@ def test_capped_chain_falls_back_to_an_exact_search(monkeypatch):
     monkeypatch.setattr(search, "CHAIN_CALL_CAP", 0)
     g = make_cycle(7)
     # p >= n: the plain search, with no order constraint and no ceiling
-    engine = search._Engine(g, 11)
+    # (count-all, since find-first builds no chain with the engine)
+    engine = search._Engine(g, 11, "count-all")
     assert (engine.aut_weight, engine.q) == (1, 8)
     assert [step[2:] for step in engine.steps] == [(-1, 1, 8)] * 7
     # p < n: residue classes, as without the chain
@@ -527,20 +531,134 @@ def test_chain_set_up_stops_at_the_deadline(monkeypatch):
         return extend(*args)
 
     monkeypatch.setattr(search, "_map_extension", counted)
-    spec = SearchSpec(CUBIC12, 13)
+    # prove-none builds the chain with the engine (find-first finds this
+    # witness without one)
+    spec = SearchSpec(CUBIC12, 13, mode="prove-none")
     first = search_labeling(spec)
     assert (first.outcome, first.nodes, calls[0]) == ("found", 21, 726)
     # a clock that passes the deadline after 100 calls
     clock = SimpleNamespace(monotonic=lambda: 2.0 if calls[0] >= 100 else 0.0)
     monkeypatch.setattr(search, "time", clock)
     calls[0] = 0
-    res = search_labeling(SearchSpec(CUBIC12, 13, budget=Budget(max_seconds=1.0)))
+    res = search_labeling(
+        SearchSpec(CUBIC12, 13, mode="prove-none", budget=Budget(max_seconds=1.0))
+    )
     assert (res.outcome, res.nodes) == ("exhausted", 0)
     assert 100 <= calls[0] <= 100 + search.CHAIN_POLL
     # with only a node budget the clock is not read, and the run is unchanged
     calls[0] = 0
     assert search_labeling(spec) == first
     assert calls[0] == 726
+
+
+def _regular(n: int, k: int, seed: int) -> Graph:
+    """A k-regular graph of even order n: k perfect matchings with no edge in
+    common, each cut from a shuffle that reads only random.Random(seed)'s
+    random(), whose sequence Python keeps the same from version to version."""
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < n * k // 2:
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = int(rng.random() * (i + 1))
+            perm[i], perm[j] = perm[j], perm[i]
+        matching = {(min(u, v), max(u, v)) for u, v in zip(perm[::2], perm[1::2])}
+        if not matching & edges:
+            edges |= matching
+    return Graph(n, sorted(edges))
+
+
+@pytest.mark.parametrize("chain_after", [0, 1, 7])
+def test_chain_bought_mid_run_matches_oracles(monkeypatch, chain_after):
+    # At p >= n find-first buys the chain after CHAIN_AFTER nodes, in the
+    # middle of a run, which few corpus runs reach at the default of 256
+    monkeypatch.setattr(search, "CHAIN_AFTER", chain_after)
+    for gs in CONNECTED.values():
+        for g in gs:
+            for p in (7, 11):
+                _check_against_oracles(g, p)
+
+
+def test_short_find_first_builds_no_chain(monkeypatch):
+    # A rigid 5-regular graph of order 64. Its chain completes, in 15-27 ms
+    # on a 2-vCPU VM, where the search needs 70 nodes, under CHAIN_AFTER.
+    g = _regular(64, 5, 5)
+    engine = search._Engine(g, 67)
+    above, sizes = search._stabilizer_chain(engine.pn, engine.dp)
+    assert sizes == [1] * 64
+
+    def no_chain(*args):
+        raise AssertionError("a run shorter than CHAIN_AFTER nodes needs no chain")
+
+    monkeypatch.setattr(search, "_stabilizer_chain", no_chain)
+    res = search_labeling(SearchSpec(g, 67))
+    assert (res.outcome, res.nodes) == ("found", 70)
+    e0, e1 = brute_tally(g.edges, res.labeling, 67)
+    assert abs(e0 - e1) <= 1
+
+
+def test_probes_buy_the_chain_once(monkeypatch):
+    # The probes share one engine, so the countdown runs on from probe to
+    # probe and the chain, once bought, serves every later probe. The
+    # Petersen map took 3 933 nodes with the chain from the start, and takes
+    # 113 248 with no chain.
+    built = []
+    chain = search._stabilizer_chain
+
+    def counted(*args):
+        built.append(args)
+        return chain(*args)
+
+    monkeypatch.setattr(search, "_stabilizer_chain", counted)
+    got, complete, nodes = achievable_differences(PETERSEN, 11)
+    assert (complete, nodes, len(built)) == (True, 3959, 1)
+    monkeypatch.setattr(search, "CHAIN_AFTER", 0)
+    assert achievable_differences(PETERSEN, 11) == (got, True, 3933)
+
+
+@pytest.mark.parametrize(
+    "g,p,window,outcome",
+    [(Q3, 11, DiffWindow.exact(-12), "none"), (CUBIC12, 13, DiffWindow.exact(-18), "found")],
+    ids=["Q3-p11-none", "cubic12-p13-found"],
+)
+def test_budget_sweep_through_the_purchase(g, p, window, outcome):
+    # both runs go past CHAIN_AFTER nodes, so budgets on each side of it
+    full = search_labeling(SearchSpec(g, p, window))
+    assert full.outcome == outcome and full.nodes > search.CHAIN_AFTER
+    for max_nodes in range(1, full.nodes):
+        res = search_labeling(SearchSpec(g, p, window, Budget(max_nodes=max_nodes)))
+        assert (res.outcome, res.nodes) == ("exhausted", max_nodes)
+    assert search_labeling(SearchSpec(g, p, window, Budget(max_nodes=full.nodes))) == full
+
+
+def test_deadline_or_cap_during_the_purchase(monkeypatch):
+    # CUBIC12's find-first run takes 21 nodes, so the chain (726
+    # _map_extension calls) is bought at node 10
+    monkeypatch.setattr(search, "CHAIN_AFTER", 10)
+    calls = [0]
+    extend = search._map_extension
+
+    def counted(*args):
+        calls[0] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(search, "_map_extension", counted)
+    full = search_labeling(SearchSpec(CUBIC12, 13))
+    assert (full.outcome, full.nodes, calls[0]) == ("found", 21, 726)
+    # a clock that passes the deadline after 100 calls ends the run at the purchase
+    monkeypatch.setattr(
+        search, "time", SimpleNamespace(monotonic=lambda: 2.0 if calls[0] >= 100 else 0.0)
+    )
+    calls[0] = 0
+    res = search_labeling(SearchSpec(CUBIC12, 13, budget=Budget(max_seconds=1.0)))
+    assert (res.outcome, res.nodes) == ("exhausted", 10)
+    assert 100 <= calls[0] <= 100 + search.CHAIN_POLL
+    # a capped chain (the call past the cap raises) leaves the twin runs in
+    # place, and the run goes on
+    monkeypatch.setattr(search, "CHAIN_CALL_CAP", 50)
+    calls[0] = 0
+    res = search_labeling(SearchSpec(CUBIC12, 13))
+    assert (res.outcome, res.labeling, calls[0]) == ("found", full.labeling, 51)
 
 
 def test_cycle10_p11_count_all_fits_the_default_budget():
@@ -679,9 +797,11 @@ def test_budget_sweep_stops_at_every_node(mode, g, p):
 
 
 # The complete maps as the leaf scan that preceded the per-difference probes
-# recorded them, in 9 943 and 65 201 nodes.
+# recorded them, in 9 943 and 65 201 nodes. The C8 map took 277 nodes while
+# find-first engines built the chain with the engine; bought after
+# CHAIN_AFTER nodes, it cuts one node less before the purchase.
 ACHIEVABLE_PINNED = [
-    (make_cycle(8), 11, 277, {
+    (make_cycle(8), 11, 278, {
         -8: (1, 5, 2, 8, 3, 4, 6, 7),
         -6: (1, 2, 4, 3, 8, 5, 6, 7),
         -4: (1, 2, 3, 8, 5, 6, 4, 7),
