@@ -48,10 +48,11 @@ pay: at p < n it never builds the chain, and at p >= n it starts under twin
 runs and buys the chain once its engine has spent CHAIN_AFTER nodes, in
 the middle of a run: rent until the rent reaches the price, then buy
 (ski rental; Karlin, Manasse, Rudolph and Sleator, "Competitive snoopy
-caching", Algorithmica 1988). The engine keeps it for every later run. Buying mid-run keeps every result:
-each rule cuts only subtrees with no labeling that meets its constraints,
-and the first witness meets both, so no mix of the two cuts its path; the
-frames open at the purchase keep the bounds they read. Only nodes change.
+caching", Algorithmica 1988). The engine keeps it for every later run.
+Buying mid-run keeps every result: each rule cuts only subtrees with no
+labeling that meets its constraints, and the first witness meets both, so
+no mix of the two cuts its path; the frames open at the purchase keep the
+bounds they read. Only nodes change.
 The set-up stops after CHAIN_CALL_CAP automorphism-extension steps, or at
 the deadline. Every engine that keeps no chain, one whose set-up stopped
 included, uses residue classes and twin runs.
