@@ -38,24 +38,21 @@ first witness in search order is lex-least, so it survives. Count-all
 weighs every leaf by |Aut(G)| = prod |O_a|. The chain holds every twin
 swap, so runs are not used with it, and each label is a class of its own.
 
-In count-all and prove-none, which visit the whole tree, an engine builds
-the chain with the engine: always at p >= n, and at p < n only when
-|Aut(G)| exceeds T = prod m_r! * prod R!, the most residue classes and twin
-runs cut (m_r labels of class r, runs of length R); a bound on |Aut(G)|
-from degrees and _invariant skips the chain's set-up when it cannot win.
-Find-first stops at its first witness, mostly too soon for the set-up to
-pay: at p < n it never builds the chain, and at p >= n it starts under twin
-runs and buys the chain once its engine has spent CHAIN_AFTER nodes, in
-the middle of a run: rent until the rent reaches the price, then buy
-(ski rental; Karlin, Manasse, Rudolph and Sleator, "Competitive snoopy
-caching", Algorithmica 1988). The engine keeps it for every later run.
-Buying mid-run keeps every result: each rule cuts only subtrees with no
-labeling that meets its constraints, and the first witness meets both, so
-no mix of the two cuts its path; the frames open at the purchase keep the
-bounds they read. Only nodes change.
-The set-up stops after CHAIN_CALL_CAP automorphism-extension steps, or at
-the deadline. Every engine that keeps no chain, one whose set-up stopped
-included, uses residue classes and twin runs.
+_Engine._buy_chain alone chooses between them: the chain at p >= n, and
+at p < n only when |Aut(G)| exceeds T = prod m_r! * prod R!, the most
+residue classes and twin runs cut (m_r labels of class r, runs of length
+R); a bound on |Aut(G)| from degrees and _invariant skips the chain's
+set-up when it cannot win. The set-up stops after CHAIN_CALL_CAP
+automorphism-extension steps, or at the deadline, and an engine that keeps
+no chain uses residue classes and twin runs. Count-all visits the whole
+tree, so its engine chooses when it is built. Find-first stops at its
+first witness, mostly too soon for the set-up to pay; prove-none is
+find-first, its "none" the certificate. Their engine rents CHAIN_AFTER
+nodes under residue classes and twin runs, counted over its runs; the run
+that reaches the rent is abandoned, the engine chooses, and the run starts
+over (ski rental; Karlin, Manasse, Rudolph and Sleator, "Competitive
+snoopy caching", Algorithmica 1988). Every run thus searches under one
+rule.
 
 Both reductions also cap each position's label, once per engine, and a
 larger label would leave no leaf below it: L(a) <= n - |O_a| + 1 under the
@@ -71,15 +68,16 @@ certified "none" after 0 nodes.
 Budgets count assignment-tree nodes (each candidate label tried at a vertex:
 only class representatives under residue classes, and only labels above the
 bound of the chain or the twin run and below the position's ceiling; the
-last position's one label is a node when it is above its bound) so runs are
-reproducible; the reported node count never exceeds the node budget. An
-optional wall-clock limit is a secondary kill switch; it starts when the
-call starts, so it covers engine set-up in every entry point, the
-stabilizer chain's included. A budget-exhausted run is a distinct outcome,
-never conflated with a completed proof of non-existence.
+last position's one label is a node when it is above its bound), an
+abandoned run's included, so runs are reproducible; the reported node
+count never exceeds the node budget. An optional wall-clock limit is a
+secondary kill switch; it starts when the call starts, so it covers engine
+set-up in every entry point, the stabilizer chain's included. A
+budget-exhausted run is a distinct outcome, never conflated with a
+completed proof of non-existence.
 
-Each entry point drives one _Probes, which holds the budget:
-`search_labeling` makes one run, and `achievable_differences` and
+Each entry point drives one _Probes, which holds the budget and buys the
+chain: `search_labeling` makes one run, and `achievable_differences` and
 `find_base_labelings` a sequence of find-first window runs (probes). A
 window prunes only subtrees with no leaf inside it, so the probe [d, d]
 finds the first labeling in search order with difference d.
@@ -107,7 +105,7 @@ DEFAULT_NODE_BUDGET = 2_000_000
 # engine drops the chain and searches without it
 CHAIN_CALL_CAP = 10_000
 CHAIN_POLL = 256  # _map_extension calls between two reads of the clock
-# find-first nodes an engine at p >= n spends before it builds the chain
+# find-first nodes an engine rents, over its runs, before it buys the chain
 CHAIN_AFTER = 256
 
 MODES = ("find-first", "count-all", "prove-none")
@@ -383,12 +381,12 @@ class _Engine:
     def __init__(
         self, graph: Graph, p: int, mode: str = "find-first", deadline: float | None = None
     ):
-        """``mode`` is one of MODES. Runs in count-all and prove-none visit
-        the whole pruned tree, so at p < n the stabilizer chain may pay for
-        its set-up (see _chain_cuts_more); find-first runs stop at their
-        first witness, and at p >= n buy the chain after CHAIN_AFTER nodes.
-        ``deadline`` holds for the chain's set-up, past which the engine
-        goes without it, and for every run."""
+        """``mode`` is one of MODES. Count-all visits the whole pruned tree
+        and chooses its reduction here (_buy_chain). Find-first and
+        prove-none stop at their first witness; they start under residue
+        classes and twin runs, and _Probes buys the chain once they have
+        rented CHAIN_AFTER nodes. ``deadline`` holds for the chain's set-up,
+        past which the engine goes without it, and for every run."""
         self.stop_at_first = mode != "count-all"
         self.deadline = deadline
         n = graph.order
@@ -441,17 +439,11 @@ class _Engine:
         for k in range(n):
             remaining -= len(prev[k])
             self.steps.append((prev[k], remaining, above[k], run[k], top[k]))
-        # find-first nodes left before the chain is bought, or None
-        self.chain_in: int | None = None
-        if p < n:
-            chain = None if mode == "find-first" else _chain_cuts_more(pn, dp, p, run, deadline)
-        elif mode == "find-first":  # most find-first runs end before CHAIN_AFTER nodes
-            chain, self.chain_in = None, CHAIN_AFTER
-            self.pn, self.dp = pn, dp  # for the chain, when run buys it
-        else:  # None at the chain's cap or the deadline
-            chain = _stabilizer_chain(pn, dp, deadline)
-        if chain is not None:
-            self._keep_chain(chain)
+        self.p, self.pn, self.dp, self.runs = p, pn, dp, run  # for _buy_chain
+        # nodes to rent under twin runs before _Probes buys the chain, or None
+        self.chain_in: int | None = CHAIN_AFTER
+        if not self.stop_at_first:
+            self._buy_chain()
         # what an edge adds to d for every endpoint sum 0..2n: +1 when s mod p
         # is a quadratic residue (edge_label 1), by Euler's criterion, else -1;
         # 2n + 1 pow calls whatever p is, not a table of p residues
@@ -461,8 +453,9 @@ class _Engine:
     def run(
         self, lo: int, hi: int, max_nodes: int
     ) -> tuple[int, int, tuple[int, ...] | None, bool]:
-        """Explore the assignment tree; returns (nodes, count, first witness,
-        whether the node budget or the deadline ran out).
+        """Explore the assignment tree under the engine's one reduction;
+        returns (nodes, count, first witness, whether ``max_nodes`` or the
+        deadline ran out).
 
         The candidates are read from ``avail``, an int passed down the
         recursion: bit lab is set when lab is the smallest unused label of
@@ -485,42 +478,24 @@ class _Engine:
         stop_at_first, deadline = self.stop_at_first, self.deadline
         nodes = count = 0
         # one checkpoint test per node; past it, next_checkpoint raises at
-        # the node budget, buys the chain when the countdown is up, and polls
-        # the deadline every 4096 nodes
-        poll = max_nodes if deadline is None else 0
-        buy = max_nodes if self.chain_in is None else self.chain_in
-        checkpoint = min(poll, buy)
+        # the node budget and polls the deadline every 4096 nodes
+        checkpoint = max_nodes if deadline is None else 0
         witness = None
         steps = self.steps
         sum_label = self.sum_label
         leaf_prev, _, leaf_above, _, _ = steps[last]
 
         def next_checkpoint() -> int:
-            nonlocal poll, buy
-            if nodes >= max_nodes:
+            # short of max_nodes only under a deadline
+            if nodes >= max_nodes or time.monotonic() > deadline:
                 raise _OutOfBudget
-            if nodes >= buy:
-                buy = max_nodes
-                self.chain_in = None
-                chain = _stabilizer_chain(self.pn, self.dp, deadline)
-                if chain is not None:
-                    self._keep_chain(chain)
-                if deadline is not None:  # the set-up may have used up the time
-                    poll = nodes
-            if nodes >= poll:  # only under a deadline: poll < max_nodes
-                if time.monotonic() > deadline:
-                    raise _OutOfBudget
-                poll = min(nodes + 4096, max_nodes)
-            return min(poll, buy)
+            return min(nodes + 4096, max_nodes)
 
         def place(k: int, diff: int, avail: int) -> None:
             nonlocal nodes, count, witness, checkpoint
             prev_k, rem, above, _, top = steps[k]
-            # the labels labels[above] + 1 .. top - 1. Under one rule
-            # labels[above] < top (a chain orbit or a twin run bounds both).
-            # After a mid-run purchase a label placed under twin bounds may
-            # reach a chain ceiling; the mask is then negative, and avail & it
-            # holds unused labels the chain would cut: nodes, not results.
+            # the labels labels[above] + 1 .. top - 1; labels[above] < top,
+            # since a chain orbit or a twin run bounds both
             m = avail & (1 << top) - (2 << labels[above])
             while m:
                 low = m & -m
@@ -575,17 +550,24 @@ class _Engine:
             # place refers to itself; dropping it here frees the run's state
             # now rather than at the next cyclic collection
             del place
-        if self.chain_in is not None:  # the next run counts on from here
-            self.chain_in -= nodes
         return nodes, count, witness, exhausted
 
-    def _keep_chain(self, chain: tuple[list[int], list[int]]) -> None:
-        """Trade twin runs and residue classes for the stabilizer chain
-        ``(above, sizes)``, rewriting each step's bounds in place. Labels are
-        distinct, so Aut(G) acts freely and every leaf stands for |Aut(G)|
-        labelings."""
+    def _buy_chain(self) -> None:
+        """Choose the engine's reduction for good. The stabilizer chain is
+        built at p >= n, and at p < n when _chain_cuts_more finds that it cuts
+        more; when kept, it replaces twin runs and residue classes, and each
+        step's bounds are rewritten in place. Labels are distinct, so Aut(G)
+        acts freely and every leaf stands for |Aut(G)| labelings. A chain
+        whose set-up stopped at the cap or the deadline is not kept."""
+        self.chain_in = None
+        n = self.graph.order
+        if self.p < n:
+            chain = _chain_cuts_more(self.pn, self.dp, self.p, self.runs, self.deadline)
+        else:
+            chain = _stabilizer_chain(self.pn, self.dp, self.deadline)
+        if chain is None:
+            return
         above, sizes = chain
-        n = len(sizes)
         self.aut_weight = self.leaf_weight = math.prod(sizes)
         self.q = n + 1
         self.twins = []
@@ -605,9 +587,9 @@ def search_labeling(spec: SearchSpec) -> SearchResult:
 
     find-first returns the first satisfying labeling in search order, or a
     completed-none certificate, or exhausted. count-all counts every
-    satisfying permutation (and reports the first witness). prove-none is
-    find-first semantics where a completed "none" is the certificate; a
-    witness, if one exists, is reported as "found".
+    satisfying permutation (and reports the first witness). prove-none runs
+    find-first and returns its result: a completed "none" is the
+    certificate, and a witness, if one exists, is reported as "found".
     """
     probes = _Probes(spec.p, spec.budget, spec.mode)
     count, witness = probes.run(spec.graph, spec.objective.lo, spec.objective.hi)
@@ -625,6 +607,9 @@ class _Probes:
     An engine is built at the first run on a graph and kept, and it alone
     ends a run on budget or time, before its first node when none is left.
     Then ``complete`` is False, and every later run finds nothing at no cost.
+    While the engine rents (``chain_in`` is set), a run gets at most the
+    rent left. One that stops at the rent, with budget to spare, has the
+    engine buy the chain and starts over; its nodes count in ``nodes``.
     """
 
     def __init__(self, p: int, budget: Budget | None, mode: str = "find-first"):
@@ -649,10 +634,18 @@ class _Probes:
             return 0, None
         if id(graph) not in self.engines:
             self.engines[id(graph)] = _Engine(graph, self.p, self.mode, self.deadline)
-        nodes, count, witness, exhausted = self.engines[id(graph)].run(
-            lo, hi, self.max_nodes - self.nodes
-        )
-        self.nodes += nodes
+        engine = self.engines[id(graph)]
+        while True:
+            left = self.max_nodes - self.nodes
+            cap = left if engine.chain_in is None else min(engine.chain_in, left)
+            nodes, count, witness, exhausted = engine.run(lo, hi, cap)
+            self.nodes += nodes
+            if engine.chain_in is None:
+                break
+            engine.chain_in -= nodes  # the next run on this engine counts on
+            if engine.chain_in or not exhausted or cap == left:
+                break
+            engine._buy_chain()  # stopped at the rent with budget left: buy, start over
         self.complete = not exhausted
         return count, witness
 

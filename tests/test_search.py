@@ -252,9 +252,10 @@ def _check_against_oracles(g: Graph, p: int) -> None:
     first = min(cordial, key=key) if cordial else None
     res = search_labeling(SearchSpec(g, p, mode="count-all"))
     assert (res.complete, res.count, res.labeling) == (True, len(cordial), first)
-    for mode in ("find-first", "prove-none"):
-        res = search_labeling(SearchSpec(g, p, mode=mode))
-        assert (res.outcome, res.labeling) == ("found" if cordial else "none", first)
+    res = search_labeling(SearchSpec(g, p))
+    assert (res.outcome, res.labeling) == ("found" if cordial else "none", first)
+    # prove-none is find-first, down to the nodes
+    assert search_labeling(SearchSpec(g, p, mode="prove-none")) == res
     got, complete, _ = achievable_differences(g, p)
     assert complete
     assert set(got) == set(want)
@@ -329,7 +330,7 @@ Q3 = Graph(8, [(u, u ^ (1 << i)) for u in range(8) for i in range(3) if u < u ^ 
 )
 def test_aut_weight_is_pinned(g, aut):
     assert search._Engine(g, 13, "count-all").aut_weight == aut
-    assert search._Engine(g, 3).aut_weight == 1  # find-first at p < n: no chain
+    assert search._Engine(g, 3).aut_weight == 1  # find-first: no chain before its rent
 
 
 # Every connected graph of order 2..6, one per isomorphism class.
@@ -406,8 +407,9 @@ W7 = Graph(7, [(0, k) for k in range(1, 7)] + [(k, k % 6 + 1) for k in range(1, 
 K4K2 = cartesian(make_complete(4), make_complete(2))
 
 
-# At p < n, count-all and prove-none use the chain when |Aut(G)| exceeds
-# T = prod m_r! * prod R!, the most that residue classes and twin runs cut:
+# At p < n, count-all (and find-first once it has rented CHAIN_AFTER nodes)
+# uses the chain when |Aut(G)| exceeds T = prod m_r! * prod R!, the most
+# that residue classes and twin runs cut:
 # C6 p=3 has |Aut| 12 > T 8, C7 p=5 14 > 4, C8 p=7 16 > 2, Q3 p=5 48 > 8,
 # K4xK2 p=5 48 > 8 and W7 p=5 12 > 4.
 @pytest.mark.parametrize(
@@ -454,16 +456,25 @@ def test_cycle7_p5_count_all_is_pinned(g, nodes):
     assert (res.outcome, res.count, res.nodes, res.complete) == ("found", 2408, nodes, True)
 
 
-def test_find_first_below_p_builds_no_chain(monkeypatch):
-    def no_chain(*args):
-        raise AssertionError("find-first at p < n needs no chain")
+Q4 = Graph(16, [(u, u ^ (1 << i)) for u in range(16) for i in range(4) if u < u ^ (1 << i)])
 
-    monkeypatch.setattr(search, "_stabilizer_chain", no_chain)
+
+def test_find_first_below_p_rents_before_it_buys_the_chain(monkeypatch):
+    # Q4 at p = 13 < n: no labeling reaches [30, 32]. Under residue classes
+    # and twin runs alone the run ended exhausted at the 2 M default budget
+    # (5 065 417 nodes to finish); it buys the chain after CHAIN_AFTER nodes
+    # and starts over.
+    res = search_labeling(SearchSpec(Q4, 13, DiffWindow(30, 32)))
+    assert (res.outcome, res.nodes) == ("none", 164_826)
+
+    def no_chain(self):
+        raise AssertionError("a run shorter than CHAIN_AFTER nodes needs no chain")
+
+    monkeypatch.setattr(search._Engine, "_buy_chain", no_chain)
     g = make_cycle(7)
     assert search_labeling(SearchSpec(g, 5)).outcome == "found"
-    assert achievable_differences(g, 5)[1]
     assert find_base_labelings("join", make_cycle(6), make_cycle(7), 3).outcome == "none"
-    with pytest.raises(AssertionError, match="needs no chain"):  # count-all does build it
+    with pytest.raises(AssertionError, match="needs no chain"):  # count-all buys it at once
         search_labeling(SearchSpec(g, 5, mode="count-all"))
 
 
@@ -490,11 +501,12 @@ def test_chain_set_up_is_capped():
 
 
 def test_find_first_above_order_12():
-    # C_32(1..7) at p=37 >= n: its chain is capped, so the plain search
-    # runs (0.22 s on a 2-vCPU VM)
+    # C_32(1..7) at p=37 >= n: its chain is capped, so after the 256 rented
+    # nodes the plain search runs again from the start, in 293 689 nodes
+    # (0.22 s on a 2-vCPU VM)
     g = Graph(32, [(u, (u + j) % 32) for u in range(32) for j in range(1, 8)])
     res = search_labeling(SearchSpec(g, 37))
-    assert (res.outcome, res.nodes) == ("found", 293_689)
+    assert (res.outcome, res.nodes) == ("found", 293_945)
     e0, e1 = brute_tally(g.edges, res.labeling, 37)
     assert abs(e0 - e1) <= 1
 
@@ -531,18 +543,16 @@ def test_chain_set_up_stops_at_the_deadline(monkeypatch):
         return extend(*args)
 
     monkeypatch.setattr(search, "_map_extension", counted)
-    # prove-none builds the chain with the engine (find-first finds this
-    # witness without one)
-    spec = SearchSpec(CUBIC12, 13, mode="prove-none")
+    # count-all builds the chain with the engine (find-first finds a cordial
+    # witness in 21 nodes, without one); its run needs more than 2 M nodes
+    spec = SearchSpec(CUBIC12, 13, mode="count-all", budget=Budget(max_nodes=1000))
     first = search_labeling(spec)
-    assert (first.outcome, first.nodes, calls[0]) == ("found", 21, 726)
+    assert (first.outcome, first.nodes, calls[0]) == ("exhausted", 1000, 726)
     # a clock that passes the deadline after 100 calls
     clock = SimpleNamespace(monotonic=lambda: 2.0 if calls[0] >= 100 else 0.0)
     monkeypatch.setattr(search, "time", clock)
     calls[0] = 0
-    res = search_labeling(
-        SearchSpec(CUBIC12, 13, mode="prove-none", budget=Budget(max_seconds=1.0))
-    )
+    res = search_labeling(SearchSpec(CUBIC12, 13, mode="count-all", budget=Budget(1000, 1.0)))
     assert (res.outcome, res.nodes) == ("exhausted", 0)
     assert 100 <= calls[0] <= 100 + search.CHAIN_POLL
     # with only a node budget the clock is not read, and the run is unchanged
@@ -569,13 +579,14 @@ def _regular(n: int, k: int, seed: int) -> Graph:
 
 
 @pytest.mark.parametrize("chain_after", [0, 1, 7])
-def test_chain_bought_mid_run_matches_oracles(monkeypatch, chain_after):
-    # At p >= n find-first buys the chain after CHAIN_AFTER nodes, in the
-    # middle of a run, which few corpus runs reach at the default of 256
+def test_chain_bought_at_restart_matches_oracles(monkeypatch, chain_after):
+    # Find-first buys the chain after CHAIN_AFTER nodes and starts its run
+    # over, which few corpus runs reach at the default of 256. At p < n the
+    # chain is kept only where _chain_cuts_more finds that it cuts more.
     monkeypatch.setattr(search, "CHAIN_AFTER", chain_after)
     for gs in CONNECTED.values():
         for g in gs:
-            for p in (7, 11):
+            for p in (3, 5, 7, 11):
                 _check_against_oracles(g, p)
 
 
@@ -598,10 +609,11 @@ def test_short_find_first_builds_no_chain(monkeypatch):
 
 
 def test_probes_buy_the_chain_once(monkeypatch):
-    # The probes share one engine, so the countdown runs on from probe to
-    # probe and the chain, once bought, serves every later probe. The
-    # Petersen map took 3 933 nodes with the chain from the start, and takes
-    # 113 248 with no chain.
+    # The probes share one engine, so the rent runs on from probe to probe
+    # and the chain, once bought, serves every later probe. The Petersen map
+    # takes 3 933 nodes with the chain from the start, 113 248 with no
+    # chain, and 4 030 when the probe that reaches the rent starts over
+    # under the chain.
     built = []
     chain = search._stabilizer_chain
 
@@ -611,7 +623,7 @@ def test_probes_buy_the_chain_once(monkeypatch):
 
     monkeypatch.setattr(search, "_stabilizer_chain", counted)
     got, complete, nodes = achievable_differences(PETERSEN, 11)
-    assert (complete, nodes, len(built)) == (True, 3959, 1)
+    assert (complete, nodes, len(built)) == (True, 4030, 1)
     monkeypatch.setattr(search, "CHAIN_AFTER", 0)
     assert achievable_differences(PETERSEN, 11) == (got, True, 3933)
 
@@ -633,7 +645,8 @@ def test_budget_sweep_through_the_purchase(g, p, window, outcome):
 
 def test_deadline_or_cap_during_the_purchase(monkeypatch):
     # CUBIC12's find-first run takes 21 nodes, so the chain (726
-    # _map_extension calls) is bought at node 10
+    # _map_extension calls) is bought at node 10, and the run starts over
+    # under it: 10 + 21 nodes
     monkeypatch.setattr(search, "CHAIN_AFTER", 10)
     calls = [0]
     extend = search._map_extension
@@ -644,7 +657,7 @@ def test_deadline_or_cap_during_the_purchase(monkeypatch):
 
     monkeypatch.setattr(search, "_map_extension", counted)
     full = search_labeling(SearchSpec(CUBIC12, 13))
-    assert (full.outcome, full.nodes, calls[0]) == ("found", 21, 726)
+    assert (full.outcome, full.nodes, calls[0]) == ("found", 31, 726)
     # a clock that passes the deadline after 100 calls ends the run at the purchase
     monkeypatch.setattr(
         search, "time", SimpleNamespace(monotonic=lambda: 2.0 if calls[0] >= 100 else 0.0)
@@ -654,7 +667,7 @@ def test_deadline_or_cap_during_the_purchase(monkeypatch):
     assert (res.outcome, res.nodes) == ("exhausted", 10)
     assert 100 <= calls[0] <= 100 + search.CHAIN_POLL
     # a capped chain (the call past the cap raises) leaves the twin runs in
-    # place, and the run goes on
+    # place, and the run starts over under them
     monkeypatch.setattr(search, "CHAIN_CALL_CAP", 50)
     calls[0] = 0
     res = search_labeling(SearchSpec(CUBIC12, 13))
@@ -799,9 +812,9 @@ def test_budget_sweep_stops_at_every_node(mode, g, p):
 # The complete maps as the leaf scan that preceded the per-difference probes
 # recorded them, in 9 943 and 65 201 nodes. The C8 map took 277 nodes while
 # find-first engines built the chain with the engine; bought after
-# CHAIN_AFTER nodes, it cuts one node less before the purchase.
+# CHAIN_AFTER nodes, the probe that reaches them starts over under it.
 ACHIEVABLE_PINNED = [
-    (make_cycle(8), 11, 278, {
+    (make_cycle(8), 11, 321, {
         -8: (1, 5, 2, 8, 3, 4, 6, 7),
         -6: (1, 2, 4, 3, 8, 5, 6, 7),
         -4: (1, 2, 3, 8, 5, 6, 4, 7),
@@ -1029,7 +1042,8 @@ def test_fbl_builds_each_engine_once_and_lists_no_leaves(monkeypatch):
     monkeypatch.setattr(search, "achievable_differences", no_scan)
     monkeypatch.setattr(search, "_Engine", counted)
     out = find_base_labelings("join", make_cycle(7), make_cycle(9), 7)
-    assert (out.outcome, out.nodes) == ("found", 1947)  # 3 331 before the probes
+    # 3 331 before the probes, 1 947 before C9 at p < n bought the chain
+    assert (out.outcome, out.nodes) == ("found", 1025)
     assert sorted(built) == [7, 9]
 
 
