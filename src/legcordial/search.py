@@ -38,21 +38,21 @@ first witness in search order is lex-least, so it survives. Count-all
 weighs every leaf by |Aut(G)| = prod |O_a|. The chain holds every twin
 swap, so runs are not used with it, and each label is a class of its own.
 
-_Engine._buy_chain alone chooses between them: the chain at p >= n, and
-at p < n only when |Aut(G)| exceeds T = prod m_r! * prod R!, the most
-residue classes and twin runs cut (m_r labels of class r, runs of length
-R); a bound on |Aut(G)| from degrees and _invariant skips the chain's
-set-up when it cannot win. The set-up stops after CHAIN_CALL_CAP
-automorphism-extension steps, or at the deadline, and an engine that keeps
-no chain uses residue classes and twin runs. Count-all visits the whole
-tree, so its engine chooses when it is built. Find-first stops at its
-first witness, mostly too soon for the set-up to pay; prove-none is
-find-first, its "none" the certificate. Their engine rents CHAIN_AFTER
-nodes under residue classes and twin runs, counted over its runs; the run
-that reaches the rent is abandoned, the engine chooses, and the run starts
-over (ski rental; Karlin, Manasse, Rudolph and Sleator, "Competitive
-snoopy caching", Algorithmica 1988). Every run thus searches under one
-rule.
+One rule, at every p, chooses between them: the chain when |Aut(G)|
+exceeds T = prod m_r! * prod R!, the most residue classes and twin runs
+cut (m_r labels of class r, 1 at p >= n; runs of length R). The engine
+computes T when it is built, and one with T >= n! never builds the chain,
+which cannot cut more; _Engine._buy_chain decides the rest. The chain's
+set-up stops after CHAIN_CALL_CAP automorphism-extension steps, or at the
+deadline, and an engine that keeps no chain uses residue classes and twin
+runs. Count-all visits the whole tree, so its engine chooses when it is
+built. Find-first stops at its first witness, mostly too soon for the
+set-up to pay; prove-none is find-first, its "none" the certificate. Their
+engine rents CHAIN_AFTER nodes under residue classes and twin runs,
+counted over its runs; the run that reaches the rent is abandoned, the
+engine chooses, and the run starts over (ski rental; Karlin, Manasse,
+Rudolph and Sleator, "Competitive snoopy caching", Algorithmica 1988).
+Every run thus searches under one rule.
 
 Both reductions also cap each position's label, once per engine, and a
 larger label would leave no leaf below it: L(a) <= n - |O_a| + 1 under the
@@ -270,26 +270,27 @@ def _invariant(pn: list[int], deg: list[int], k: int) -> int:
 
 
 def _stabilizer_chain(
-    pn: list[int], deg: list[int], deadline: float | None = None
+    pn: list[int], deg: list[int], inv: list[int], deadline: float | None = None
 ) -> tuple[list[int], list[int]] | None:
     """Stabilizer-chain orbits of Aut(G), acting on search positions.
 
-    ``pn[k]`` is position k's neighbourhood bitmask and ``deg[k]`` its
-    degree; positions of equal degree are consecutive. O_a is the orbit of a under the
-    automorphisms that fix positions 0..a-1. Returns ``(above, sizes)``:
-    ``above[b]`` is the largest a < b with b in O_a, or -1, and ``sizes[a]``
-    is |O_a|, so |Aut(G)| = prod sizes. Levels run from the last position
+    ``pn[k]`` is position k's neighbourhood bitmask, ``deg[k]`` its degree
+    and ``inv[k]`` its _invariant; positions of equal degree are
+    consecutive. O_a is the orbit of a under the automorphisms that fix
+    positions 0..a-1. Returns ``(above, sizes)``: ``above[b]`` is the
+    largest a < b with b in O_a, or -1, and ``sizes[a]`` is |O_a|, so
+    |Aut(G)| = prod sizes. Levels run from the last position
     down, so every automorphism found so far fixes 0..a-1 and closes O_a
     without a search. Returns None once CHAIN_CALL_CAP calls of
     _map_extension have not sufficed, or once ``deadline`` has passed.
     """
     n = len(pn)
     if 2 * sum(deg) > n * (n - 1):
-        # The complement has the same automorphisms, and its sparser
-        # neighbourhoods make the search below choose better.
+        # The complement has the same automorphisms, so inv still separates
+        # orbits, and its sparser neighbourhoods make the search below
+        # choose better.
         pn = [((1 << n) - 1) & ~m & ~(1 << k) for k, m in enumerate(pn)]
         deg = [n - 1 - d for d in deg]
-    inv: list[int | None] = [None] * n  # _invariant, computed when first needed
     above = [-1] * n
     sizes = [1] * n
     gens: list[list[int]] = []
@@ -309,10 +310,6 @@ def _stabilizer_chain(
                 g = list(range(n))
                 g[a], g[b] = b, a
             else:
-                if inv[a] is None:
-                    inv[a] = _invariant(pn, deg, a)
-                if inv[b] is None:
-                    inv[b] = _invariant(pn, deg, b)
                 if inv[b] != inv[a]:
                     continue
                 img = list(range(a)) + [-1] * (n - a)
@@ -346,33 +343,6 @@ def _class_orders(n: int, q: int) -> int:
     return math.factorial(n // q + 1) ** (n % q) * math.factorial(n // q) ** (q - n % q)
 
 
-def _chain_cuts_more(
-    pn: list[int], deg: list[int], p: int, run: list[int], deadline: float | None
-) -> tuple[list[int], list[int]] | None:
-    """The stabilizer chain at p < n when it cuts more than residue classes
-    and twin runs do, else None.
-
-    Those two divide the labelings by at most T = prod m_r! * prod R!, where
-    m_r labels in 1..n are congruent to r mod p and R runs over the twin-run
-    lengths (``run`` holds each position's offset in its run); the chain
-    divides them by |Aut(G)|. Automorphisms keep degree and _invariant, so
-    B = prod (cell size)! over the cells of equal (degree, _invariant) bounds
-    |Aut(G)|. The chain is computed only when T < n! and B > T, and kept
-    only when |Aut(G)| > T.
-    """
-    n = len(pn)
-    cut = _class_orders(n, p) * math.prod(run)  # a run's offsets 1..R multiply out to R!
-    if cut >= math.factorial(n):
-        return None
-    cells = Counter(zip(deg, [_invariant(pn, deg, k) for k in range(n)]))
-    if math.prod(map(math.factorial, cells.values())) <= cut:
-        return None
-    chain = _stabilizer_chain(pn, deg, deadline)
-    if chain is None or math.prod(chain[1]) <= cut:
-        return None
-    return chain
-
-
 class _Engine:
     """Shared backtracking core; one instance per (graph, prime, mode).
     Each entry point checks the prime before _Probes builds an engine:
@@ -381,12 +351,15 @@ class _Engine:
     def __init__(
         self, graph: Graph, p: int, mode: str = "find-first", deadline: float | None = None
     ):
-        """``mode`` is one of MODES. Count-all visits the whole pruned tree
-        and chooses its reduction here (_buy_chain). Find-first and
-        prove-none stop at their first witness; they start under residue
-        classes and twin runs, and _Probes buys the chain once they have
-        rented CHAIN_AFTER nodes. ``deadline`` holds for the chain's set-up,
-        past which the engine goes without it, and for every run."""
+        """``mode`` is one of MODES. Every engine starts under residue
+        classes and twin runs and computes T, the most they cut (see the
+        module docstring); at T >= n! it keeps them, since no chain cuts
+        more. Otherwise count-all, which visits the whole pruned tree,
+        chooses its reduction here (_buy_chain), and find-first and
+        prove-none, which stop at their first witness, have _Probes choose
+        once they have rented CHAIN_AFTER nodes. ``deadline`` holds for the
+        chain's set-up, past which the engine goes without it, and for
+        every run."""
         self.stop_at_first = mode != "count-all"
         self.deadline = deadline
         n = graph.order
@@ -426,10 +399,10 @@ class _Engine:
         for k in range(n - 2, -1, -1):
             if run[k + 1] > 1:  # k + 1 continues k's run
                 top[k] = top[k + 1] - 1
-        self.aut_weight = 1
         self.q = min(p, n + 1)
         # Each class's labels are placed smallest first, so a leaf stands for
-        # every order of each class's labels: prod m_r!, 1 under the chain.
+        # every order of each class's labels: prod m_r!; |Aut(G)| under the
+        # chain.
         self.leaf_weight = _class_orders(n, self.q)
         self.twins = [(k, t) for k, t in enumerate(run) if t > 1]  # (position, run offset)
         # steps[k] = (earlier neighbours of position k, edges still undecided
@@ -439,11 +412,14 @@ class _Engine:
         for k in range(n):
             remaining -= len(prev[k])
             self.steps.append((prev[k], remaining, above[k], run[k], top[k]))
-        self.p, self.pn, self.dp, self.runs = p, pn, dp, run  # for _buy_chain
+        # for _buy_chain: T, where a run's offsets 1..R multiply out to R!
+        self.pn, self.dp, self.cut = pn, dp, self.leaf_weight * math.prod(run)
         # nodes to rent under twin runs before _Probes buys the chain, or None
-        self.chain_in: int | None = CHAIN_AFTER
-        if not self.stop_at_first:
-            self._buy_chain()
+        self.chain_in: int | None = None
+        if self.cut < math.factorial(n):
+            self.chain_in = CHAIN_AFTER
+            if not self.stop_at_first:
+                self._buy_chain()
         # what an edge adds to d for every endpoint sum 0..2n: +1 when s mod p
         # is a quadratic residue (edge_label 1), by Euler's criterion, else -1;
         # 2n + 1 pow calls whatever p is, not a table of p residues
@@ -553,22 +529,25 @@ class _Engine:
         return nodes, count, witness, exhausted
 
     def _buy_chain(self) -> None:
-        """Choose the engine's reduction for good. The stabilizer chain is
-        built at p >= n, and at p < n when _chain_cuts_more finds that it cuts
-        more; when kept, it replaces twin runs and residue classes, and each
-        step's bounds are rewritten in place. Labels are distinct, so Aut(G)
-        acts freely and every leaf stands for |Aut(G)| labelings. A chain
-        whose set-up stopped at the cap or the deadline is not kept."""
+        """Choose the engine's reduction for good: the stabilizer chain when
+        it cuts more than residue classes and twin runs, |Aut(G)| > T.
+        Automorphisms keep degree and _invariant, so B = prod (cell size)!
+        over the cells of equal (degree, _invariant) bounds |Aut(G)|; the
+        chain is built only when B > T, and kept only when |Aut(G)| > T and
+        its set-up stopped at neither the cap nor the deadline. A kept chain
+        replaces twin runs and residue classes, and each step's bounds are
+        rewritten in place. Labels are distinct, so Aut(G) acts freely and
+        every leaf stands for |Aut(G)| labelings."""
         self.chain_in = None
-        n = self.graph.order
-        if self.p < n:
-            chain = _chain_cuts_more(self.pn, self.dp, self.p, self.runs, self.deadline)
-        else:
-            chain = _stabilizer_chain(self.pn, self.dp, self.deadline)
-        if chain is None:
+        pn, deg, n = self.pn, self.dp, self.graph.order
+        inv = [_invariant(pn, deg, k) for k in range(n)]
+        if math.prod(map(math.factorial, Counter(zip(deg, inv)).values())) <= self.cut:
+            return
+        chain = _stabilizer_chain(pn, deg, inv, self.deadline)
+        if chain is None or math.prod(chain[1]) <= self.cut:
             return
         above, sizes = chain
-        self.aut_weight = self.leaf_weight = math.prod(sizes)
+        self.leaf_weight = math.prod(sizes)
         self.q = n + 1
         self.twins = []
         steps = self.steps

@@ -283,10 +283,16 @@ def test_twin_runs_are_found():
 
 
 def test_twin_pairs_are_chain_constraints():
-    # p >= n under the chain, which count-all builds with the engine: no
-    # runs; each twin pair is an order constraint of the chain
-    assert _above_and_runs(THREE_RUNS, 7, "count-all") == ([-1, -1, 1, -1, 3, -1, 5], [1] * 7)
-    assert _above_and_runs(make_complete(5), 5, "count-all") == ([-1, 0, 1, 2, 3], [1] * 5)
+    # p >= n, count-all, which chooses with the engine. Where |Aut| = T, the
+    # twin runs cut as much as the chain, and they stay: THREE_RUNS (|Aut|
+    # = T = 2!^3 = 8) at p = 7, and K5 (T = 5! = n!) at p = 5
+    assert _above_and_runs(THREE_RUNS, 7, "count-all") == (
+        [-1, -1, 1, -1, 3, -1, 5], [1, 1, 2, 1, 2, 1, 2]
+    )
+    assert _above_and_runs(make_complete(5), 5, "count-all") == ([-1, 0, 1, 2, 3], [1, 2, 3, 4, 5])
+    # K3,3 (|Aut| 72 > T = 3! * 3! = 36) gets the chain: no runs, each twin
+    # pair is an order constraint, and so is the swap of the two sides
+    assert _above_and_runs(_bipartite(3, 3), 7, "count-all") == ([-1, 0, 1, 0, 3, 4], [1] * 6)
     # C5 has no twins: rotations put every position in O_0, and the
     # reflection fixing vertex 0 swaps its neighbours 1 and 4
     assert _above_and_runs(make_cycle(5), 5, "count-all") == ([-1, 0, 0, 0, 1], [1] * 5)
@@ -297,7 +303,8 @@ def test_label_ceilings():
     # C5 has |O_0| = 5 (rotations) and |O_1| = 2 (the reflection fixing
     # position 0).
     assert _largest_labels(make_cycle(5), 5, "count-all") == [1, 4, 5, 5, 5]
-    # the whole of K5's Aut is the chain: |O_a| = 5 - a
+    # K5 keeps its twin run (T = 5! = |Aut|), whose ceilings are the
+    # chain's: n - (R - t) = n - |O_a| + 1
     assert _largest_labels(make_complete(5), 5, "count-all") == [1, 2, 3, 4, 5]
     # p < n: offset t of a run of length R is at most n - (R - t)
     assert _largest_labels(make_complete(5), 3) == [1, 2, 3, 4, 5]
@@ -329,8 +336,25 @@ Q3 = Graph(8, [(u, u ^ (1 << i)) for u in range(8) for i in range(3) if u < u ^ 
     ids=["K12", "C12", "star12", "K66", "petersen", "C3xC4", "P12"],
 )
 def test_aut_weight_is_pinned(g, aut):
-    assert search._Engine(g, 13, "count-all").aut_weight == aut
-    assert search._Engine(g, 3).aut_weight == 1  # find-first: no chain before its rent
+    _check_chain_rule(g, aut, 13)
+    assert search._Engine(g, 3).q == 3  # find-first: no chain before its rent
+
+
+def _chain(pn: list[int], deg: list[int]) -> tuple[list[int], list[int]] | None:
+    """_stabilizer_chain as _Engine._buy_chain calls it, with every
+    position's _invariant."""
+    inv = [search._invariant(pn, deg, k) for k in range(len(pn))]
+    return search._stabilizer_chain(pn, deg, inv)
+
+
+def _check_chain_rule(g: Graph, aut: int, p: int) -> None:
+    """|Aut(G)| = ``aut`` from the stabilizer chain on the search positions
+    (dense graphs through the complement), and a count-all engine at
+    ``p`` >= n keeps the chain exactly when |Aut(G)| > T."""
+    engine = search._Engine(g, 3)
+    assert math.prod(_chain(engine.pn, engine.dp)[1]) == aut
+    engine = search._Engine(g, p, "count-all")
+    assert engine.leaf_weight == (aut if aut > engine.cut else 1)
 
 
 # Every connected graph of order 2..6, one per isomorphism class.
@@ -377,12 +401,11 @@ def test_aut_weight_matches_brute_force(g):
 
 
 def _check_aut_weight(g: Graph) -> None:
-    """|Aut(G)| from the stabilizer chain, which a count-all engine at p >= n
-    always builds (dense graphs through the complement), against brute force; and
-    _chain_cuts_more's bound B = prod (cell size)! over the cells of equal
+    """_check_chain_rule at p = 11 against brute force on |Aut(G)|; and
+    _Engine._buy_chain's bound B = prod (cell size)! over the cells of equal
     (degree, _invariant) at least |Aut(G)|."""
     aut = _brute_aut_count(g)
-    assert search._Engine(g, 11, "count-all").aut_weight == aut
+    _check_chain_rule(g, aut, 11)
     pn, deg = [0] * g.order, [0] * g.order
     for u, v in g.edges:
         pn[u] |= 1 << v
@@ -407,9 +430,9 @@ W7 = Graph(7, [(0, k) for k in range(1, 7)] + [(k, k % 6 + 1) for k in range(1, 
 K4K2 = cartesian(make_complete(4), make_complete(2))
 
 
-# At p < n, count-all (and find-first once it has rented CHAIN_AFTER nodes)
-# uses the chain when |Aut(G)| exceeds T = prod m_r! * prod R!, the most
-# that residue classes and twin runs cut:
+# At every p, count-all (and find-first once it has rented CHAIN_AFTER
+# nodes) uses the chain when |Aut(G)| exceeds T = prod m_r! * prod R!, the
+# most that residue classes and twin runs cut. At p < n:
 # C6 p=3 has |Aut| 12 > T 8, C7 p=5 14 > 4, C8 p=7 16 > 2, Q3 p=5 48 > 8,
 # K4xK2 p=5 48 > 8 and W7 p=5 12 > 4.
 @pytest.mark.parametrize(
@@ -419,7 +442,7 @@ K4K2 = cartesian(make_complete(4), make_complete(2))
 )
 def test_chain_below_p_matches_oracles(g, p):
     engine = search._Engine(g, p, "count-all")
-    assert (engine.q, engine.aut_weight) == (g.order + 1, _brute_aut_count(g))
+    assert (engine.q, engine.leaf_weight) == (g.order + 1, _brute_aut_count(g))
     want = brute_diff_witnesses(g.edges, g.order, p)
 
     def first(witnesses):  # the first in search order: lex-least by position
@@ -478,6 +501,19 @@ def test_find_first_below_p_rents_before_it_buys_the_chain(monkeypatch):
         search_labeling(SearchSpec(g, 5, mode="count-all"))
 
 
+def test_no_chain_cuts_more_so_nothing_is_rented():
+    # star:9 at p = 5: T = 2!^4 * 8! = 645 120 >= 9!, so the engine keeps
+    # residue classes and twin runs from the start. The map took 301 nodes
+    # while the engine rented CHAIN_AFTER nodes, kept no chain, and started
+    # the probe at the rent over under the same rule.
+    engine = search._Engine(make_star(9), 5)
+    assert (engine.cut, engine.chain_in) == (645_120, None)
+    got, complete, nodes = achievable_differences(make_star(9), 5)
+    assert (got, complete, nodes) == (
+        {-2: (1, 2, 3, 4, 5, 6, 7, 8, 9), 0: (5, 1, 2, 3, 4, 6, 7, 8, 9)}, True, 293
+    )
+
+
 def _circulant(n: int, jumps) -> tuple[list[int], list[int]]:
     """Neighbourhood masks and degrees of the circulant C_n(jumps); every
     vertex has the same degree, so index order is the search order."""
@@ -495,9 +531,9 @@ def test_chain_set_up_is_capped():
     # 2-vCPU VM). No test or benchmark graph needs more than 100 calls.
     pn, deg = _circulant(32, range(1, 8))
     start = time.monotonic()
-    assert search._stabilizer_chain(pn, deg) is None
+    assert _chain(pn, deg) is None
     assert time.monotonic() - start < 0.6
-    assert search._stabilizer_chain(*_circulant(12, (1, 2))) is not None
+    assert _chain(*_circulant(12, (1, 2))) is not None
 
 
 def test_find_first_above_order_12():
@@ -517,7 +553,7 @@ def test_capped_chain_falls_back_to_an_exact_search(monkeypatch):
     # p >= n: the plain search, with no order constraint and no ceiling
     # (count-all, since find-first builds no chain with the engine)
     engine = search._Engine(g, 11, "count-all")
-    assert (engine.aut_weight, engine.q) == (1, 8)
+    assert (engine.leaf_weight, engine.q) == (1, 8)
     assert [step[2:] for step in engine.steps] == [(-1, 1, 8)] * 7
     # p < n: residue classes, as without the chain
     assert (search._Engine(g, 5, "count-all").q, search._Engine(g, 5).q) == (5, 5)
@@ -581,8 +617,8 @@ def _regular(n: int, k: int, seed: int) -> Graph:
 @pytest.mark.parametrize("chain_after", [0, 1, 7])
 def test_chain_bought_at_restart_matches_oracles(monkeypatch, chain_after):
     # Find-first buys the chain after CHAIN_AFTER nodes and starts its run
-    # over, which few corpus runs reach at the default of 256. At p < n the
-    # chain is kept only where _chain_cuts_more finds that it cuts more.
+    # over, which few corpus runs reach at the default of 256. At every p
+    # the chain is kept only where it cuts more, |Aut(G)| > T.
     monkeypatch.setattr(search, "CHAIN_AFTER", chain_after)
     for gs in CONNECTED.values():
         for g in gs:
@@ -595,7 +631,7 @@ def test_short_find_first_builds_no_chain(monkeypatch):
     # on a 2-vCPU VM, where the search needs 70 nodes, under CHAIN_AFTER.
     g = _regular(64, 5, 5)
     engine = search._Engine(g, 67)
-    above, sizes = search._stabilizer_chain(engine.pn, engine.dp)
+    above, sizes = _chain(engine.pn, engine.dp)
     assert sizes == [1] * 64
 
     def no_chain(*args):
@@ -1206,8 +1242,9 @@ def test_corpus_counts_every_connected_graph():
 
 @pytest.mark.parametrize("n", sorted(CONNECTED))
 def test_corpus_against_oracles(n):
-    # p = 7 >= n runs under the stabilizer chain; p = 3 and 5 run under
-    # residue classes and twin runs from order 4 and 6 on
+    # p = 7 >= n runs under the stabilizer chain where |Aut| exceeds the
+    # twin runs' T; p = 3 and 5 run under residue classes and twin runs from
+    # order 4 and 6 on
     for g in CONNECTED[n]:
         for p in (3, 5, 7):
             _check_against_oracles(g, p)
