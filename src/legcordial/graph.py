@@ -201,8 +201,9 @@ def exact_int(value: object, what: str) -> int:
     """``value`` when it is an exact int, else TypeError naming ``what``.
 
     The objects that take integers from callers (Graph, Labeling, the
-    search's Budget and DiffWindow) and the recipe reader use it, since
-    int() would truncate 3.9 and read "3", 3.0 and true as integers.
+    search's Budget and DiffWindow), the family makers (make_path,
+    make_cycle, make_complete, make_star) and the recipe reader use it,
+    since int() would truncate 3.9 and read "3", 3.0 and true as integers.
     """
     if type(value) is not int:
         raise TypeError(f"{what} must be an integer, got {value!r}")
@@ -242,7 +243,7 @@ def adjacency(g: Graph) -> list[list[int]]:
 
 def make_path(n: int) -> Graph:
     """Path on n vertices: edges v1v2, v2v3, ..."""
-    if n < 1:
+    if exact_int(n, "path order") < 1:
         raise ValueError(f"path order must be >= 1, got {n}")
     check_shape(n, n - 1)
     return _trusted_graph(n, [(i, i + 1) for i in range(n - 1)])
@@ -250,7 +251,7 @@ def make_path(n: int) -> Graph:
 
 def make_cycle(n: int) -> Graph:
     """Cycle on n vertices; requires n >= 3."""
-    if n < 3:
+    if exact_int(n, "cycle order") < 3:
         raise ValueError(f"cycle order must be >= 3, got {n}")
     check_shape(n, n)
     # the wrap-around edge v1vn is (0, n-1), second in sorted order
@@ -259,7 +260,7 @@ def make_cycle(n: int) -> Graph:
 
 def make_complete(n: int) -> Graph:
     """Complete graph on n vertices."""
-    if n < 1:
+    if exact_int(n, "complete-graph order") < 1:
         raise ValueError(f"complete-graph order must be >= 1, got {n}")
     check_shape(n, n * (n - 1) // 2)
     return _trusted_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
@@ -267,7 +268,7 @@ def make_complete(n: int) -> Graph:
 
 def make_star(n: int) -> Graph:
     """Star of order n: center v1 (index 0) joined to the n-1 leaves."""
-    if n < 1:
+    if exact_int(n, "star order") < 1:
         raise ValueError(f"star order must be >= 1, got {n}")
     check_shape(n, n - 1)
     return _trusted_graph(n, [(0, i) for i in range(1, n)])

@@ -41,18 +41,18 @@ swap, so runs are not used with it, and each label is a class of its own.
 One rule, at every p, chooses between them: the chain when |Aut(G)|
 exceeds T = prod m_r! * prod R!, the most residue classes and twin runs
 cut (m_r labels of class r, 1 at p >= n; runs of length R). The engine
-computes T when it is built, and one with T >= n! never builds the chain,
-which cannot cut more; _Engine._buy_chain decides the rest. The chain's
-set-up stops after CHAIN_CALL_CAP automorphism-extension steps, or at the
-deadline, and an engine that keeps no chain uses residue classes and twin
-runs. Count-all visits the whole tree, so its engine chooses when it is
-built. Find-first stops at its first witness, mostly too soon for the
-set-up to pay; prove-none is find-first, its "none" the certificate. Their
-engine rents CHAIN_AFTER nodes under residue classes and twin runs,
-counted over its runs; the run that reaches the rent is abandoned, the
-engine chooses, and the run starts over (ski rental; Karlin, Manasse,
-Rudolph and Sleator, "Competitive snoopy caching", Algorithmica 1988).
-Every run thus searches under one rule.
+computes T when it is built, and _Engine._buy_chain applies the rule. The
+chain's set-up stops after CHAIN_CALL_CAP automorphism-extension steps, or
+at the deadline, and an engine that keeps no chain uses residue classes
+and twin runs. Every engine starts under them. One with T >= n! never
+chooses, since no chain can cut more; any other rents nodes under them,
+counted over its runs, before it chooses (ski rental; Karlin, Manasse,
+Rudolph and Sleator, "Competitive snoopy caching", Algorithmica 1988): 0
+in count-all, which visits the whole tree, and CHAIN_AFTER in find-first,
+which stops at its first witness, mostly too soon for the set-up to pay
+(prove-none is find-first, its "none" the certificate). Once the rent is
+spent, _Probes.run buys and starts the run that spent it over, so every
+run searches under one rule.
 
 Both reductions also cap each position's label, once per engine, and a
 larger label would leave no leaf below it: L(a) <= n - |O_a| + 1 under the
@@ -344,23 +344,22 @@ def _class_orders(n: int, q: int) -> int:
 
 
 class _Engine:
-    """Shared backtracking core; one instance per (graph, prime, mode).
-    Each entry point checks the prime before _Probes builds an engine:
-    SearchSpec, balance_form or achievable_differences itself."""
+    """Shared backtracking core; one instance per (graph, prime, count-all
+    or not). Each entry point checks the prime before _Probes builds an
+    engine: SearchSpec, balance_form or achievable_differences itself."""
 
     def __init__(
-        self, graph: Graph, p: int, mode: str = "find-first", deadline: float | None = None
+        self, graph: Graph, p: int, count_all: bool = False, deadline: float | None = None
     ):
-        """``mode`` is one of MODES. Every engine starts under residue
-        classes and twin runs and computes T, the most they cut (see the
-        module docstring); at T >= n! it keeps them, since no chain cuts
-        more. Otherwise count-all, which visits the whole pruned tree,
-        chooses its reduction here (_buy_chain), and find-first and
-        prove-none, which stop at their first witness, have _Probes choose
-        once they have rented CHAIN_AFTER nodes. ``deadline`` holds for the
-        chain's set-up, past which the engine goes without it, and for
+        """Every engine starts under residue classes and twin runs, computes
+        T, the most they cut (see the module docstring), and builds no
+        chain. ``chain_in`` is the rent, the nodes left before _Probes.run
+        has _buy_chain choose: None at T >= n!, where no chain cuts more; 0
+        in count-all, which visits the whole pruned tree and so chooses
+        before its first run; CHAIN_AFTER otherwise. ``deadline`` holds for
+        the chain's set-up, past which the engine goes without it, and for
         every run."""
-        self.stop_at_first = mode != "count-all"
+        self.stop_at_first = not count_all
         self.deadline = deadline
         n = graph.order
         deg = [0] * n
@@ -406,20 +405,15 @@ class _Engine:
         self.leaf_weight = _class_orders(n, self.q)
         self.twins = [(k, t) for k, t in enumerate(run) if t > 1]  # (position, run offset)
         # steps[k] = (earlier neighbours of position k, edges still undecided
-        # once k is labeled, above[k], run[k], top[k])
-        self.steps: list[tuple[list[int], int, int, int, int]] = []
+        # once k is labeled, above[k], top[k])
+        self.steps: list[tuple[list[int], int, int, int]] = []
         remaining = graph.size
         for k in range(n):
             remaining -= len(prev[k])
-            self.steps.append((prev[k], remaining, above[k], run[k], top[k]))
+            self.steps.append((prev[k], remaining, above[k], top[k]))
         # for _buy_chain: T, where a run's offsets 1..R multiply out to R!
         self.pn, self.dp, self.cut = pn, dp, self.leaf_weight * math.prod(run)
-        # nodes to rent under twin runs before _Probes buys the chain, or None
-        self.chain_in: int | None = None
-        if self.cut < math.factorial(n):
-            self.chain_in = CHAIN_AFTER
-            if not self.stop_at_first:
-                self._buy_chain()
+        self.chain_in = None if self.cut >= math.factorial(n) else 0 if count_all else CHAIN_AFTER
         # what an edge adds to d for every endpoint sum 0..2n: +1 when s mod p
         # is a quadratic residue (edge_label 1), by Euler's criterion, else -1;
         # 2n + 1 pow calls whatever p is, not a table of p residues
@@ -459,7 +453,7 @@ class _Engine:
         witness = None
         steps = self.steps
         sum_label = self.sum_label
-        leaf_prev, _, leaf_above, _, _ = steps[last]
+        leaf_prev, _, leaf_above, _ = steps[last]
 
         def next_checkpoint() -> int:
             # short of max_nodes only under a deadline
@@ -469,7 +463,7 @@ class _Engine:
 
         def place(k: int, diff: int, avail: int) -> None:
             nonlocal nodes, count, witness, checkpoint
-            prev_k, rem, above, _, top = steps[k]
+            prev_k, rem, above, top = steps[k]
             # the labels labels[above] + 1 .. top - 1; labels[above] < top,
             # since a chain orbit or a twin run bounds both
             m = avail & (1 << top) - (2 << labels[above])
@@ -552,7 +546,7 @@ class _Engine:
         self.twins = []
         steps = self.steps
         for k, (prev_k, rem, *_) in enumerate(steps):
-            steps[k] = (prev_k, rem, above[k], 1, n + 2 - sizes[k])
+            steps[k] = (prev_k, rem, above[k], n + 2 - sizes[k])
 
     def _assign_by_vertex(self, labels_by_pos: list[int]) -> tuple[int, ...]:
         assign = [0] * self.graph.order
@@ -570,31 +564,33 @@ def search_labeling(spec: SearchSpec) -> SearchResult:
     find-first and returns its result: a completed "none" is the
     certificate, and a witness, if one exists, is reported as "found".
     """
-    probes = _Probes(spec.p, spec.budget, spec.mode)
+    count_all = spec.mode == "count-all"
+    probes = _Probes(spec.p, spec.budget, count_all)
     count, witness = probes.run(spec.graph, spec.objective.lo, spec.objective.hi)
     if not probes.complete:
         return SearchResult("exhausted", probes.nodes)
     outcome = "none" if witness is None else "found"
-    return SearchResult(outcome, probes.nodes, witness, count if spec.mode == "count-all" else None)
+    return SearchResult(outcome, probes.nodes, witness, count if count_all else None)
 
 
 class _Probes:
-    """Window runs in one of MODES that share one node budget and one
-    deadline. The deadline starts when the _Probes is built, so it covers
-    building the engines.
+    """Window runs, count-all or find-first, that share one node budget
+    and one deadline. The deadline starts when the _Probes is built, so it
+    covers building the engines.
 
     An engine is built at the first run on a graph and kept, and it alone
     ends a run on budget or time, before its first node when none is left.
     Then ``complete`` is False, and every later run finds nothing at no cost.
-    While the engine rents (``chain_in`` is set), a run gets at most the
-    rent left. One that stops at the rent, with budget to spare, has the
-    engine buy the chain and starts over; its nodes count in ``nodes``.
+    ``run`` alone buys the chain, once the engine's rent (``chain_in``, 0
+    from the start in count-all) is spent. A run gets at most the rent left,
+    and one that stops at the rent with budget to spare starts over after
+    the purchase; its nodes count in ``nodes``.
     """
 
-    def __init__(self, p: int, budget: Budget | None, mode: str = "find-first"):
+    def __init__(self, p: int, budget: Budget | None, count_all: bool = False):
         budget = budget or Budget()
         self.p = p
-        self.mode = mode
+        self.count_all = count_all
         self.max_nodes = budget.max_nodes
         self.deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
         self.nodes = 0
@@ -612,19 +608,21 @@ class _Probes:
         if lo > hi:
             return 0, None
         if id(graph) not in self.engines:
-            self.engines[id(graph)] = _Engine(graph, self.p, self.mode, self.deadline)
+            self.engines[id(graph)] = _Engine(graph, self.p, self.count_all, self.deadline)
         engine = self.engines[id(graph)]
         while True:
+            if engine.chain_in == 0:  # the rent is spent: choose, then run
+                engine._buy_chain()
+            rent = engine.chain_in
             left = self.max_nodes - self.nodes
-            cap = left if engine.chain_in is None else min(engine.chain_in, left)
+            cap = left if rent is None else min(rent, left)
             nodes, count, witness, exhausted = engine.run(lo, hi, cap)
             self.nodes += nodes
-            if engine.chain_in is None:
+            if rent is not None:
+                engine.chain_in = rent - nodes  # the next run on this engine counts on
+            # a run stopped at the rent with budget left starts over
+            if engine.chain_in != 0 or not exhausted or cap == left:
                 break
-            engine.chain_in -= nodes  # the next run on this engine counts on
-            if engine.chain_in or not exhausted or cap == left:
-                break
-            engine._buy_chain()  # stopped at the rent with budget left: buy, start over
         self.complete = not exhausted
         return count, witness
 

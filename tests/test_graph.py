@@ -67,6 +67,17 @@ def test_family_validation():
         make_path(0)
 
 
+@pytest.mark.parametrize(
+    "family,what",
+    [(make_path, "path"), (make_cycle, "cycle"), (make_complete, "complete-graph"), (make_star, "star")],
+)
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_families_refuse_orders_that_are_not_ints(family, what, n):
+    # they build past Graph.__init__, so they check the order themselves
+    with pytest.raises(TypeError, match=f"^{what} order must be an integer, got {n}$"):
+        family(n)
+
+
 def test_size_caps():
     check_shape(MAX_ORDER, MAX_SIZE)  # both bounds are inclusive
     with pytest.raises(ValueError, match="size"):
@@ -410,6 +421,9 @@ def test_edges_given_as_iterators_are_read_once():
     # each pair is read once, on the fast path and on the checked path alike
     assert Graph(3, [iter((0, 1)), iter((1, 2))]) == Graph(3, [(0, 1), (1, 2)])
     assert Graph(3, (iter(e) for e in [(2, 1), (0, 1)])).edges == ((0, 1), (1, 2))
+    # an edge iterable that fails with its own TypeError raises that error
+    with pytest.raises(TypeError, match=r"^int\(\) argument must be "):
+        Graph(3, [(0, 1), (int(x) for x in [None])])
 
 
 def test_exact_int_refuses_what_int_would_convert():

@@ -35,6 +35,10 @@ def test_context_rejects_bad_p():
         LegendreContext(10007)  # above the size cap
 
 
+def test_context_repr():
+    assert repr(LegendreContext(7)) == "LegendreContext(p=7)"
+
+
 def test_prime_over_the_cap_is_refused_before_trial_division(monkeypatch):
     from legcordial import numtheory
 

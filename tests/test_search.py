@@ -263,14 +263,28 @@ def _check_against_oracles(g: Graph, p: int) -> None:
         assert assign == min(want[d], key=key)
 
 
-def _above_and_runs(g: Graph, p: int, mode: str = "find-first") -> tuple[list[int], list[int]]:
-    engine = search._Engine(g, p, mode)
-    return [step[2] for step in engine.steps], [step[3] for step in engine.steps]
+def _engine(g: Graph, p: int, count_all: bool = False) -> search._Engine:
+    """An engine as _Probes.run has it when its first run starts: one that
+    rents 0 nodes, as count-all's does, has bought the chain."""
+    engine = search._Engine(g, p, count_all)
+    if engine.chain_in == 0:
+        engine._buy_chain()
+    return engine
 
 
-def _largest_labels(g: Graph, p: int, mode: str = "find-first") -> list[int]:
+def _above_and_runs(g: Graph, p: int, count_all: bool = False) -> tuple[list[int], list[int]]:
+    """Each search position's above bound and its offset in its twin run (1
+    when it is in none)."""
+    engine = _engine(g, p, count_all)
+    runs = [1] * g.order
+    for k, t in engine.twins:
+        runs[k] = t
+    return [step[2] for step in engine.steps], runs
+
+
+def _largest_labels(g: Graph, p: int, count_all: bool = False) -> list[int]:
     """The largest label each search position may take: its ceiling - 1."""
-    return [step[4] - 1 for step in search._Engine(g, p, mode).steps]
+    return [step[3] - 1 for step in _engine(g, p, count_all).steps]
 
 
 def test_twin_runs_are_found():
@@ -283,29 +297,29 @@ def test_twin_runs_are_found():
 
 
 def test_twin_pairs_are_chain_constraints():
-    # p >= n, count-all, which chooses with the engine. Where |Aut| = T, the
-    # twin runs cut as much as the chain, and they stay: THREE_RUNS (|Aut|
-    # = T = 2!^3 = 8) at p = 7, and K5 (T = 5! = n!) at p = 5
-    assert _above_and_runs(THREE_RUNS, 7, "count-all") == (
+    # p >= n, count-all, which chooses before its first run. Where |Aut| =
+    # T, the twin runs cut as much as the chain, and they stay: THREE_RUNS
+    # (|Aut| = T = 2!^3 = 8) at p = 7, and K5 (T = 5! = n!) at p = 5
+    assert _above_and_runs(THREE_RUNS, 7, True) == (
         [-1, -1, 1, -1, 3, -1, 5], [1, 1, 2, 1, 2, 1, 2]
     )
-    assert _above_and_runs(make_complete(5), 5, "count-all") == ([-1, 0, 1, 2, 3], [1, 2, 3, 4, 5])
+    assert _above_and_runs(make_complete(5), 5, True) == ([-1, 0, 1, 2, 3], [1, 2, 3, 4, 5])
     # K3,3 (|Aut| 72 > T = 3! * 3! = 36) gets the chain: no runs, each twin
     # pair is an order constraint, and so is the swap of the two sides
-    assert _above_and_runs(_bipartite(3, 3), 7, "count-all") == ([-1, 0, 1, 0, 3, 4], [1] * 6)
+    assert _above_and_runs(_bipartite(3, 3), 7, True) == ([-1, 0, 1, 0, 3, 4], [1] * 6)
     # C5 has no twins: rotations put every position in O_0, and the
     # reflection fixing vertex 0 swaps its neighbours 1 and 4
-    assert _above_and_runs(make_cycle(5), 5, "count-all") == ([-1, 0, 0, 0, 1], [1] * 5)
+    assert _above_and_runs(make_cycle(5), 5, True) == ([-1, 0, 0, 0, 1], [1] * 5)
 
 
 def test_label_ceilings():
     # p >= n under the chain: position a's label is at most n - |O_a| + 1.
     # C5 has |O_0| = 5 (rotations) and |O_1| = 2 (the reflection fixing
     # position 0).
-    assert _largest_labels(make_cycle(5), 5, "count-all") == [1, 4, 5, 5, 5]
+    assert _largest_labels(make_cycle(5), 5, True) == [1, 4, 5, 5, 5]
     # K5 keeps its twin run (T = 5! = |Aut|), whose ceilings are the
     # chain's: n - (R - t) = n - |O_a| + 1
-    assert _largest_labels(make_complete(5), 5, "count-all") == [1, 2, 3, 4, 5]
+    assert _largest_labels(make_complete(5), 5, True) == [1, 2, 3, 4, 5]
     # p < n: offset t of a run of length R is at most n - (R - t)
     assert _largest_labels(make_complete(5), 3) == [1, 2, 3, 4, 5]
     assert _largest_labels(THREE_RUNS, 3) == [7, 6, 7, 6, 7, 6, 7]
@@ -353,7 +367,7 @@ def _check_chain_rule(g: Graph, aut: int, p: int) -> None:
     ``p`` >= n keeps the chain exactly when |Aut(G)| > T."""
     engine = search._Engine(g, 3)
     assert math.prod(_chain(engine.pn, engine.dp)[1]) == aut
-    engine = search._Engine(g, p, "count-all")
+    engine = _engine(g, p, True)
     assert engine.leaf_weight == (aut if aut > engine.cut else 1)
 
 
@@ -441,7 +455,7 @@ K4K2 = cartesian(make_complete(4), make_complete(2))
     ids=["C6-p3", "C7-p5", "C8-p7", "Q3-p5", "K4xK2-p5", "W7-p5"],
 )
 def test_chain_below_p_matches_oracles(g, p):
-    engine = search._Engine(g, p, "count-all")
+    engine = _engine(g, p, True)
     assert (engine.q, engine.leaf_weight) == (g.order + 1, _brute_aut_count(g))
     want = brute_diff_witnesses(g.edges, g.order, p)
 
@@ -514,6 +528,18 @@ def test_no_chain_cuts_more_so_nothing_is_rented():
     )
 
 
+def test_count_all_rents_nothing_and_probes_buy():
+    # Count-all rents 0 nodes: its engine builds no chain, and _Probes.run
+    # buys it before the first run. C7 at p = 5 keeps it (|Aut| 14 > T 4).
+    g = make_cycle(7)
+    engine = search._Engine(g, 5, count_all=True)
+    assert (engine.chain_in, engine.q, engine.leaf_weight) == (0, 5, 4)
+    probes = search._Probes(5, None, count_all=True)
+    assert probes.run(g, -1, 1)[0] == 2408
+    engine = probes.engines[id(g)]
+    assert (engine.chain_in, engine.q, engine.leaf_weight, probes.nodes) == (None, 8, 14, 1366)
+
+
 def _circulant(n: int, jumps) -> tuple[list[int], list[int]]:
     """Neighbourhood masks and degrees of the circulant C_n(jumps); every
     vertex has the same degree, so index order is the search order."""
@@ -551,12 +577,12 @@ def test_capped_chain_falls_back_to_an_exact_search(monkeypatch):
     monkeypatch.setattr(search, "CHAIN_CALL_CAP", 0)
     g = make_cycle(7)
     # p >= n: the plain search, with no order constraint and no ceiling
-    # (count-all, since find-first builds no chain with the engine)
-    engine = search._Engine(g, 11, "count-all")
-    assert (engine.leaf_weight, engine.q) == (1, 8)
-    assert [step[2:] for step in engine.steps] == [(-1, 1, 8)] * 7
+    # (count-all, which buys before its first run; find-first buys later)
+    engine = _engine(g, 11, True)
+    assert (engine.leaf_weight, engine.q, engine.chain_in) == (1, 8, None)
+    assert [step[2:] for step in engine.steps] == [(-1, 8)] * 7
     # p < n: residue classes, as without the chain
-    assert (search._Engine(g, 5, "count-all").q, search._Engine(g, 5).q) == (5, 5)
+    assert (_engine(g, 5, True).q, search._Engine(g, 5).q) == (5, 5)
     for p in (5, 11):
         _check_against_oracles(g, p)
     assert search_labeling(SearchSpec(g, 5, mode="count-all")).nodes == 3487
@@ -579,8 +605,9 @@ def test_chain_set_up_stops_at_the_deadline(monkeypatch):
         return extend(*args)
 
     monkeypatch.setattr(search, "_map_extension", counted)
-    # count-all builds the chain with the engine (find-first finds a cordial
-    # witness in 21 nodes, without one); its run needs more than 2 M nodes
+    # count-all buys the chain before its first run (find-first finds a
+    # cordial witness in 21 nodes, without one); its run needs more than 2 M
+    # nodes
     spec = SearchSpec(CUBIC12, 13, mode="count-all", budget=Budget(max_nodes=1000))
     first = search_labeling(spec)
     assert (first.outcome, first.nodes, calls[0]) == ("exhausted", 1000, 726)
