@@ -497,9 +497,9 @@ def main(argv: list[str] | None = None) -> int:
     # A command's data are JSON trees, lists and tuples of ints: acyclic, so
     # reference counting frees them, and the cyclic collector would only walk
     # them again and again (README "Limits" has what that costs a verify). The
-    # search engine breaks its one closure cycle itself; any cyclic garbage
-    # left is collected once the collector is back on. A caller who had it
-    # off keeps it off.
+    # search engine makes no reference cycle; any cyclic garbage left is
+    # collected once the collector is back on. A caller who had it off keeps
+    # it off.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -117,6 +117,8 @@ class Budget(Record):
     def __init__(self, max_nodes: int = DEFAULT_NODE_BUDGET, max_seconds: float | None = None):
         if exact_int(max_nodes, "node budget") <= 0:
             raise ValueError("node budget must be positive")
+        if max_seconds is not None and type(max_seconds) not in (int, float):  # bool too
+            raise TypeError(f"time budget must be an int or a float, got {max_seconds!r}")
         if max_seconds is not None and not max_seconds > 0:  # nan too
             raise ValueError("time budget must be positive")
         object.__setattr__(self, "max_nodes", max_nodes)
@@ -152,6 +154,11 @@ class SearchSpec(Record):
                  budget: Budget = Budget(), mode: str = "find-first"):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        for name, value, kind in (("graph", graph, Graph), ("objective", objective, DiffWindow)):
+            if not isinstance(value, kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        if budget is not None and not isinstance(budget, Budget):  # None: the default budget
+            raise TypeError(f"budget must be a Budget or None, got {type(budget).__name__}")
         _check_ceiling(graph)
         check_prime(p)
         object.__setattr__(self, "graph", graph)
@@ -198,14 +205,6 @@ class SearchResult(Record):
         if self.count is not None:
             obj["count"] = self.count
         return obj
-
-
-class _OutOfBudget(Exception):
-    pass
-
-
-class _FoundFirst(Exception):
-    pass
 
 
 class _ChainCapped(Exception):
@@ -369,19 +368,18 @@ class _Engine:
         self.graph = graph
         # decreasing degree; the sort is stable, so ties stay in index order
         self.order = sorted(range(n), key=deg.__getitem__, reverse=True)
-        pos = [0] * n
+        self.pos = pos = [0] * n  # each vertex's search position
         for k, v in enumerate(self.order):
             pos[v] = k
         prev: list[list[int]] = [[] for _ in range(n)]
         pn = [0] * n  # neighbourhood bitmasks over positions
         for u, v in graph.edges:
             ku, kv = pos[u], pos[v]
+            if ku > kv:
+                ku, kv = kv, ku
             pn[ku] |= 1 << kv
             pn[kv] |= 1 << ku
-            if ku < kv:
-                prev[kv].append(ku)
-            else:
-                prev[ku].append(kv)
+            prev[kv].append(ku)
         dp = [deg[v] for v in self.order]
         # above[k]: the earlier position whose label k's must exceed, or -1.
         # run[k]: k's offset in its run of twins, 1 when k is not in a run.
@@ -400,8 +398,7 @@ class _Engine:
                 top[k] = top[k + 1] - 1
         self.q = min(p, n + 1)
         # Each class's labels are placed smallest first, so a leaf stands for
-        # every order of each class's labels: prod m_r!; |Aut(G)| under the
-        # chain.
+        # every order of each class's labels: prod m_r!; |Aut(G)| under the chain.
         self.leaf_weight = _class_orders(n, self.q)
         self.twins = [(k, t) for k, t in enumerate(run) if t > 1]  # (position, run offset)
         # steps[k] = (earlier neighbours of position k, edges still undecided
@@ -427,100 +424,93 @@ class _Engine:
         returns (nodes, count, first witness, whether ``max_nodes`` or the
         deadline ran out).
 
-        The candidates are read from ``avail``, an int passed down the
-        recursion: bit lab is set when lab is the smallest unused label of
-        its residue class. Position k walks the set bits in
-        (labels[above], top), lowest first. The child's mask is built from
-        the parent's, so nothing is undone after a call. Position n - 2
-        settles each leaf itself. Once its candidate passes the window test,
-        the one label left is the single bit of the child's mask, and it is
-        a node when it is above its bound. Order 1 has no position n - 2;
-        its one position is its own leaf.
+        One loop walks the tree over depth k. Bit lab of ``avail`` is set
+        when lab is the smallest unused label of its residue class; ``m``
+        holds k's candidates left, the bits of ``avail`` in (labels[above],
+        top), lowest first; ``diff`` is d before k. A step down saves the
+        three at k, a step back up restores them. Position n - 2 settles
+        each leaf: once its candidate passes the window test, the one label
+        left is the single bit of the child's mask, a node when above its
+        bound. Order 1 has no position n - 2; its one position is its leaf.
         """
         n = self.graph.order
         last, penult = n - 1, n - 2
         labels = [0] * (n + 1)  # labels[-1] stays 0: "above" -1 bounds nothing
+        ms, diffs, avails = [0] * n, [0] * n, [0] * n
         # lab + q is lab's class successor; q <= n + 1 keeps each mask below
         # bit 2n + 2, and & full drops the successors past n.
         q = self.q
         full = (1 << n + 1) - 2  # labels 1..n
         leaf_weight, twins = self.leaf_weight, self.twins
         stop_at_first, deadline = self.stop_at_first, self.deadline
-        nodes = count = 0
-        # one checkpoint test per node; past it, next_checkpoint raises at
-        # the node budget and polls the deadline every 4096 nodes
+        nodes, count, witness = 0, 0, None
+        # one checkpoint test per node; past it, the run stops at the node
+        # budget, and under a deadline polls the clock every 4096 nodes
         checkpoint = max_nodes if deadline is None else 0
-        witness = None
-        steps = self.steps
-        sum_label = self.sum_label
+        steps, sum_label = self.steps, self.sum_label
         leaf_prev, _, leaf_above, _ = steps[last]
-
-        def next_checkpoint() -> int:
-            # short of max_nodes only under a deadline
-            if nodes >= max_nodes or time.monotonic() > deadline:
-                raise _OutOfBudget
-            return min(nodes + 4096, max_nodes)
-
-        def place(k: int, diff: int, avail: int) -> None:
-            nonlocal nodes, count, witness, checkpoint
-            prev_k, rem, above, top = steps[k]
-            # the labels labels[above] + 1 .. top - 1; labels[above] < top,
-            # since a chain orbit or a twin run bounds both
-            m = avail & (1 << top) - (2 << labels[above])
-            while m:
-                low = m & -m
-                m ^= low
-                lab = low.bit_length() - 1
+        k, diff, avail = 0, 0, full & (1 << q + 1) - 2
+        prev_k, rem, above, top = steps[0]
+        # the labels labels[above] + 1 .. top - 1; labels[above] < top, since
+        # a chain orbit or a twin run bounds both
+        m = avail & (1 << top) - (2 << labels[above])
+        while True:
+            if not m:
+                if not k:
+                    return nodes, count, witness, False
+                k -= 1
+                m, diff, avail = ms[k], diffs[k], avails[k]
+                prev_k, rem, _, _ = steps[k]
+                continue
+            low = m & -m
+            m ^= low
+            lab = low.bit_length() - 1
+            if nodes >= checkpoint:
+                # short of max_nodes only under a deadline
+                if nodes >= max_nodes or time.monotonic() > deadline:
+                    return nodes, count, witness, True
+                checkpoint = min(nodes + 4096, max_nodes)
+            nodes += 1
+            d = diff
+            for j in prev_k:
+                d += sum_label[lab + labels[j]]
+            if d - rem > hi or d + rem < lo:
+                continue
+            labels[k] = lab
+            rest = (avail ^ low | low << q) & full
+            if k < penult:
+                ms[k], diffs[k], avails[k] = m, diff, avail
+                k += 1
+                diff, avail = d, rest
+                prev_k, rem, above, top = steps[k]
+                m = avail & (1 << top) - (2 << labels[above])
+                continue
+            if k == penult:
+                # the leaf: the one label left
+                lab = rest.bit_length() - 1
+                if lab <= labels[leaf_above]:
+                    continue
                 if nodes >= checkpoint:
-                    checkpoint = next_checkpoint()
+                    if nodes >= max_nodes or time.monotonic() > deadline:
+                        return nodes, count, witness, True
+                    checkpoint = min(nodes + 4096, max_nodes)
                 nodes += 1
-                d = diff
-                for j in prev_k:
+                for j in leaf_prev:
                     d += sum_label[lab + labels[j]]
-                if d - rem > hi or d + rem < lo:
+                if d > hi or d < lo:
                     continue
-                labels[k] = lab
-                rest = (avail ^ low | low << q) & full
-                if k < penult:
-                    place(k + 1, d, rest)
-                    continue
-                if k == penult:
-                    # the leaf: the one label left
-                    lab = rest.bit_length() - 1
-                    if lab <= labels[leaf_above]:
-                        continue
-                    if nodes >= checkpoint:
-                        checkpoint = next_checkpoint()
-                    nodes += 1
-                    for j in leaf_prev:
-                        d += sum_label[lab + labels[j]]
-                    if d > hi or d < lo:
-                        continue
-                    labels[last] = lab
-                # rem is 0 at the leaf, so d is in [lo, hi]. t / m at offset t of a
-                # run, m of whose first t labels share t's class, gives R! / prod(k_r!).
-                w = leaf_weight
-                for j, t in twins:
-                    r = labels[j] % q
-                    w = w * t // (1 + sum(1 for x in labels[j - t + 1:j] if x % q == r))
-                count += w
-                if witness is None:
-                    witness = self._assign_by_vertex(labels)
-                if stop_at_first:
-                    raise _FoundFirst
-
-        exhausted = False
-        try:
-            place(0, 0, full & (1 << q + 1) - 2)
-        except _FoundFirst:
-            pass
-        except _OutOfBudget:
-            exhausted = True
-        finally:
-            # place refers to itself; dropping it here frees the run's state
-            # now rather than at the next cyclic collection
-            del place
-        return nodes, count, witness, exhausted
+                labels[last] = lab
+            # rem is 0 at the leaf, so d is in [lo, hi]. t / m at offset t of a
+            # run, m of whose first t labels share t's class, gives R! / prod(k_r!).
+            w = leaf_weight
+            for j, t in twins:
+                r = labels[j] % q
+                w = w * t // (1 + sum(1 for x in labels[j - t + 1:j] if x % q == r))
+            count += w
+            if witness is None:  # indexed by vertex
+                witness = tuple(map(labels.__getitem__, self.pos))
+            if stop_at_first:
+                return nodes, count, witness, False
 
     def _buy_chain(self) -> None:
         """Choose the engine's reduction for good: the stabilizer chain when
@@ -548,12 +538,6 @@ class _Engine:
         for k, (prev_k, rem, *_) in enumerate(steps):
             steps[k] = (prev_k, rem, above[k], n + 2 - sizes[k])
 
-    def _assign_by_vertex(self, labels_by_pos: list[int]) -> tuple[int, ...]:
-        assign = [0] * self.graph.order
-        for k, v in enumerate(self.order):
-            assign[v] = labels_by_pos[k]
-        return tuple(assign)
-
 
 def search_labeling(spec: SearchSpec) -> SearchResult:
     """Run the oracle described by ``spec``; see the module docstring for semantics.
@@ -564,13 +548,12 @@ def search_labeling(spec: SearchSpec) -> SearchResult:
     find-first and returns its result: a completed "none" is the
     certificate, and a witness, if one exists, is reported as "found".
     """
-    count_all = spec.mode == "count-all"
-    probes = _Probes(spec.p, spec.budget, count_all)
+    probes = _Probes(spec.p, spec.budget, spec.mode == "count-all")
     count, witness = probes.run(spec.graph, spec.objective.lo, spec.objective.hi)
     if not probes.complete:
         return SearchResult("exhausted", probes.nodes)
     outcome = "none" if witness is None else "found"
-    return SearchResult(outcome, probes.nodes, witness, count if count_all else None)
+    return SearchResult(outcome, probes.nodes, witness, count if probes.count_all else None)
 
 
 class _Probes:
@@ -588,6 +571,8 @@ class _Probes:
     """
 
     def __init__(self, p: int, budget: Budget | None, count_all: bool = False):
+        if budget is not None and not isinstance(budget, Budget):
+            raise TypeError(f"budget must be a Budget or None, got {type(budget).__name__}")
         budget = budget or Budget()
         self.p = p
         self.count_all = count_all

@@ -28,7 +28,7 @@ from legcordial.search import (
     search_labeling,
 )
 
-from oracles import brute_cordial_count, brute_diff_witnesses, brute_tally
+from oracles import brute_cordial_count, brute_diff_witnesses, brute_tally, residue_dp_counts
 
 
 def test_c3_always_cordial():
@@ -551,15 +551,30 @@ def _circulant(n: int, jumps) -> tuple[list[int], list[int]]:
     return pn, [m.bit_count() for m in pn]
 
 
-def test_chain_set_up_is_capped():
+def _count_map_extension(monkeypatch) -> list[int]:
+    """Counts _map_extension's calls, its recursive ones included, in the
+    returned list's one entry."""
+    calls = [0]
+    extend = search._map_extension
+
+    def counted(*args):
+        calls[0] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(search, "_map_extension", counted)
+    return calls
+
+
+def test_chain_set_up_is_capped(monkeypatch):
     # C_32(1..7) needs 121 083 _map_extension calls, about 1 s, for its
-    # chain; the cap stops it after CHAIN_CALL_CAP calls (0.12 s on a
-    # 2-vCPU VM). No test or benchmark graph needs more than 100 calls.
-    pn, deg = _circulant(32, range(1, 8))
-    start = time.monotonic()
-    assert _chain(pn, deg) is None
-    assert time.monotonic() - start < 0.6
-    assert _chain(*_circulant(12, (1, 2))) is not None
+    # chain. The cap lets CHAIN_CALL_CAP calls run, and the next one stops
+    # the set-up. No test or benchmark graph needs more than 100 calls.
+    calls = _count_map_extension(monkeypatch)
+    assert _chain(*_circulant(32, range(1, 8))) is None
+    assert calls[0] == search.CHAIN_CALL_CAP + 1
+    calls[0] = 0
+    chain = _chain(*_circulant(12, (1, 2)))  # |Aut| 24, the dihedral group
+    assert (math.prod(chain[1]), calls[0]) == (24, 32)
 
 
 def test_find_first_above_order_12():
@@ -597,14 +612,7 @@ CUBIC12 = Graph(12, [
 
 
 def test_chain_set_up_stops_at_the_deadline(monkeypatch):
-    calls = [0]
-    extend = search._map_extension
-
-    def counted(*args):
-        calls[0] += 1
-        return extend(*args)
-
-    monkeypatch.setattr(search, "_map_extension", counted)
+    calls = _count_map_extension(monkeypatch)
     # count-all buys the chain before its first run (find-first finds a
     # cordial witness in 21 nodes, without one); its run needs more than 2 M
     # nodes
@@ -711,14 +719,7 @@ def test_deadline_or_cap_during_the_purchase(monkeypatch):
     # _map_extension calls) is bought at node 10, and the run starts over
     # under it: 10 + 21 nodes
     monkeypatch.setattr(search, "CHAIN_AFTER", 10)
-    calls = [0]
-    extend = search._map_extension
-
-    def counted(*args):
-        calls[0] += 1
-        return extend(*args)
-
-    monkeypatch.setattr(search, "_map_extension", counted)
+    calls = _count_map_extension(monkeypatch)
     full = search_labeling(SearchSpec(CUBIC12, 13))
     assert (full.outcome, full.nodes, calls[0]) == ("found", 31, 726)
     # a clock that passes the deadline after 100 calls ends the run at the purchase
@@ -772,6 +773,52 @@ def test_star_count_all_has_a_closed_form(n, p):
         want = sum(window.lo <= x <= window.hi for x in d) * math.factorial(n - 1)
         assert res.count == want and res.complete
         assert res.outcome == ("found" if want else "none")
+
+
+def _sparse(n: int, seed: int) -> Graph:
+    """The first connected draw of order n with edge probability 0.3 from
+    random.Random(seed)'s random(), whose sequence Python keeps the same
+    from version to version."""
+    rng = random.Random(seed)
+    while True:
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+        if is_connected(g):
+            return g
+
+
+# Graphs of order 8-12 and the primes at which the engine's count-all runs
+# at both windows finish in about 0.1 s or less (the longest, cordial
+# P5 x P2 at p = 5, takes 276 536 nodes and 0.1 s on a 2-vCPU VM).
+RESIDUE_DP_CASES = [
+    (make_cycle(8), (3, 5, 7)), (make_cycle(9), (3, 5)), (make_cycle(10), (3, 5)),
+    (make_cycle(11), (3,)), (make_cycle(12), (3,)),
+    (make_path(8), (5, 7)), (make_path(9), (3, 5)), (make_path(10), (3,)), (make_path(12), (3,)),
+    (cartesian(make_path(5), make_path(2)), (3, 5)), (cartesian(make_path(6), make_path(2)), (3,)),
+    (_sparse(8, 1), (3, 5, 7)), (_sparse(9, 2), (3, 5)), (_sparse(10, 3), (3,)),
+    (_sparse(11, 4), (3,)),
+]
+
+
+@pytest.mark.parametrize(
+    "g,primes", RESIDUE_DP_CASES,
+    ids=["C8", "C9", "C10", "C11", "C12", "P8", "P9", "P10", "P12", "P5xP2", "P6xP2",
+         "G8", "G9", "G10", "G11"],
+)
+def test_counts_above_brute_force_orders_match_the_residue_dp(g, primes):
+    # Brute force stops being practical near order 9. The residue DP counts
+    # labelings without listing them, so count-all counts, their leaf
+    # weights (prod m_r!, twin-run multinomials, |Aut| under the chain) and
+    # prove-none verdicts are checked here against a count the engine did
+    # not make. The high window holds no labeling for P5 x P2 and G8-G11 at
+    # p = 3 and for G9 at p = 5, so it checks "none" certificates too.
+    for p in primes:
+        counts = residue_dp_counts(g.edges, g.order, p)
+        for lo, hi in ((-1, 1), (g.size - 4, g.size - 2)):
+            want = sum(c for d, c in counts.items() if lo <= d <= hi)
+            res = search_labeling(SearchSpec(g, p, DiffWindow(lo, hi), mode="count-all"))
+            assert (res.count, res.outcome) == (want, "found" if want else "none")
+            res = search_labeling(SearchSpec(g, p, DiffWindow(lo, hi), mode="prove-none"))
+            assert res.outcome == ("found" if want else "none")
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 9973])
@@ -1230,6 +1277,29 @@ def test_budget_bounds_are_checked():
     for seconds in (0, -1.0, math.nan):
         with pytest.raises(ValueError, match="time budget must be positive"):
             Budget(max_seconds=seconds)
+    for seconds in (True, "5"):  # True is no number of seconds, as it is no node budget
+        with pytest.raises(TypeError, match="time budget must be an int or a float, got"):
+            Budget(max_seconds=seconds)
+    assert [Budget(max_seconds=s).max_seconds for s in (2, 0.5)] == [2, 0.5]
+
+
+def test_search_inputs_of_the_wrong_type_are_refused():
+    # refused where they are built, not when a search first reads them
+    g = make_cycle(5)
+    cases = [
+        ({"graph": "x"}, "graph must be a Graph, got str"),
+        ({"objective": (0, 1)}, "objective must be a DiffWindow, got tuple"),
+        ({"budget": 100}, "budget must be a Budget or None, got int"),
+    ]
+    for fields, message in cases:
+        kwargs = {"graph": g, "p": 5} | fields
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            SearchSpec(**kwargs)
+    assert SearchSpec(g, 5, budget=None).budget is None  # None: the default budget
+    with pytest.raises(TypeError, match="^budget must be a Budget or None, got int$"):
+        achievable_differences(g, 5, budget=100)
+    with pytest.raises(TypeError, match="^budget must be a Budget or None, got int$"):
+        find_base_labelings("join", make_path(3), make_complete(1), 3, budget=100)
 
 
 def test_searches_leave_no_reference_cycles():
