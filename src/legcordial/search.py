@@ -9,57 +9,18 @@ exactly when even labeling every undecided edge uniformly 0 or uniformly 1
 cannot bring d into the window, which keeps pruning sound for counting and
 non-existence proofs, not just satisfiability.
 
-Two exact reductions shrink the tree; an engine uses one of them. First,
-residue classes and twin runs. An edge's induced label depends only on
-(f(u) + f(v)) mod p, so two unused labels of one residue class mod p lead
-to isomorphic subtrees; at p >= n each label is a class of its own. Each
-node therefore expands only the smallest unused label of each class.
-Outcomes, counts and first witnesses are those of the full search, because
-the first witness in search order always uses the smallest unused label of
-its class. Vertices u and v are twins when N(u) - {v} = N(v) - {u};
-swapping them is an automorphism. Consecutive positions that are twins
-form a run, and labels must increase along it; the first witness already
-does, since swapping twins keeps d. In count-all each leaf, its weight
-computed there from its labels, stands for prod m_r! labelings (m_r labels
-in 1..n of class r) times R! / prod(k_r!) for each run of length R holding
-k_r labels of class r, every order of the run's classes.
-
-Second, the stabilizer chain, exact at every p: labels 1..n are distinct
-integers, so Aut(G) acts freely on labelings. Take the labels L in
-search-position order. A non-identity automorphism s is decided at the
-first position a it moves, where L(a) != L(s(a)). So L is the lex-least
-labeling of its orbit exactly when L(a) < L(b) for every position a and
-every other b in O_a, the orbit of a under the automorphisms that fix
-positions 0..a-1 (Puget, "Breaking symmetries in all different problems",
-IJCAI 2005). The engine computes these orbits once per graph, without
-listing the group, and starts position b's candidates above the label of
-the largest a whose orbit holds b; every unused label is a candidate. The
-first witness in search order is lex-least, so it survives. Count-all
-weighs every leaf by |Aut(G)| = prod |O_a|. The chain holds every twin
-swap, so runs are not used with it, and each label is a class of its own.
-
-One rule, at every p, chooses between them: the chain when |Aut(G)|
-exceeds T = prod m_r! * prod R!, the most residue classes and twin runs
-cut (m_r labels of class r, 1 at p >= n; runs of length R). The engine
-computes T when it is built, and _Engine._buy_chain applies the rule. The
-chain's set-up stops after CHAIN_CALL_CAP automorphism-extension steps, or
-at the deadline, and an engine that keeps no chain uses residue classes
-and twin runs. Every engine starts under them. One with T >= n! never
-chooses, since no chain can cut more; any other rents nodes under them,
-counted over its runs, before it chooses (ski rental; Karlin, Manasse,
-Rudolph and Sleator, "Competitive snoopy caching", Algorithmica 1988): 0
-in count-all, which visits the whole tree, and CHAIN_AFTER in find-first,
-which stops at its first witness, mostly too soon for the set-up to pay
-(prove-none is find-first, its "none" the certificate). Once the rent is
-spent, _Probes.run buys and starts the run that spent it over, so every
-run searches under one rule.
-
-Both reductions also cap each position's label, once per engine, and a
-larger label would leave no leaf below it: L(a) <= n - |O_a| + 1 under the
-chain, since the rest of O_a needs larger labels, and L <= n - (R - t) at
-offset t of a twin run of length R. The last position's label, the one
-left unused, is not scanned for: the position before it reads it off and
-settles the leaf.
+Two exact reductions shrink the tree, residue classes with twin runs and
+the stabilizer chain; symmetry.py holds them and the rule between them.
+Every engine starts under the first. One with T >= n! never chooses,
+since no chain can cut more; any other rents nodes, counted over its
+runs, before it chooses (ski rental; Karlin, Manasse, Rudolph and
+Sleator, "Competitive snoopy caching", Algorithmica 1988): 0 in
+count-all, which visits the whole tree, and CHAIN_AFTER in find-first,
+which stops at its first witness, mostly too soon for the chain's set-up
+to pay (prove-none is find-first, its "none" the certificate). Once the
+rent is spent, _Probes.run buys and starts the run that spent it over, so
+every run searches under one rule. The last position's label, the one
+left unused, is read off by the position before it, not scanned for.
 
 Also, d always has the parity of the graph's size, so the window is
 narrowed to that parity before the engine is built; an empty window is a
@@ -87,8 +48,8 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 
+from . import symmetry
 from .constructors import (
     BASE_LABELINGS,
     BalanceForm,
@@ -101,10 +62,6 @@ from .numtheory import check_prime
 
 DEFAULT_ORDER_CEILING = 64
 DEFAULT_NODE_BUDGET = 2_000_000
-# _map_extension calls allowed in one _stabilizer_chain run; at the cap the
-# engine drops the chain and searches without it
-CHAIN_CALL_CAP = 10_000
-CHAIN_POLL = 256  # _map_extension calls between two reads of the clock
 # find-first nodes an engine rents, over its runs, before it buys the chain
 CHAIN_AFTER = 256
 
@@ -154,9 +111,8 @@ class SearchSpec(Record):
                  budget: Budget = Budget(), mode: str = "find-first"):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        for name, value, kind in (("graph", graph, Graph), ("objective", objective, DiffWindow)):
-            if not isinstance(value, kind):
-                raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        _check_type("graph", graph, Graph)
+        _check_type("objective", objective, DiffWindow)
         if budget is not None and not isinstance(budget, Budget):  # None: the default budget
             raise TypeError(f"budget must be a Budget or None, got {type(budget).__name__}")
         _check_ceiling(graph)
@@ -166,6 +122,11 @@ class SearchSpec(Record):
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "budget", budget)
         object.__setattr__(self, "mode", mode)
+
+
+def _check_type(name: str, value: object, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _check_ceiling(graph: Graph) -> None:
@@ -207,141 +168,6 @@ class SearchResult(Record):
         return obj
 
 
-class _ChainCapped(Exception):
-    pass
-
-
-def _map_extension(
-    pn: list[int], deg: list[int], img: list[int], dom: int, used: int, left: list[int],
-    deadline: float | None,
-) -> list[int] | None:
-    """Extend a partial map of positions to an automorphism, or return None.
-
-    ``img[x]`` is the image of each x in the bitmask ``dom``, ``used`` is the
-    mask of those images, and the mapped pairs already agree on adjacency.
-    The next position mapped is the unmapped one with the most mapped
-    neighbours, so a dead end shows early. ``left[0]`` is the number of
-    calls still allowed; past it, or once the clock, read every CHAIN_POLL
-    calls, has passed ``deadline``, _ChainCapped is raised.
-    """
-    if not left[0]:
-        raise _ChainCapped
-    left[0] -= 1
-    if deadline is not None and not left[0] % CHAIN_POLL and time.monotonic() > deadline:
-        raise _ChainCapped
-    n = len(pn)
-    if dom == (1 << n) - 1:
-        return img
-    best = -1
-    for x in range(n):
-        if not dom >> x & 1:
-            c = (pn[x] & dom).bit_count()
-            if c > best:
-                u, best = x, c
-    want = 0  # the images of u's mapped neighbours
-    m = pn[u] & dom
-    while m:
-        want |= 1 << img[(m & -m).bit_length() - 1]
-        m &= m - 1
-    du = deg[u]
-    for w in range(n):
-        if not used >> w & 1 and deg[w] == du and pn[w] & used == want:
-            img[u] = w
-            if _map_extension(pn, deg, img, dom | 1 << u, used | 1 << w, left, deadline):
-                return img
-    return None
-
-
-def _invariant(pn: list[int], deg: list[int], k: int) -> int:
-    """A number that every automorphism keeps at position k.
-
-    Each neighbour j of k adds deg[j] * 4096 plus the number of neighbours
-    j shares with k (any weight keeps the sum invariant; 4096 keeps the two
-    parts apart), so two positions with different numbers lie in different
-    orbits.
-    """
-    total, m = 0, pn[k]
-    while m:
-        j = (m & -m).bit_length() - 1
-        total += deg[j] * 4096 + (pn[j] & pn[k]).bit_count()
-        m &= m - 1
-    return total
-
-
-def _stabilizer_chain(
-    pn: list[int], deg: list[int], inv: list[int], deadline: float | None = None
-) -> tuple[list[int], list[int]] | None:
-    """Stabilizer-chain orbits of Aut(G), acting on search positions.
-
-    ``pn[k]`` is position k's neighbourhood bitmask, ``deg[k]`` its degree
-    and ``inv[k]`` its _invariant; positions of equal degree are
-    consecutive. O_a is the orbit of a under the automorphisms that fix
-    positions 0..a-1. Returns ``(above, sizes)``: ``above[b]`` is the
-    largest a < b with b in O_a, or -1, and ``sizes[a]`` is |O_a|, so
-    |Aut(G)| = prod sizes. Levels run from the last position
-    down, so every automorphism found so far fixes 0..a-1 and closes O_a
-    without a search. Returns None once CHAIN_CALL_CAP calls of
-    _map_extension have not sufficed, or once ``deadline`` has passed.
-    """
-    n = len(pn)
-    if 2 * sum(deg) > n * (n - 1):
-        # The complement has the same automorphisms, so inv still separates
-        # orbits, and its sparser neighbourhoods make the search below
-        # choose better.
-        pn = [((1 << n) - 1) & ~m & ~(1 << k) for k, m in enumerate(pn)]
-        deg = [n - 1 - d for d in deg]
-    above = [-1] * n
-    sizes = [1] * n
-    gens: list[list[int]] = []
-    left = [CHAIN_CALL_CAP]
-    for a in range(n - 2, -1, -1):
-        if deg[a + 1] != deg[a]:  # a's degree class is {a}: O_a = {a}
-            continue
-        fixed = (1 << a) - 1
-        na, fixed_na = pn[a], pn[a] & fixed
-        orbit, seen = [a], 1 << a
-        for b in range(a + 1, n):
-            if deg[b] != deg[a]:
-                break
-            if seen >> b & 1 or pn[b] & fixed != fixed_na:
-                continue
-            if na & ~(1 << b) == pn[b] & ~(1 << a):  # twins: swap them
-                g = list(range(n))
-                g[a], g[b] = b, a
-            else:
-                if inv[b] != inv[a]:
-                    continue
-                img = list(range(a)) + [-1] * (n - a)
-                img[a] = b
-                try:
-                    g = _map_extension(
-                        pn, deg, img, fixed | 1 << a, fixed | 1 << b, left, deadline
-                    )
-                except _ChainCapped:
-                    return None
-                if g is None:
-                    continue
-            gens.append(g)
-            for x in orbit:  # the list grows as the orbit closes
-                for h in gens:
-                    y = h[x]
-                    if not seen >> y & 1:
-                        seen |= 1 << y
-                        orbit.append(y)
-        sizes[a] = len(orbit)
-        for b in orbit[1:]:
-            if above[b] < 0:
-                above[b] = a
-    return above, sizes
-
-
-def _class_orders(n: int, q: int) -> int:
-    """prod m_r! over the classes r mod q of the labels 1..n, m_r labels in
-    class r: the labelings one leaf stands for under residue classes."""
-    # n % q classes hold n // q + 1 labels, the other classes n // q
-    return math.factorial(n // q + 1) ** (n % q) * math.factorial(n // q) ** (q - n % q)
-
-
 class _Engine:
     """Shared backtracking core; one instance per (graph, prime, count-all
     or not). Each entry point checks the prime before _Probes builds an
@@ -350,14 +176,9 @@ class _Engine:
     def __init__(
         self, graph: Graph, p: int, count_all: bool = False, deadline: float | None = None
     ):
-        """Every engine starts under residue classes and twin runs, computes
-        T, the most they cut (see the module docstring), and builds no
-        chain. ``chain_in`` is the rent, the nodes left before _Probes.run
-        has _buy_chain choose: None at T >= n!, where no chain cuts more; 0
-        in count-all, which visits the whole pruned tree and so chooses
-        before its first run; CHAIN_AFTER otherwise. ``deadline`` holds for
-        the chain's set-up, past which the engine goes without it, and for
-        every run."""
+        """``chain_in`` is the rent (see the module docstring), the nodes
+        left before _Probes.run has _buy_chain choose, or None when it never
+        does. ``deadline`` holds for the chain's set-up and every run."""
         self.stop_at_first = not count_all
         self.deadline = deadline
         n = graph.order
@@ -380,27 +201,8 @@ class _Engine:
             pn[ku] |= 1 << kv
             pn[kv] |= 1 << ku
             prev[kv].append(ku)
-        dp = [deg[v] for v in self.order]
-        # above[k]: the earlier position whose label k's must exceed, or -1.
-        # run[k]: k's offset in its run of twins, 1 when k is not in a run.
-        # top[k]: k's label ceiling plus 1 (see the module docstring).
-        # q: the step between labels of one class; n + 1 puts each label in
-        # a class of its own.
-        # Twins u, v (N(u) - {v} = N(v) - {u}) at consecutive positions form
-        # a run, and labels increase along it.
-        above, run = [-1] * n, [1] * n
-        for k in range(1, n):
-            if dp[k] == dp[k - 1] and pn[k] & ~(1 << (k - 1)) == pn[k - 1] & ~(1 << k):
-                above[k], run[k] = k - 1, run[k - 1] + 1
-        top = [n + 1] * n
-        for k in range(n - 2, -1, -1):
-            if run[k + 1] > 1:  # k + 1 continues k's run
-                top[k] = top[k + 1] - 1
-        self.q = min(p, n + 1)
-        # Each class's labels are placed smallest first, so a leaf stands for
-        # every order of each class's labels: prod m_r!; |Aut(G)| under the chain.
-        self.leaf_weight = _class_orders(n, self.q)
-        self.twins = [(k, t) for k, t in enumerate(run) if t > 1]  # (position, run offset)
+        self.pn, self.dp = pn, [deg[v] for v in self.order]
+        (above, top, self.q, self.leaf_weight, self.twins), self.cut = symmetry.start(pn, self.dp, p)
         # steps[k] = (earlier neighbours of position k, edges still undecided
         # once k is labeled, above[k], top[k])
         self.steps: list[tuple[list[int], int, int, int]] = []
@@ -408,8 +210,6 @@ class _Engine:
         for k in range(n):
             remaining -= len(prev[k])
             self.steps.append((prev[k], remaining, above[k], top[k]))
-        # for _buy_chain: T, where a run's offsets 1..R multiply out to R!
-        self.pn, self.dp, self.cut = pn, dp, self.leaf_weight * math.prod(run)
         self.chain_in = None if self.cut >= math.factorial(n) else 0 if count_all else CHAIN_AFTER
         # what an edge adds to d for every endpoint sum 0..2n: +1 when s mod p
         # is a quadratic residue (edge_label 1), by Euler's criterion, else -1;
@@ -513,30 +313,14 @@ class _Engine:
                 return nodes, count, witness, False
 
     def _buy_chain(self) -> None:
-        """Choose the engine's reduction for good: the stabilizer chain when
-        it cuts more than residue classes and twin runs, |Aut(G)| > T.
-        Automorphisms keep degree and _invariant, so B = prod (cell size)!
-        over the cells of equal (degree, _invariant) bounds |Aut(G)|; the
-        chain is built only when B > T, and kept only when |Aut(G)| > T and
-        its set-up stopped at neither the cap nor the deadline. A kept chain
-        replaces twin runs and residue classes, and each step's bounds are
-        rewritten in place. Labels are distinct, so Aut(G) acts freely and
-        every leaf stands for |Aut(G)| labelings."""
+        """Choose the engine's reduction for good: the chain, when
+        symmetry.purchase returns its bounds, replaces each step's."""
         self.chain_in = None
-        pn, deg, n = self.pn, self.dp, self.graph.order
-        inv = [_invariant(pn, deg, k) for k in range(n)]
-        if math.prod(map(math.factorial, Counter(zip(deg, inv)).values())) <= self.cut:
-            return
-        chain = _stabilizer_chain(pn, deg, inv, self.deadline)
-        if chain is None or math.prod(chain[1]) <= self.cut:
-            return
-        above, sizes = chain
-        self.leaf_weight = math.prod(sizes)
-        self.q = n + 1
-        self.twins = []
-        steps = self.steps
-        for k, (prev_k, rem, *_) in enumerate(steps):
-            steps[k] = (prev_k, rem, above[k], n + 2 - sizes[k])
+        chain = symmetry.purchase(self.pn, self.dp, self.cut, self.deadline)
+        if chain is not None:
+            above, top, self.q, self.leaf_weight, self.twins = chain
+            for k, (prev_k, rem, *_) in enumerate(self.steps):
+                self.steps[k] = (prev_k, rem, above[k], top[k])
 
 
 def search_labeling(spec: SearchSpec) -> SearchResult:
@@ -564,10 +348,9 @@ class _Probes:
     An engine is built at the first run on a graph and kept, and it alone
     ends a run on budget or time, before its first node when none is left.
     Then ``complete`` is False, and every later run finds nothing at no cost.
-    ``run`` alone buys the chain, once the engine's rent (``chain_in``, 0
-    from the start in count-all) is spent. A run gets at most the rent left,
-    and one that stops at the rent with budget to spare starts over after
-    the purchase; its nodes count in ``nodes``.
+    ``run`` alone buys the chain, once the engine's rent is spent. A run
+    gets at most the rent left, and one that stops at the rent with budget
+    to spare starts over after the purchase; its nodes count in ``nodes``.
     """
 
     def __init__(self, p: int, budget: Budget | None, count_all: bool = False):
@@ -621,6 +404,7 @@ def achievable_differences(
     engine. Returns (witnesses, complete, nodes). complete is False when the
     budget ran out, in which case the map may be partial.
     """
+    _check_type("graph", graph, Graph)
     check_prime(p)
     probes = _Probes(p, budget)
     q = graph.size
@@ -650,6 +434,8 @@ def find_base_labelings(
     ``_probe_pair``). Outcome "none" certifies that no pair of labelings fits.
     """
     theorem = normalize_theorem(theorem)
+    _check_type("g1", g1, Graph)
+    _check_type("g2", g2, Graph)
     form = balance_form(theorem, g1, g2, p)  # raises on structural violations
     probes = _Probes(p, budget)
     labeled1, labeled2 = BASE_LABELINGS[theorem]

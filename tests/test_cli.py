@@ -178,6 +178,22 @@ def test_verify_disconnected_is_admission_error(capsys):
     assert json.loads(err)["error"]["type"] == "admission-error"
 
 
+def test_search_and_construct_auto_admit_disconnected_graphs(capsys):
+    # verify refuses a disconnected graph; search searches it like any other
+    code, out, err = run(capsys, "search", "--g", "edges:3:0-1", "--p", "3")
+    assert (code, json.loads(out), err) == (
+        0, {"outcome": "found", "nodes": 3, "labeling": [1, 2, 3]}, ""
+    )
+    # the join allows a disconnected factor, and --auto probes it
+    code, out, err = run(
+        capsys, "construct", "join", "--g1", "cycle:5", "--g2", "edges:4:0-1,2-3", "--p", "5",
+        "--auto",
+    )
+    obj = json.loads(out)
+    assert (code, err, obj["labeling"]["assign"]) == (0, "", [1, 2, 4, 5, 3, 6, 8, 7, 9])
+    assert obj["verified"] == {"e0": 14, "e1": 13, "cordial": True}
+
+
 def test_legendre(capsys):
     code, out, _ = run(capsys, "legendre", "2", "3")
     assert code == 0

@@ -16,7 +16,7 @@ from legcordial.graph import Graph, is_connected, make_complete, make_cycle, mak
 from legcordial.labeling import Labeling, edge_label, induced_tally
 from legcordial.numtheory import LegendreContext
 from legcordial.products import cartesian, join
-from legcordial import constructors, search
+from legcordial import constructors, search, symmetry
 from legcordial.search import (
     MODES,
     Budget,
@@ -355,10 +355,10 @@ def test_aut_weight_is_pinned(g, aut):
 
 
 def _chain(pn: list[int], deg: list[int]) -> tuple[list[int], list[int]] | None:
-    """_stabilizer_chain as _Engine._buy_chain calls it, with every
+    """_stabilizer_chain as symmetry.purchase calls it, with every
     position's _invariant."""
-    inv = [search._invariant(pn, deg, k) for k in range(len(pn))]
-    return search._stabilizer_chain(pn, deg, inv)
+    inv = [symmetry._invariant(pn, deg, k) for k in range(len(pn))]
+    return symmetry._stabilizer_chain(pn, deg, inv)
 
 
 def _check_chain_rule(g: Graph, aut: int, p: int) -> None:
@@ -416,7 +416,7 @@ def test_aut_weight_matches_brute_force(g):
 
 def _check_aut_weight(g: Graph) -> None:
     """_check_chain_rule at p = 11 against brute force on |Aut(G)|; and
-    _Engine._buy_chain's bound B = prod (cell size)! over the cells of equal
+    symmetry.purchase's bound B = prod (cell size)! over the cells of equal
     (degree, _invariant) at least |Aut(G)|."""
     aut = _brute_aut_count(g)
     _check_chain_rule(g, aut, 11)
@@ -426,7 +426,7 @@ def _check_aut_weight(g: Graph) -> None:
         pn[v] |= 1 << u
         deg[u] += 1
         deg[v] += 1
-    cells = Counter(zip(deg, [search._invariant(pn, deg, k) for k in range(g.order)]))
+    cells = Counter(zip(deg, [symmetry._invariant(pn, deg, k) for k in range(g.order)]))
     assert math.prod(map(math.factorial, cells.values())) >= aut
 
 
@@ -555,13 +555,13 @@ def _count_map_extension(monkeypatch) -> list[int]:
     """Counts _map_extension's calls, its recursive ones included, in the
     returned list's one entry."""
     calls = [0]
-    extend = search._map_extension
+    extend = symmetry._map_extension
 
     def counted(*args):
         calls[0] += 1
         return extend(*args)
 
-    monkeypatch.setattr(search, "_map_extension", counted)
+    monkeypatch.setattr(symmetry, "_map_extension", counted)
     return calls
 
 
@@ -571,7 +571,7 @@ def test_chain_set_up_is_capped(monkeypatch):
     # the set-up. No test or benchmark graph needs more than 100 calls.
     calls = _count_map_extension(monkeypatch)
     assert _chain(*_circulant(32, range(1, 8))) is None
-    assert calls[0] == search.CHAIN_CALL_CAP + 1
+    assert calls[0] == symmetry.CHAIN_CALL_CAP + 1
     calls[0] = 0
     chain = _chain(*_circulant(12, (1, 2)))  # |Aut| 24, the dihedral group
     assert (math.prod(chain[1]), calls[0]) == (24, 32)
@@ -589,7 +589,7 @@ def test_find_first_above_order_12():
 
 
 def test_capped_chain_falls_back_to_an_exact_search(monkeypatch):
-    monkeypatch.setattr(search, "CHAIN_CALL_CAP", 0)
+    monkeypatch.setattr(symmetry, "CHAIN_CALL_CAP", 0)
     g = make_cycle(7)
     # p >= n: the plain search, with no order constraint and no ceiling
     # (count-all, which buys before its first run; find-first buys later)
@@ -622,10 +622,11 @@ def test_chain_set_up_stops_at_the_deadline(monkeypatch):
     # a clock that passes the deadline after 100 calls
     clock = SimpleNamespace(monotonic=lambda: 2.0 if calls[0] >= 100 else 0.0)
     monkeypatch.setattr(search, "time", clock)
+    monkeypatch.setattr(symmetry, "time", clock)
     calls[0] = 0
     res = search_labeling(SearchSpec(CUBIC12, 13, mode="count-all", budget=Budget(1000, 1.0)))
     assert (res.outcome, res.nodes) == ("exhausted", 0)
-    assert 100 <= calls[0] <= 100 + search.CHAIN_POLL
+    assert 100 <= calls[0] <= 100 + symmetry.CHAIN_POLL
     # with only a node budget the clock is not read, and the run is unchanged
     calls[0] = 0
     assert search_labeling(spec) == first
@@ -672,7 +673,7 @@ def test_short_find_first_builds_no_chain(monkeypatch):
     def no_chain(*args):
         raise AssertionError("a run shorter than CHAIN_AFTER nodes needs no chain")
 
-    monkeypatch.setattr(search, "_stabilizer_chain", no_chain)
+    monkeypatch.setattr(symmetry, "_stabilizer_chain", no_chain)
     res = search_labeling(SearchSpec(g, 67))
     assert (res.outcome, res.nodes) == ("found", 70)
     e0, e1 = brute_tally(g.edges, res.labeling, 67)
@@ -686,13 +687,13 @@ def test_probes_buy_the_chain_once(monkeypatch):
     # chain, and 4 030 when the probe that reaches the rent starts over
     # under the chain.
     built = []
-    chain = search._stabilizer_chain
+    chain = symmetry._stabilizer_chain
 
     def counted(*args):
         built.append(args)
         return chain(*args)
 
-    monkeypatch.setattr(search, "_stabilizer_chain", counted)
+    monkeypatch.setattr(symmetry, "_stabilizer_chain", counted)
     got, complete, nodes = achievable_differences(PETERSEN, 11)
     assert (complete, nodes, len(built)) == (True, 4030, 1)
     monkeypatch.setattr(search, "CHAIN_AFTER", 0)
@@ -723,16 +724,16 @@ def test_deadline_or_cap_during_the_purchase(monkeypatch):
     full = search_labeling(SearchSpec(CUBIC12, 13))
     assert (full.outcome, full.nodes, calls[0]) == ("found", 31, 726)
     # a clock that passes the deadline after 100 calls ends the run at the purchase
-    monkeypatch.setattr(
-        search, "time", SimpleNamespace(monotonic=lambda: 2.0 if calls[0] >= 100 else 0.0)
-    )
+    clock = SimpleNamespace(monotonic=lambda: 2.0 if calls[0] >= 100 else 0.0)
+    monkeypatch.setattr(search, "time", clock)
+    monkeypatch.setattr(symmetry, "time", clock)
     calls[0] = 0
     res = search_labeling(SearchSpec(CUBIC12, 13, budget=Budget(max_seconds=1.0)))
     assert (res.outcome, res.nodes) == ("exhausted", 10)
-    assert 100 <= calls[0] <= 100 + search.CHAIN_POLL
+    assert 100 <= calls[0] <= 100 + symmetry.CHAIN_POLL
     # a capped chain (the call past the cap raises) leaves the twin runs in
     # place, and the run starts over under them
-    monkeypatch.setattr(search, "CHAIN_CALL_CAP", 50)
+    monkeypatch.setattr(symmetry, "CHAIN_CALL_CAP", 50)
     calls[0] = 0
     res = search_labeling(SearchSpec(CUBIC12, 13))
     assert (res.outcome, res.labeling, calls[0]) == ("found", full.labeling, 51)
@@ -753,8 +754,8 @@ def test_class_orders_match_brute_force():
     for n in range(1, 65):
         for q in (3, 5, 7, 11, 13, n, n + 1):
             sizes = Counter(x % q for x in range(1, n + 1))
-            assert search._class_orders(n, q) == math.prod(map(math.factorial, sizes.values()))
-        assert search._class_orders(n, n) == search._class_orders(n, n + 1) == 1
+            assert symmetry._class_orders(n, q) == math.prod(map(math.factorial, sizes.values()))
+        assert symmetry._class_orders(n, n) == symmetry._class_orders(n, n + 1) == 1
 
 
 @pytest.mark.parametrize(
@@ -856,7 +857,7 @@ def test_twin_runs_match_oracles(g, p):
 def test_capped_chain_at_p_at_least_n_keeps_twin_runs(monkeypatch, g, p):
     # With no chain kept, twin runs cut at every p. The chains of K6 and
     # star:7 are built from twin swaps alone, so the cap leaves them in place.
-    monkeypatch.setattr(search, "CHAIN_CALL_CAP", 0)
+    monkeypatch.setattr(symmetry, "CHAIN_CALL_CAP", 0)
     _check_against_oracles(g, p)
     if g == _bipartite(3, 3) and p == 7:  # a run of 3 in each part
         res = search_labeling(SearchSpec(g, p, mode="count-all"))
@@ -1300,6 +1301,19 @@ def test_search_inputs_of_the_wrong_type_are_refused():
         achievable_differences(g, 5, budget=100)
     with pytest.raises(TypeError, match="^budget must be a Budget or None, got int$"):
         find_base_labelings("join", make_path(3), make_complete(1), 3, budget=100)
+
+
+def test_achievable_differences_refuses_a_graph_of_the_wrong_type():
+    with pytest.raises(TypeError, match="^graph must be a Graph, got list$"):
+        achievable_differences([(0, 1)], 5)
+
+
+def test_find_base_labelings_refuses_factors_of_the_wrong_type():
+    g = make_cycle(5)
+    with pytest.raises(TypeError, match="^g2 must be a Graph, got str$"):
+        find_base_labelings("join", g, "P4", 5)
+    with pytest.raises(TypeError, match="^g1 must be a Graph, got NoneType$"):
+        find_base_labelings("cartesian", None, g, 5)
 
 
 def test_searches_leave_no_reference_cycles():
