@@ -514,6 +514,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_USAGE, "usage-error", str(exc))
     except OSError as exc:
         return _fail(EXIT_IO, "io-error", str(exc))
+    except MemoryError:  # a resource failure: the same input may fit a larger machine
+        return _fail(EXIT_IO, "out-of-memory", "ran out of memory")
     finally:
         if collecting:
             gc.enable()

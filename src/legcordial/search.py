@@ -22,9 +22,9 @@ rent is spent, _Probes.run buys and starts the run that spent it over, so
 every run searches under one rule. The last position's label, the one
 left unused, is read off by the position before it, not scanned for.
 
-Also, d always has the parity of the graph's size, so the window is
-narrowed to that parity before the engine is built; an empty window is a
-certified "none" after 0 nodes.
+Also, d always lies in [-size, size] and has the parity of the size, so
+the window is clipped and narrowed to fit before the engine is built; an
+empty window is a certified "none" after 0 nodes.
 
 Budgets count assignment-tree nodes (each candidate label tried at a vertex:
 only class representatives under residue classes, and only labels above the
@@ -137,10 +137,10 @@ def _check_ceiling(graph: Graph) -> None:
 
 
 def _parity_window(graph: Graph, lo: int, hi: int) -> tuple[int, int]:
-    """[lo, hi] narrowed to the parity of the graph's size, which d always has;
-    lo > hi when no d fits."""
-    parity = graph.size % 2
-    return lo + (lo - parity) % 2, hi - (hi - parity) % 2
+    """[lo, hi] clipped to [-size, size] and to the size's parity, as d is; lo > hi if none fits."""
+    q = graph.size
+    lo, hi = max(lo, -q), min(hi, q)
+    return lo + (lo - q) % 2, hi - (hi - q) % 2
 
 
 class SearchResult(Record):
@@ -170,15 +170,14 @@ class SearchResult(Record):
 
 class _Engine:
     """Shared backtracking core; one instance per (graph, prime, count-all
-    or not). Each entry point checks the prime before _Probes builds an
-    engine: SearchSpec, balance_form or achievable_differences itself."""
+    or not): the positions' layout, the walk, and its bounds, residue
+    classes and twin runs' until ``use`` sets the chain's. ``deadline``
+    holds for every run. Each entry point checks the prime before _Probes
+    builds an engine: SearchSpec, balance_form or achievable_differences."""
 
     def __init__(
         self, graph: Graph, p: int, count_all: bool = False, deadline: float | None = None
     ):
-        """``chain_in`` is the rent (see the module docstring), the nodes
-        left before _Probes.run has _buy_chain choose, or None when it never
-        does. ``deadline`` holds for the chain's set-up and every run."""
         self.stop_at_first = not count_all
         self.deadline = deadline
         n = graph.order
@@ -210,7 +209,6 @@ class _Engine:
         for k in range(n):
             remaining -= len(prev[k])
             self.steps.append((prev[k], remaining, above[k], top[k]))
-        self.chain_in = None if self.cut >= math.factorial(n) else 0 if count_all else CHAIN_AFTER
         # what an edge adds to d for every endpoint sum 0..2n: +1 when s mod p
         # is a quadratic residue (edge_label 1), by Euler's criterion, else -1;
         # 2n + 1 pow calls whatever p is, not a table of p residues
@@ -312,15 +310,11 @@ class _Engine:
             if stop_at_first:
                 return nodes, count, witness, False
 
-    def _buy_chain(self) -> None:
-        """Choose the engine's reduction for good: the chain, when
-        symmetry.purchase returns its bounds, replaces each step's."""
-        self.chain_in = None
-        chain = symmetry.purchase(self.pn, self.dp, self.cut, self.deadline)
-        if chain is not None:
-            above, top, self.q, self.leaf_weight, self.twins = chain
-            for k, (prev_k, rem, *_) in enumerate(self.steps):
-                self.steps[k] = (prev_k, rem, above[k], top[k])
+    def use(self, bounds: tuple) -> None:
+        """Walk under symmetry.purchase's ``bounds`` from the next run on."""
+        above, top, self.q, self.leaf_weight, self.twins = bounds
+        for k, (prev_k, rem, *_) in enumerate(self.steps):
+            self.steps[k] = (prev_k, rem, above[k], top[k])
 
 
 def search_labeling(spec: SearchSpec) -> SearchResult:
@@ -348,9 +342,9 @@ class _Probes:
     An engine is built at the first run on a graph and kept, and it alone
     ends a run on budget or time, before its first node when none is left.
     Then ``complete`` is False, and every later run finds nothing at no cost.
-    ``run`` alone buys the chain, once the engine's rent is spent. A run
-    gets at most the rent left, and one that stops at the rent with budget
-    to spare starts over after the purchase; its nodes count in ``nodes``.
+    ``run`` alone rents and buys the chain, once the engine's rent is spent.
+    A run gets at most the rent left, and one that stops at the rent with
+    budget to spare starts over after the purchase; its nodes count in ``nodes``.
     """
 
     def __init__(self, p: int, budget: Budget | None, count_all: bool = False):
@@ -364,6 +358,7 @@ class _Probes:
         self.nodes = 0
         self.complete = True
         self.engines: dict[int, _Engine] = {}  # by id() of the graph
+        self.rents: dict[int, int | None] = {}  # nodes left before the purchase, or None
 
     def run(self, graph: Graph, lo: int, hi: int) -> tuple[int, tuple[int, ...] | None]:
         """(count, first witness in search order or None) of the labelings
@@ -375,21 +370,27 @@ class _Probes:
         lo, hi = _parity_window(graph, lo, hi)
         if lo > hi:
             return 0, None
-        if id(graph) not in self.engines:
-            self.engines[id(graph)] = _Engine(graph, self.p, self.count_all, self.deadline)
-        engine = self.engines[id(graph)]
+        key = id(graph)
+        if key not in self.engines:
+            engine = self.engines[key] = _Engine(graph, self.p, self.count_all, self.deadline)
+            no_chain_cuts_more = engine.cut >= math.factorial(graph.order)
+            self.rents[key] = None if no_chain_cuts_more else 0 if self.count_all else CHAIN_AFTER
+        engine = self.engines[key]
         while True:
-            if engine.chain_in == 0:  # the rent is spent: choose, then run
-                engine._buy_chain()
-            rent = engine.chain_in
+            rent = self.rents[key]
+            if rent == 0:  # the rent is spent: choose for good, then run
+                chain = symmetry.purchase(engine.pn, engine.dp, engine.cut, self.deadline)
+                if chain is not None:
+                    engine.use(chain)
+                rent = self.rents[key] = None
             left = self.max_nodes - self.nodes
             cap = left if rent is None else min(rent, left)
             nodes, count, witness, exhausted = engine.run(lo, hi, cap)
             self.nodes += nodes
-            if rent is not None:
-                engine.chain_in = rent - nodes  # the next run on this engine counts on
+            if rent is not None:  # the next run on this engine counts on
+                rent = self.rents[key] = rent - nodes
             # a run stopped at the rent with budget left starts over
-            if engine.chain_in != 0 or not exhausted or cap == left:
+            if rent != 0 or not exhausted or cap == left:
                 break
         self.complete = not exhausted
         return count, witness
@@ -463,11 +464,10 @@ def _probe_pair(
     scan_is_g1 = g1.order <= g2.order
     scan, other = (g1, g2) if scan_is_g1 else (g2, g1)
     scan_coef, other_coef = (form.coef1, form.coef2) if scan_is_g1 else (form.coef2, form.coef1)
-    q = other.size
     for d_scan in range(-scan.size, scan.size + 1, 2):
         # need other_coef * d_other in [lo - scan_coef*d_scan, hi - scan_coef*d_scan]
-        d_lo = max(-(-(form.lo - scan_coef * d_scan) // other_coef), -q)  # ceil
-        d_hi = min((form.hi - scan_coef * d_scan) // other_coef, q)  # floor
+        d_lo = -(-(form.lo - scan_coef * d_scan) // other_coef)  # ceil
+        d_hi = (form.hi - scan_coef * d_scan) // other_coef  # floor
         d_lo, d_hi = _parity_window(other, d_lo, d_hi)
         if d_lo > d_hi:
             continue

@@ -1,6 +1,6 @@
 """The exact symmetry reductions that the search engine walks its tree under.
 
-search._Engine passes each search position's neighbourhood bitmask over
+search.py passes each search position's neighbourhood bitmask over
 positions, ``pn``, and degree, ``dp``. A reduction's bounds are ``(above,
 top, q, leaf weight, twins)``: position k's label must exceed position
 above[k]'s (-1: none) and stay below top[k]; labels of one class are q

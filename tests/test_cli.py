@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from legcordial import cli
 from legcordial.cli import main, parse_family
 from legcordial.constructors import (
     ConnectivityViolation,
@@ -1086,6 +1087,20 @@ def test_stdout_write_error_is_one_io_error(capsys, monkeypatch):
     assert (code, captured.out) == (1, "")
     (line,) = captured.err.splitlines()
     assert json.loads(line)["error"] == {"code": 1, "type": "io-error", "message": "[Errno 32] Broken pipe"}
+
+
+def test_out_of_memory_is_one_json_error(capsys, monkeypatch):
+    # A graph file under the byte cap can still outgrow a small machine's
+    # memory while it is parsed or built; the CLI then fails as for an
+    # unreadable file, with exit 1 and one error object.
+    def out_of_memory(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "load_graph_arg", out_of_memory)
+    code, out, err = run(capsys, "verify", "--g", "dense.json", "--labeling", "1,2", "--p", "3")
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == {"code": 1, "type": "out-of-memory", "message": "ran out of memory"}
 
 
 def test_verify_output_bytes(capsys):

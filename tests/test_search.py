@@ -263,13 +263,17 @@ def _check_against_oracles(g: Graph, p: int) -> None:
         assert assign == min(want[d], key=key)
 
 
+def _probed(g: Graph, p: int, count_all: bool = False) -> tuple[search._Engine, int | None]:
+    """The engine and the rent left after a 1-node _Probes.run on ``g``:
+    an engine that rents 0 nodes, as count-all's does, has bought the chain."""
+    probes = search._Probes(p, Budget(max_nodes=1), count_all)
+    probes.run(g, -g.size, g.size)
+    return probes.engines[id(g)], probes.rents[id(g)]
+
+
 def _engine(g: Graph, p: int, count_all: bool = False) -> search._Engine:
-    """An engine as _Probes.run has it when its first run starts: one that
-    rents 0 nodes, as count-all's does, has bought the chain."""
-    engine = search._Engine(g, p, count_all)
-    if engine.chain_in == 0:
-        engine._buy_chain()
-    return engine
+    """An engine as _Probes.run has it once its first run has started."""
+    return _probed(g, p, count_all)[0]
 
 
 def _above_and_runs(g: Graph, p: int, count_all: bool = False) -> tuple[list[int], list[int]]:
@@ -504,10 +508,10 @@ def test_find_first_below_p_rents_before_it_buys_the_chain(monkeypatch):
     res = search_labeling(SearchSpec(Q4, 13, DiffWindow(30, 32)))
     assert (res.outcome, res.nodes) == ("none", 164_826)
 
-    def no_chain(self):
+    def no_chain(*args):
         raise AssertionError("a run shorter than CHAIN_AFTER nodes needs no chain")
 
-    monkeypatch.setattr(search._Engine, "_buy_chain", no_chain)
+    monkeypatch.setattr(symmetry, "purchase", no_chain)
     g = make_cycle(7)
     assert search_labeling(SearchSpec(g, 5)).outcome == "found"
     assert find_base_labelings("join", make_cycle(6), make_cycle(7), 3).outcome == "none"
@@ -520,24 +524,31 @@ def test_no_chain_cuts_more_so_nothing_is_rented():
     # residue classes and twin runs from the start. The map took 301 nodes
     # while the engine rented CHAIN_AFTER nodes, kept no chain, and started
     # the probe at the rent over under the same rule.
-    engine = search._Engine(make_star(9), 5)
-    assert (engine.cut, engine.chain_in) == (645_120, None)
+    engine, rent = _probed(make_star(9), 5)
+    assert (engine.cut, rent) == (645_120, None)
     got, complete, nodes = achievable_differences(make_star(9), 5)
     assert (got, complete, nodes) == (
         {-2: (1, 2, 3, 4, 5, 6, 7, 8, 9), 0: (5, 1, 2, 3, 4, 6, 7, 8, 9)}, True, 293
     )
 
 
-def test_count_all_rents_nothing_and_probes_buy():
+def test_count_all_rents_nothing_and_probes_buy(monkeypatch):
     # Count-all rents 0 nodes: its engine builds no chain, and _Probes.run
     # buys it before the first run. C7 at p = 5 keeps it (|Aut| 14 > T 4).
     g = make_cycle(7)
-    engine = search._Engine(g, 5, count_all=True)
-    assert (engine.chain_in, engine.q, engine.leaf_weight) == (0, 5, 4)
     probes = search._Probes(5, None, count_all=True)
+    purchase, bought = symmetry.purchase, []
+
+    def watched(*args):  # the rent and the engine's bounds at the purchase
+        engine = probes.engines[id(g)]
+        bought.append((probes.rents[id(g)], engine.q, engine.leaf_weight, probes.nodes))
+        return purchase(*args)
+
+    monkeypatch.setattr(symmetry, "purchase", watched)
     assert probes.run(g, -1, 1)[0] == 2408
+    assert bought == [(0, 5, 4, 0)]
     engine = probes.engines[id(g)]
-    assert (engine.chain_in, engine.q, engine.leaf_weight, probes.nodes) == (None, 8, 14, 1366)
+    assert (probes.rents[id(g)], engine.q, engine.leaf_weight, probes.nodes) == (None, 8, 14, 1366)
 
 
 def _circulant(n: int, jumps) -> tuple[list[int], list[int]]:
@@ -593,8 +604,8 @@ def test_capped_chain_falls_back_to_an_exact_search(monkeypatch):
     g = make_cycle(7)
     # p >= n: the plain search, with no order constraint and no ceiling
     # (count-all, which buys before its first run; find-first buys later)
-    engine = _engine(g, 11, True)
-    assert (engine.leaf_weight, engine.q, engine.chain_in) == (1, 8, None)
+    engine, rent = _probed(g, 11, True)
+    assert (engine.leaf_weight, engine.q, rent) == (1, 8, None)
     assert [step[2:] for step in engine.steps] == [(-1, 8)] * 7
     # p < n: residue classes, as without the chain
     assert (_engine(g, 5, True).q, search._Engine(g, 5).q) == (5, 5)
@@ -970,12 +981,12 @@ def test_achievable_differences_budget_sweep():
 # Orders 1 and 2, as recorded before leaves were settled by their parent
 # position: (window, outcome, nodes, witness, count in count-all). Graph(1)
 # has no edge, so d = 0; path:2's one edge has label sum 3, a non-residue
-# mod 3 and mod 5, so d = -1. exact(1) has the wrong parity for Graph(1):
-# "none" at 0 nodes.
+# mod 3 and mod 5, so d = -1. exact(1) has the wrong parity for Graph(1),
+# and around(2) = [1, 3] lies past its size 0: "none" at 0 nodes.
 SMALL_ORDERS = [
     (Graph(1), DiffWindow.cordial(), "found", 1, (1,), 1),
     (Graph(1), DiffWindow.exact(1), "none", 0, None, 0),
-    (Graph(1), DiffWindow.around(2), "none", 1, None, 0),
+    (Graph(1), DiffWindow.around(2), "none", 0, None, 0),
     (make_path(2), DiffWindow.cordial(), "found", 2, (1, 2), 2),
     (make_path(2), DiffWindow.exact(1), "none", 2, None, 0),
     (make_path(2), DiffWindow.around(2), "none", 2, None, 0),
@@ -994,6 +1005,28 @@ def test_orders_1_and_2_are_pinned(g, window, outcome, nodes, witness, count, mo
     count_all = mode == "count-all"
     assert res == SearchResult(outcome, nodes, witness, count if count_all else None)
     assert res.complete == (count_all or outcome == "none")
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "g,p,window",
+    [
+        (PETERSEN, 11, DiffWindow.exact(17)),
+        (PETERSEN, 11, DiffWindow(-21, -16)),
+        (make_path(12), 13, DiffWindow(12, 14)),
+    ],
+    ids=["petersen-p11-above", "petersen-p11-below", "P12-p13-above"],
+)
+def test_windows_past_the_size_are_none_at_0_nodes(monkeypatch, g, p, window, mode):
+    # d lies in [-size, size]: 15 for Petersen, 11 for P12. Before windows
+    # were clipped to it, Petersen's [17, 17] took 10 find-first nodes, or 1
+    # count-all node after buying the chain, and P12's [12, 14] took 12 and 11.
+    def no_engine(*args):
+        raise AssertionError("a window past the size needs no engine")
+
+    monkeypatch.setattr(search, "_Engine", no_engine)
+    res = search_labeling(SearchSpec(g, p, window, mode=mode))
+    assert res == SearchResult("none", 0, None, 0 if mode == "count-all" else None)
 
 
 def test_search_report_json():
