@@ -1,8 +1,8 @@
 """Command-line surface: generate graphs, apply operations, run constructive
 labelings, verify labelings, and search for them.
 
-construct reads flags or a --recipe file; in both, --auto searches for base
-labelings only when every one the theorem needs is missing.
+construct reads flags or a --recipe file, never both; in either, --auto
+searches for base labelings only when every one the theorem needs is missing.
 
 Exit codes: 0 success, 1 I/O error, 2 usage error, 3 hypothesis violation,
 4 search found nothing, 5 budget exhausted. search reports none (4) and
@@ -251,6 +251,8 @@ def _load_labeling_arg(spec: str, graph: Graph) -> tuple[Labeling, int | None]:
 def _cmd_verify(args) -> int:
     g = load_graph_arg(args.g)
     lab, p_from_file = _load_labeling_arg(args.labeling, g)
+    if None not in (args.p, p_from_file) and args.p != p_from_file:
+        raise ValueError(f"--p {args.p} contradicts the labeling file's p = {p_from_file}")
     p = args.p if args.p is not None else p_from_file
     if p is None:
         raise ValueError("no prime given: pass --p or a labeling file carrying p")
@@ -332,6 +334,12 @@ def _recipe_from_json(obj: dict) -> ConstructionRecipe:
 def _recipe_from_args(args) -> ConstructionRecipe:
     """The recipe in the --recipe file, or the one the flags spell out."""
     if args.recipe:
+        flags = (("the theorem name", args.theorem), ("--p", args.p), ("--g", args.g),
+                 ("--g1", args.g1), ("--g2", args.g2), ("--lab-g1", args.lab_g1),
+                 ("--lab-g2", args.lab_g2))
+        if given := [name for name, value in flags if value is not None]:
+            raise ValueError("--recipe gives the theorem, p, graphs and labels; drop "
+                             + ", ".join(given))
         return _recipe_from_json(_read_json(args.recipe, "cannot read recipe", "bad recipe JSON"))
     if args.theorem is None:
         raise ValueError("construct needs a theorem name or --recipe")

@@ -37,11 +37,13 @@ set-up in every entry point, the stabilizer chain's included. A
 budget-exhausted run is a distinct outcome, never conflated with a
 completed proof of non-existence.
 
-Each entry point drives one _Probes, which holds the budget and buys the
-chain: `search_labeling` makes one run, and `achievable_differences` and
-`find_base_labelings` a sequence of find-first window runs (probes). A
-window prunes only subtrees with no leaf inside it, so the probe [d, d]
-finds the first labeling in search order with difference d.
+Each entry point drives one _Probes, which holds every per-call setting
+(budget, deadline, mode, rent) and hands each run of its one _Engine per
+graph the mode and the deadline: `search_labeling` makes one run, and
+`achievable_differences` and `find_base_labelings` a sequence of
+find-first window runs (probes). A window prunes only subtrees with no
+leaf inside it, so the probe [d, d] finds the first labeling in search
+order with difference d.
 """
 
 from __future__ import annotations
@@ -169,17 +171,13 @@ class SearchResult(Record):
 
 
 class _Engine:
-    """Shared backtracking core; one instance per (graph, prime, count-all
-    or not): the positions' layout, the walk, and its bounds, residue
-    classes and twin runs' until ``use`` sets the chain's. ``deadline``
-    holds for every run. Each entry point checks the prime before _Probes
+    """Shared backtracking core; one instance per (graph, prime): the
+    positions' layout, the walk, and its bounds, residue classes and twin
+    runs' until ``use`` sets the chain's. _Probes.run hands each run its
+    mode and deadline. Each entry point checks the prime before _Probes
     builds an engine: SearchSpec, balance_form or achievable_differences."""
 
-    def __init__(
-        self, graph: Graph, p: int, count_all: bool = False, deadline: float | None = None
-    ):
-        self.stop_at_first = not count_all
-        self.deadline = deadline
+    def __init__(self, graph: Graph, p: int):
         n = graph.order
         deg = [0] * n
         for u, v in graph.edges:
@@ -216,7 +214,7 @@ class _Engine:
         self.sum_label = [1 if pow(s % p, half, p) == 1 else -1 for s in range(2 * n + 1)]
 
     def run(
-        self, lo: int, hi: int, max_nodes: int
+        self, lo: int, hi: int, max_nodes: int, count_all: bool, deadline: float | None
     ) -> tuple[int, int, tuple[int, ...] | None, bool]:
         """Explore the assignment tree under the engine's one reduction;
         returns (nodes, count, first witness, whether ``max_nodes`` or the
@@ -240,7 +238,7 @@ class _Engine:
         q = self.q
         full = (1 << n + 1) - 2  # labels 1..n
         leaf_weight, twins = self.leaf_weight, self.twins
-        stop_at_first, deadline = self.stop_at_first, self.deadline
+        stop_at_first = not count_all
         nodes, count, witness = 0, 0, None
         # one checkpoint test per node; past it, the run stops at the node
         # budget, and under a deadline polls the clock every 4096 nodes
@@ -336,8 +334,9 @@ def search_labeling(spec: SearchSpec) -> SearchResult:
 
 class _Probes:
     """Window runs, count-all or find-first, that share one node budget
-    and one deadline. The deadline starts when the _Probes is built, so it
-    covers building the engines.
+    and one deadline; ``run`` hands each engine run the mode and deadline.
+    The deadline starts when the _Probes is built, so it covers building
+    the engines.
 
     An engine is built at the first run on a graph and kept, and it alone
     ends a run on budget or time, before its first node when none is left.
@@ -372,7 +371,7 @@ class _Probes:
             return 0, None
         key = id(graph)
         if key not in self.engines:
-            engine = self.engines[key] = _Engine(graph, self.p, self.count_all, self.deadline)
+            engine = self.engines[key] = _Engine(graph, self.p)
             no_chain_cuts_more = engine.cut >= math.factorial(graph.order)
             self.rents[key] = None if no_chain_cuts_more else 0 if self.count_all else CHAIN_AFTER
         engine = self.engines[key]
@@ -385,7 +384,7 @@ class _Probes:
                 rent = self.rents[key] = None
             left = self.max_nodes - self.nodes
             cap = left if rent is None else min(rent, left)
-            nodes, count, witness, exhausted = engine.run(lo, hi, cap)
+            nodes, count, witness, exhausted = engine.run(lo, hi, cap, self.count_all, self.deadline)
             self.nodes += nodes
             if rent is not None:  # the next run on this engine counts on
                 rent = self.rents[key] = rent - nodes

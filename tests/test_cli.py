@@ -163,6 +163,20 @@ def test_verify_labeling_file(tmp_path, capsys):
     assert json.loads(out)["cordial"] is True
 
 
+def test_verify_refuses_a_p_that_contradicts_the_labeling_file(tmp_path, capsys):
+    lab = tmp_path / "lab.json"
+    lab.write_text(json.dumps({"p": 5, "assign": [1, 2, 3]}))
+    argv = ("verify", "--g", "cycle:3", "--labeling", str(lab))
+    message = _one_usage_error(*run(capsys, *argv, "--p", "3"))
+    assert message == "--p 3 contradicts the labeling file's p = 5"
+    # an equal --p, or none, verifies mod 5; inline labels take --p as given
+    mod5 = run(capsys, *argv)
+    assert mod5 == run(capsys, *argv, "--p", "5")
+    assert mod5[:2] == (0, json.dumps({"e0": 2, "e1": 1, "cordial": True}) + "\n")
+    code, out, _ = run(capsys, "verify", "--g", "cycle:3", "--labeling", "1,2,3", "--p", "3")
+    assert (code, json.loads(out)) == (0, {"e0": 2, "e1": 1, "cordial": True})
+
+
 def test_verify_dot_output_colors_edges(capsys):
     code, out, _ = run(
         capsys, "verify", "--g", "cycle:3", "--labeling", "1,2,3", "--p", "3", "--format", "dot"
@@ -757,6 +771,33 @@ def test_single_factor_recipe_without_a_graph_is_usage_error(tmp_path, capsys):
     argv = _recipe_argv(tmp_path, {"theorem": "kp-tensor", "p": 3})
     message = _one_usage_error(*run(capsys, *argv))
     assert message == "recipe for kp-tensor needs a factor graph, g1 or g2"
+
+
+@pytest.mark.parametrize(
+    "extra,named",
+    [
+        (("join", "--p", "7", "--g1", "cycle:5", "--lab-g1", "1,2,3,4,5"),
+         ["the theorem name", "--p", "--g1", "--lab-g1"]),
+        (("corona-path",), ["the theorem name"]),
+        (("--p", "3"), ["--p"]),
+        (("--g", "path:2", "--g2", "path:3"), ["--g", "--g2"]),
+        (("--lab-g2", "1,2"), ["--lab-g2"]),
+    ],
+)
+def test_construct_recipe_refuses_the_flags_it_would_ignore(tmp_path, capsys, extra, named):
+    # the file alone gives the recipe: a flag it would override is refused, not dropped
+    argv = _recipe_argv(tmp_path, {"theorem": "corona-path", "p": 3, "g1": "path:2"})
+    message = _one_usage_error(*run(capsys, *argv, *extra, "--format", "table"))
+    assert message.endswith("drop " + ", ".join(named))
+
+
+def test_construct_recipe_takes_auto_budgets_format_and_out(tmp_path, capsys):
+    argv = _recipe_argv(tmp_path, {"theorem": "corona-path", "p": 3, "g1": "path:2"})
+    out = tmp_path / "out.txt"
+    code, stdout, err = run(capsys, *argv, "--auto", "--budget-nodes", "9", "--budget-seconds",
+                            "5", "--format", "table", "--out", str(out))
+    assert (code, stdout, err) == (0, "", "")
+    assert out.read_text().startswith("theorem: corona-path\np: 3\norder: 6\n")
 
 
 # Hypothesis gates that no other test reaches: (construct argv, the API call

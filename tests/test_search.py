@@ -551,6 +551,19 @@ def test_count_all_rents_nothing_and_probes_buy(monkeypatch):
     assert (probes.rents[id(g)], engine.q, engine.leaf_weight, probes.nodes) == (None, 8, 14, 1366)
 
 
+@pytest.mark.parametrize("g,p,want", [(make_cycle(7), 5, 2408), (make_path(7), 3, 1056)],
+                         ids=["C7-p5", "P7-p3"])
+def test_one_engine_runs_in_either_mode_under_its_own_deadline(g, p, want):
+    # the mode and the deadline are run arguments: one engine counts, then finds
+    assert brute_cordial_count(g.edges, g.order, p) == want
+    engine = search._Engine(g, p)
+    nodes, count, first, exhausted = engine.run(-1, 1, 10**6, True, None)
+    assert (count, exhausted) == (want, False)
+    found = engine.run(-1, 1, 10**6, False, time.monotonic() + 60)
+    assert found[2:] == (first, False) and found[0] < nodes
+    assert engine.run(-1, 1, 10**6, True, time.monotonic() - 1) == (0, 0, None, True)
+
+
 def _circulant(n: int, jumps) -> tuple[list[int], list[int]]:
     """Neighbourhood masks and degrees of the circulant C_n(jumps); every
     vertex has the same degree, so index order is the search order."""
